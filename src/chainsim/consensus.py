@@ -9,7 +9,7 @@ controller, so hops, latency, and message counts stay consistent.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .config import SimulationConfig
 from .identity import Address, Identifier, hash_bytes
@@ -40,11 +40,11 @@ class ValidationTicket:
 
 
 def slot_target(entity_id: Identifier, slot: int) -> Identifier:
-    return hash_bytes(entity_id.bits, struct.pack(">Q", slot))
+    return hash_bytes(entity_id, struct.pack(">Q", slot))
 
 
 def make_token(entity_id: Identifier, validator: int, decision: str) -> bytes:
-    return hash_bytes(entity_id.bits, struct.pack(">Q", validator), decision.encode()).bits
+    return hash_bytes(entity_id, struct.pack(">Q", validator), decision.encode())
 
 
 def select_validators(entity_id: Identifier, owner: int,
@@ -65,10 +65,10 @@ def select_validators(entity_id: Identifier, owner: int,
     for slot in range(cfg.validators_per_entity):
         target = slot_target(entity_id, slot)
         while True:
-            identifier, address = controllers[target.value % n]
+            identifier, address = controllers[int.from_bytes(target, "big") % n]
             if address.node_index != owner and address.node_index not in chosen:
                 break
-            target = hash_bytes(target.bits)
+            target = hash_bytes(target)
         chosen.add(address.node_index)
         result = overlay.search_num_id(start, identifier)
         tickets.append(ValidationTicket(
@@ -87,8 +87,8 @@ def replica_holders(entity_id: Identifier, owner: int,
     holders = [owner]
     k = 0
     while len(holders) < factor:
-        probe = hash_bytes(entity_id.bits, b"rep", struct.pack(">Q", k))
-        candidate = controllers[probe.value % n][1].node_index
+        probe = hash_bytes(entity_id, b"rep", struct.pack(">Q", k))
+        candidate = controllers[int.from_bytes(probe, "big") % n][1].node_index
         if candidate not in holders:
             holders.append(candidate)
         k += 1

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from random import Random
 
 from .config import SimulationConfig
-from .identity import Address, Identifier, NodeKey, hash_bytes
+from .identity import Address, Identifier, hash_bytes
 from .storage import (
     DECISION_APPROVE,
     Block,
@@ -38,7 +38,6 @@ MAX_BLOCK_RETRIES = 3
 class NodeState:
     node_index: int
     address: Address
-    key: NodeKey
     identifier: Identifier
     role: str
     rng_recipient: Random
@@ -66,7 +65,7 @@ def pending_pool(state: NodeState) -> list[tuple[int, Identifier]]:
         for tx_id, finalized_at in state.own_finalized.items()
         if tx_id not in state.tracker.chain_txs and tx_id not in state.in_flight_txs
     ]
-    pool.sort(key=lambda item: (item[0], item[1].bits))
+    pool.sort()
     return pool
 
 
@@ -80,7 +79,8 @@ def approvals_of(tickets) -> int:
 
 
 def signatures_of(tickets) -> list[Signature]:
-    return [Signature(t.validator, t.decision, t.token) for t in tickets]
+    # a silent validator (no reply before the timeout) has no signature
+    return [Signature(t.validator, t.decision, t.token) for t in tickets if t.token is not None]
 
 
 # -- transaction lifecycle ----------------------------------------------

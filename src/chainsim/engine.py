@@ -214,8 +214,8 @@ class ValidationRound:
         )
         self.unresolved = self.pending_replies = len(self.tickets)
         for ticket in self.tickets:
-            sim.replay_path(ticket.path, TAG_ROUTE, self.context, ROUTE_MSG_BYTES,
-                            lambda t=ticket: self._resolved(t))
+            sim.net.send_path(ticket.path, TAG_ROUTE, ROUTE_MSG_BYTES, self.context,
+                              lambda t=ticket: self._resolved(t))
 
     def _resolved(self, ticket: ValidationTicket) -> None:
         sim = self.sim
@@ -304,7 +304,6 @@ class Simulation:
             NodeState(
                 node_index=i,
                 address=self.addresses[i],
-                key=self.keys[i],
                 identifier=self.identifiers[i],
                 role=(controller.ROLE_MALICIOUS if i in self.malicious_set
                       else controller.ROLE_HONEST),
@@ -339,19 +338,14 @@ class Simulation:
     def schedule_in(self, delay: int, fn: Callable[[], None]) -> None:
         self.schedule_at(self.now + delay, fn)
 
-    def replay_path(self, path: list[Address], tag: str, context: str | None,
-                    size: int, on_done: Callable[[], None] | None) -> None:
-        """Send a hop-by-hop envelope chain along an overlay routing path."""
-        self.net.send_path(path, tag, size, context, on_done)
-
     # -- bootstrap ------------------------------------------------------
 
     def _bootstrap(self) -> None:
         for i, state in enumerate(self.nodes):
             path = self.overlay.announce(state.identifier, state.address, KIND_CONTROLLER)
-            self.replay_path(path, TAG_ANNOUNCE, None, ROUTE_MSG_BYTES, None)
+            self.net.send_path(path, TAG_ANNOUNCE, ROUTE_MSG_BYTES, None, None)
         path = self.overlay.announce(self.genesis.id, self.addresses[0], KIND_DATA)
-        self.replay_path(path, TAG_ANNOUNCE, None, ROUTE_MSG_BYTES, None)
+        self.net.send_path(path, TAG_ANNOUNCE, ROUTE_MSG_BYTES, None, None)
         delay_ms = max(1, self.cfg.inter_tx_delay_s * 1000)
         for i, state in enumerate(self.nodes):
             offset = substream(self.seed, "offset", i).randrange(delay_ms)
@@ -394,7 +388,7 @@ class Simulation:
                                 context: str) -> None:
         state.store.store(entity)
         path = self.overlay.announce(entity.id, state.address, KIND_DATA)
-        self.replay_path(path, TAG_ANNOUNCE, context, ROUTE_MSG_BYTES, None)
+        self.net.send_path(path, TAG_ANNOUNCE, ROUTE_MSG_BYTES, context, None)
         holders = replica_holders(entity.id, entity.owner, self.controllers,
                                   REPLICATION_FACTOR)
         payload_size = len(full_bytes(entity))
@@ -408,7 +402,7 @@ class Simulation:
         holder_state = self.nodes[holder.node_index]
         holder_state.store.store(entity)
         path = self.overlay.announce(entity.id, holder_state.address, KIND_DATA)
-        self.replay_path(path, TAG_ANNOUNCE, context, ROUTE_MSG_BYTES, None)
+        self.net.send_path(path, TAG_ANNOUNCE, ROUTE_MSG_BYTES, context, None)
 
     def _record(self, entity: Entity, context: str,
                 tickets: list[ValidationTicket]) -> None:

@@ -1,8 +1,10 @@
 """Identifier space shared by nodes and data objects.
 
-A single 256-bit hash names every entity.  The byte string is read two
-ways: big-endian unsigned integer for numeric ordering, and a bit vector
-(most significant bit first) for prefix-membership level computation.
+A single 256-bit hash names every entity: an identifier is the raw
+32-byte sha256 digest.  Fixed-width big-endian bytes compare exactly like
+the unsigned integers they encode, so plain `bytes` ordering is the
+numeric ordering; `membership_prefix_len` reads the same bits as a
+membership vector, least-significant first.
 """
 from __future__ import annotations
 
@@ -12,40 +14,9 @@ from dataclasses import dataclass
 ID_BYTES = 32
 ID_BITS = ID_BYTES * 8
 
+Identifier = bytes
 
-@dataclass(frozen=True)
-class Identifier:
-    bits: bytes
-
-    def __post_init__(self):
-        if len(self.bits) != ID_BYTES:
-            raise ValueError(f"identifier must be {ID_BYTES} bytes, got {len(self.bits)}")
-
-    @property
-    def value(self) -> int:
-        return int.from_bytes(self.bits, "big")
-
-    def hex(self) -> str:
-        return self.bits.hex()
-
-    # big-endian fixed-width bytes compare exactly like unsigned integers
-    def __lt__(self, other: "Identifier") -> bool:
-        return self.bits < other.bits
-
-    def __le__(self, other: "Identifier") -> bool:
-        return self.bits <= other.bits
-
-    def __gt__(self, other: "Identifier") -> bool:
-        return self.bits > other.bits
-
-    def __ge__(self, other: "Identifier") -> bool:
-        return self.bits >= other.bits
-
-    def __repr__(self) -> str:
-        return f"Identifier({self.bits.hex()[:12]}…)"
-
-
-ZERO_ID = Identifier(b"\x00" * ID_BYTES)
+ZERO_ID = bytes(ID_BYTES)
 
 
 @dataclass(frozen=True)
@@ -74,7 +45,7 @@ def hash_bytes(*parts: bytes) -> Identifier:
     h = hashlib.sha256()
     for part in parts:
         h.update(part)
-    return Identifier(h.digest())
+    return h.digest()
 
 
 def derive_node_identifier(key: NodeKey) -> Identifier:
@@ -87,14 +58,6 @@ def derive_object_identifier(payload: bytes) -> Identifier:
     return hash_bytes(payload)
 
 
-def common_prefix_len(a: Identifier, b: Identifier) -> int:
-    """Number of leading bits shared by two identifiers."""
-    x = a.value ^ b.value
-    if x == 0:
-        return ID_BITS
-    return ID_BITS - x.bit_length()
-
-
 def membership_prefix_len(a: Identifier, b: Identifier) -> int:
     """Shared prefix of the membership vectors of two identifiers.
 
@@ -104,7 +67,7 @@ def membership_prefix_len(a: Identifier, b: Identifier) -> int:
     level list a contiguous slice of the sorted order and reduce routing
     to a linear walk.
     """
-    x = a.value ^ b.value
+    x = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
     if x == 0:
         return ID_BITS
     return ((x & -x).bit_length()) - 1

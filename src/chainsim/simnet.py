@@ -7,7 +7,7 @@ per-context counters; nothing is ever lost.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from .identity import Address
@@ -17,7 +17,6 @@ TAG_ROUTE = "overlay-route"
 TAG_ANNOUNCE = "announce"
 TAG_VALIDATE_REQUEST = "validate-request"
 TAG_VALIDATE_REPLY = "validate-reply"
-TAG_FETCH = "fetch"
 TAG_NOTIFY = "notify"
 
 LATENCY_MIN_MS = 5
@@ -132,9 +131,6 @@ class Network:
         self.delivered_messages = 0
         self.uncontexted_messages = 0
         self.per_context: dict[str, ContextCounters] = {}
-
-    def register(self, address: Address) -> None:
-        self._registered.add(address)
 
     def send(self, src: Address, dst: Address, tag: str, size: int,
              context: str | None, handler: Callable[[Envelope], None] | None,

@@ -63,18 +63,18 @@ def canonical_bytes(entity: Entity) -> bytes:
         return (
             b"T"
             + struct.pack(">QQQ", entity.owner, entity.recipient, entity.amount)
-            + entity.prev_block_id.bits
+            + entity.prev_block_id
             + struct.pack(">QQQ", entity.seq, entity.created_at, entity.attempt)
         )
     if isinstance(entity, Block):
         head = (
             b"B"
             + struct.pack(">Q", entity.owner)
-            + entity.prev_block_id.bits
+            + entity.prev_block_id
             + struct.pack(">QQQB", entity.height, entity.created_at, entity.attempt, int(entity.drain))
             + struct.pack(">Q", len(entity.tx_ids))
         )
-        return head + b"".join(t.bits for t in entity.tx_ids)
+        return head + b"".join(entity.tx_ids)
     raise TypeError(f"not a ledger entity: {type(entity)!r}")
 
 
@@ -90,20 +90,20 @@ def decode_entity(data: bytes) -> Entity:
     tag, body = data[:1], data[1:]
     if tag == b"T":
         owner, recipient, amount = struct.unpack_from(">QQQ", body, 0)
-        prev = Identifier(body[24:24 + ID_BYTES])
+        prev = body[24:24 + ID_BYTES]
         seq, created_at, attempt = struct.unpack_from(">QQQ", body, 24 + ID_BYTES)
         entity: Entity = Transaction(ZERO_ID, owner, recipient, amount, prev, seq, created_at, attempt)
         off = 24 + ID_BYTES + 24
     elif tag == b"B":
         (owner,) = struct.unpack_from(">Q", body, 0)
-        prev = Identifier(body[8:8 + ID_BYTES])
+        prev = body[8:8 + ID_BYTES]
         height, created_at, attempt, drain = struct.unpack_from(">QQQB", body, 8 + ID_BYTES)
         off = 8 + ID_BYTES + 25
         (count,) = struct.unpack_from(">Q", body, off)
         off += 8
         tx_ids = []
         for _ in range(count):
-            tx_ids.append(Identifier(body[off:off + ID_BYTES]))
+            tx_ids.append(body[off:off + ID_BYTES])
             off += ID_BYTES
         entity = Block(ZERO_ID, owner, prev, height, tx_ids, created_at, attempt, bool(drain))
     else:

@@ -99,6 +99,7 @@ def test_criterion_3_logarithmic_search_scaling():
 
 def test_criterion_4_search_oracle_equivalence():
     rng = random.Random(11)
+    value = lambda i: int.from_bytes(i, "big")
     checked = 0
     for trial in range(200):
         size = rng.randrange(2, 129)
@@ -110,9 +111,8 @@ def test_criterion_4_search_oracle_equivalence():
             ids.append(ident)
         for _ in range(50):
             target = Identifier(rng.randbytes(32))
-            below = [i for i in ids if i <= target]
-            expected = max(below, key=lambda i: i.value) if below else min(
-                ids, key=lambda i: i.value)
+            below = [i for i in ids if value(i) <= value(target)]
+            expected = max(below, key=value) if below else min(ids, key=value)
             start = address_for(rng.randrange(size))
             assert graph.search_num_id(start, target).identifier == expected
             checked += 1

@@ -125,3 +125,19 @@ def test_report_totals_passed_through():
     assert report.total_minted == 3
     assert report.chain_block_count == 2
     assert report.per_node_stored == [1, 2]
+
+
+def test_validation_timeout_leaves_silent_validators_unsigned():
+    # one 300 ms sample in 250 puts the p99 latency at 5 ms, so the 50 ms
+    # validation timeout fires while slow replies are still in flight
+    cfg = make_cfg(nodes=32, transactions_per_node=5, block_size_min=5,
+                   validators_per_entity=12, signature_threshold=10)
+    sim = Simulation(cfg, seed=4, latency_samples=[5.0] * 249 + [300.0])
+    report = sim.run()
+    assert report.finalized_tx_count == 160
+    counts = chain_tx_multiset(sim)
+    assert len(counts) == 160 and set(counts.values()) == {1}
+    sim.ledger.check_conservation()
+    # with no malicious nodes only a timeout leaves a validator without a reply
+    assert any(r.approvals < r.validators_contacted
+               for r in sim.records if r.event_type == "tx")

@@ -28,8 +28,9 @@ def build_overlay(count: int, seed: int) -> tuple[SkipGraph, list[Identifier]]:
 
 
 def brute_force_floor(ids: list[Identifier], target: Identifier) -> Identifier:
-    below = [i for i in ids if i <= target]
-    return max(below, key=lambda i: i.value) if below else min(ids, key=lambda i: i.value)
+    value = lambda i: int.from_bytes(i, "big")
+    below = [i for i in ids if value(i) <= value(target)]
+    return max(below, key=value) if below else min(ids, key=value)
 
 
 def test_first_vertex_has_empty_neighbors():

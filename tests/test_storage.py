@@ -147,7 +147,7 @@ def test_tail_follows_height():
 
 def test_height_tie_breaks_by_smaller_id():
     siblings = [_info(label, GENESIS) for label in ("x", "y", "z")]
-    winner = min(siblings, key=lambda i: i.id.value)
+    winner = min(siblings, key=lambda i: int.from_bytes(i.id, "big"))
     # the winner must not depend on arrival order
     for ordering in (siblings, list(reversed(siblings))):
         tracker = ChainTracker(GENESIS)
