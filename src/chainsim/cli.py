@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .config import ConfigError, parse_config
@@ -14,6 +15,34 @@ EXIT_CONFIG = 3
 EXIT_STALLED = 4
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
+def positive_float(text: str) -> float:
+    value = _finite(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be > 0: {text!r}")
+    return value
+
+
+def non_negative_float(text: str) -> float:
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0: {text!r}")
+    return value
+
+
+def non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0: {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="chainsim",
@@ -24,13 +53,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=42, help="run seed")
     parser.add_argument("--latency-samples", metavar="FILE",
                         help="pairwise latency samples, one ms value per line")
-    parser.add_argument("--latency-median", type=float, default=50.0, metavar="MS",
+    parser.add_argument("--latency-median", type=positive_float, default=50.0, metavar="MS",
                         help="median of the builtin log-normal latency model")
-    parser.add_argument("--latency-sigma", type=float, default=0.5, metavar="S",
+    parser.add_argument("--latency-sigma", type=non_negative_float, default=0.5, metavar="S",
                         help="shape of the builtin log-normal latency model")
     parser.add_argument("--summary-only", action="store_true",
                         help="print the summary but do not write the CSV")
-    parser.add_argument("--check-invariants", type=int, default=0, metavar="N",
+    parser.add_argument("--check-invariants", type=non_negative_int, default=0, metavar="N",
                         help="run structural invariant checks every N events")
     parser.add_argument("--dump-overlay", action="store_true",
                         help="print one line per overlay vertex after the run")

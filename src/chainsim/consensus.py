@@ -135,8 +135,7 @@ def _validate_block(view, blk: Block, cfg: SimulationConfig) -> bool:
         return False
     if not all(view.tx_finalized(tx_id) for tx_id in blk.tx_ids):
         return False
-    ancestor_txs = view.ancestor_tx_ids(blk.prev_block_id)
-    if any(tx_id in ancestor_txs for tx_id in blk.tx_ids):
+    if view.ancestry_holds_any(blk.prev_block_id, blk.tx_ids):
         return False
     return True
 

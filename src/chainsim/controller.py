@@ -165,7 +165,7 @@ def on_block_result(sim, state: NodeState, block: Block, tickets, retries: int) 
     if approvals_of(tickets) >= sim.cfg.signature_threshold:
         sim.finalize_block(state, block, tickets)
         info = BlockInfo(block.id, block.prev_block_id, block.height,
-                         tuple(block.tx_ids), block.drain)
+                         tuple(block.tx_ids), block.drain, block.owner)
         state.tracker.add(info)
         state.in_flight_txs.difference_update(block.tx_ids)
         _close_block_attempt(sim, state)

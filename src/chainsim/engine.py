@@ -151,9 +151,6 @@ class Registry:
         self.finalized_txs: dict[Identifier, tuple[int, int, int]] = {}
         self._finalized_seqs: set[tuple[int, int]] = set()
         self.drain_mode = False
-        self._ancestor_cache: dict[Identifier, frozenset] = {
-            genesis.id: frozenset(genesis.tx_ids)
-        }
 
     def add_tx(self, tx_id: Identifier, owner: int, seq: int, now: int) -> None:
         self.finalized_txs[tx_id] = (owner, seq, now)
@@ -178,14 +175,8 @@ class Registry:
     def drain_allowed(self) -> bool:
         return self.drain_mode
 
-    def ancestor_tx_ids(self, block_id: Identifier) -> frozenset:
-        cached = self._ancestor_cache.get(block_id)
-        if cached is not None:
-            return cached
-        info = self.tracker.blocks[block_id]
-        ancestors = self.ancestor_tx_ids(info.parent) | frozenset(info.tx_ids)
-        self._ancestor_cache[block_id] = ancestors
-        return ancestors
+    def ancestry_holds_any(self, block_id: Identifier, tx_ids) -> bool:
+        return self.tracker.ancestry_holds_any(block_id, tx_ids)
 
 
 class ValidationRound:
@@ -310,7 +301,7 @@ class Simulation:
                 rng_recipient=substream(seed, "recipient", i),
                 rng_corrupt=substream(seed, "corrupt", i),
                 rng_backoff=substream(seed, "backoff", i),
-                tracker=ChainTracker(self.genesis),
+                tracker=ChainTracker(self.genesis, owner=i),
             )
             for i in range(n)
         ]
@@ -442,7 +433,7 @@ class Simulation:
         apply_finalization_fees(self.ledger, block.owner, tickets, self.cfg,
                                 is_block=True)
         info = BlockInfo(block.id, block.prev_block_id, block.height,
-                         tuple(block.tx_ids), block.drain)
+                         tuple(block.tx_ids), block.drain, block.owner)
         self.registry.add_block(info)
         self._announce_and_replicate(state, block, context)
         notify_size = 73 + 32 * len(block.tx_ids)

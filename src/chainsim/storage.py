@@ -165,20 +165,29 @@ class BlockInfo:
     height: int
     tx_ids: tuple[Identifier, ...]
     drain: bool = False
+    owner: int | None = None
 
 
 class ChainTracker:
     """Block-tree bookkeeping with the deterministic fork rule.
 
-    Tail = greatest height, ties broken by smaller numeric id.  Keeps the
-    set of transaction ids on the canonical chain, rebuilt on reorg.
+    Tail = greatest height, ties broken by smaller numeric id.  `chain`
+    holds the canonical blocks by height (genesis at 0), and `chain_txs`
+    maps each transaction on it to the lowest height of a block holding
+    it.  A tracker with an `owner` indexes only that owner's blocks, which
+    is all a node's pool asks about.  A reorg walks back only to the
+    common ancestor of the old and the new tail.  Every block's height is
+    its parent's height plus one.
     """
 
-    def __init__(self, genesis: BlockInfo):
+    def __init__(self, genesis: BlockInfo, owner: int | None = None):
         self.genesis = genesis
+        self.owner = owner
         self.blocks: dict[Identifier, BlockInfo] = {genesis.id: genesis}
         self.tail: BlockInfo = genesis
-        self.chain_txs: set[Identifier] = set(genesis.tx_ids)
+        self.chain: list[BlockInfo] = [genesis]
+        self.chain_txs: dict[Identifier, int] = {}
+        self._index(genesis)
         self._orphans: dict[Identifier, list[BlockInfo]] = {}
 
     def add(self, info: BlockInfo) -> None:
@@ -198,33 +207,56 @@ class ChainTracker:
 
     def _link(self, info: BlockInfo) -> None:
         self.blocks[info.id] = info
-        if info.parent == self.tail.id:
-            self.tail = info
-            self.chain_txs.update(info.tx_ids)
-        elif info.height > self.tail.height or (
-            info.height == self.tail.height and info.id < self.tail.id
+        tail = self.tail
+        if info.height > tail.height or (
+            info.height == tail.height and info.id < tail.id
         ):
-            self.tail = info
-            self._rebuild()
+            self._move_tail(info)
 
-    def _rebuild(self) -> None:
-        txs: set[Identifier] = set()
-        cur = self.tail
-        while True:
-            txs.update(cur.tx_ids)
-            if cur.id == self.genesis.id:
-                break
+    def _on_chain(self, info: BlockInfo) -> bool:
+        chain = self.chain
+        return info.height < len(chain) and chain[info.height].id == info.id
+
+    def _move_tail(self, new_tail: BlockInfo) -> None:
+        """Cut `chain` back to the common ancestor, then append the new branch."""
+        branch = []
+        cur = new_tail
+        while not self._on_chain(cur):
+            branch.append(cur)
             cur = self.blocks[cur.parent]
-        self.chain_txs = txs
+        cut = self.chain[cur.height + 1:]
+        del self.chain[cur.height + 1:]
+        for info in cut:
+            if self._indexes(info):
+                for tx_id in info.tx_ids:
+                    if self.chain_txs.get(tx_id) == info.height:
+                        del self.chain_txs[tx_id]
+        for info in reversed(branch):
+            self.chain.append(info)
+            self._index(info)
+        self.tail = new_tail
+
+    def _indexes(self, info: BlockInfo) -> bool:
+        return self.owner is None or info.owner == self.owner
+
+    def _index(self, info: BlockInfo) -> None:
+        if self._indexes(info):
+            for tx_id in info.tx_ids:
+                self.chain_txs.setdefault(tx_id, info.height)
+
+    def ancestry_holds_any(self, block_id: Identifier, tx_ids) -> bool:
+        """True when `block_id` or one of its ancestors holds a tx in `tx_ids`."""
+        assert self.owner is None, "an owner-scoped tracker indexes only its owner's txs"
+        wanted = set(tx_ids)
+        cur = self.blocks[block_id]
+        while not self._on_chain(cur):
+            if not wanted.isdisjoint(cur.tx_ids):
+                return True
+            cur = self.blocks[cur.parent]
+        junction = cur.height
+        get = self.chain_txs.get
+        return any(get(tx_id, junction + 1) <= junction for tx_id in wanted)
 
     def chain_ids(self) -> list[Identifier]:
         """Block ids from genesis to tail."""
-        out = []
-        cur = self.tail
-        while True:
-            out.append(cur.id)
-            if cur.id == self.genesis.id:
-                break
-            cur = self.blocks[cur.parent]
-        out.reverse()
-        return out
+        return [info.id for info in self.chain]

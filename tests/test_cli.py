@@ -91,3 +91,28 @@ def test_dump_overlay_prints_vertices(config_file, tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     vertex_lines = [l for l in lines if l.count(",") == 4]
     assert len(vertex_lines) >= 6   # at least one vertex per node
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--latency-median", "0"),
+    ("--latency-median", "-5"),
+    ("--latency-median", "nan"),
+    ("--latency-median", "inf"),
+    ("--latency-median", "fast"),
+    ("--latency-sigma", "-0.1"),
+    ("--latency-sigma", "nan"),
+    ("--latency-sigma", "inf"),
+    ("--check-invariants", "-1"),
+    ("--check-invariants", "2.5"),
+])
+def test_bad_flag_value_is_usage_error(config_file, flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--config", str(config_file), "--summary-only", f"{flag}={value}"])
+    assert exc.value.code == cli.EXIT_USAGE
+    assert flag in capsys.readouterr().err
+
+
+def test_zero_sigma_and_invariant_interval_accepted(config_file, capsys):
+    code = cli.main(["--config", str(config_file), "--summary-only",
+                     "--latency-sigma", "0", "--check-invariants", "0"])
+    assert code == cli.EXIT_OK

@@ -45,13 +45,13 @@ class FakeView:
     def drain_allowed(self):
         return self.drain
 
-    def ancestor_tx_ids(self, block_id):
+    def ancestry_holds_any(self, block_id, tx_ids):
         txs = set()
         cur = self.tracker.blocks[block_id]
         while True:
             txs.update(cur.tx_ids)
             if cur.id == self.tracker.genesis.id:
-                return frozenset(txs)
+                return any(tx_id in txs for tx_id in tx_ids)
             cur = self.tracker.blocks[cur.parent]
 
 
@@ -197,6 +197,38 @@ def test_block_repeating_ancestor_tx_rejected():
     view.tracker.add(BlockInfo(parent.id, GENESIS.id, 1, tuple(first)))
     again = new_block(1, parent.id, 2, [first[0]] + _finalized_txs(view, 1, start=10), 0)
     assert not validate_entity(view, again, cfg)
+
+
+def test_ancestry_query_matches_naive_walk():
+    view = FakeView(GENESIS)
+    tx = {label: Identifier(bytes([k + 1]) * 32) for k, label in enumerate("abcdefgu")}
+
+    def add(parent, txs):
+        info = BlockInfo(Identifier(bytes([0xF0 + len(view.tracker.blocks)]) * 32),
+                         parent.id, parent.height + 1, tuple(tx[t] for t in txs))
+        view.tracker.add(info)
+        return info
+
+    a1 = add(GENESIS, "a")
+    a2 = add(a1, "b")
+    a3 = add(a2, "c")
+    tail = add(a3, "d")
+    # a losing branch two blocks deep off a1; l2 repeats c, which sits
+    # above the junction on the chain
+    l2 = add(a1, "ec")
+    l3 = add(l2, "f")
+    assert view.tracker.tail == tail
+    expected = {
+        l3.id: "acef", l2.id: "ace", a2.id: "ab", tail.id: "abcd", GENESIS.id: "",
+    }
+    for block_id, holds in expected.items():
+        for label in tx:
+            probes = [tx[label]], [tx["u"], tx[label]]
+            for probe in probes:
+                assert view.ancestry_holds_any(block_id, probe) == (label in holds)
+                assert (view.tracker.ancestry_holds_any(block_id, probe)
+                        == view.ancestry_holds_any(block_id, probe))
+    assert not view.tracker.ancestry_holds_any(l3.id, [])
 
 
 def test_drain_block_needs_drain_mode():

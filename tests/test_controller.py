@@ -30,7 +30,7 @@ def test_pool_excludes_chained_and_in_flight():
     state = make_state()
     a, b, c = (Identifier(bytes([v]) * 32) for v in (1, 2, 3))
     state.own_finalized = {a: 10, b: 20, c: 30}
-    state.tracker.chain_txs.add(a)
+    state.tracker.chain_txs[a] = 1
     state.in_flight_txs.add(b)
     assert [tx for _, tx in pending_pool(state)] == [c]
 

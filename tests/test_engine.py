@@ -141,3 +141,25 @@ def test_validation_timeout_leaves_silent_validators_unsigned():
     # with no malicious nodes only a timeout leaves a validator without a reply
     assert any(r.approvals < r.validators_contacted
                for r in sim.records if r.event_type == "tx")
+
+
+def test_chain_indexes_match_the_chains_under_malice():
+    cfg = make_cfg(nodes=8, transactions_per_node=6, block_size_min=3,
+                   malicious_fraction=0.25)
+    sim = Simulation(cfg, seed=9)
+    sim.run()
+    assert sim.malicious_set
+    registry = sim.registry.tracker
+    chain_txs = {tx for b in registry.chain_ids() for tx in registry.blocks[b].tx_ids}
+    assert set(registry.chain_txs) == chain_txs == set(sim.registry.finalized_txs)
+    for state in sim.nodes:
+        tracker = state.tracker
+        on_chain = set()
+        cur = tracker.tail
+        while cur.id != sim.genesis.id:
+            on_chain.update(cur.tx_ids)
+            cur = tracker.blocks[cur.parent]
+        own = {tx for tx in on_chain
+               if sim.registry.finalized_txs[tx][0] == state.node_index}
+        assert own
+        assert set(tracker.chain_txs) == own

@@ -166,7 +166,7 @@ def test_reorg_rebuilds_chain_txs():
     tracker.add(c)
     assert tracker.tail == c
     labels = {Identifier(hashlib.sha256(t.encode()).digest()) for t in ("t2", "t3")}
-    assert tracker.chain_txs == labels
+    assert set(tracker.chain_txs) == labels
 
 
 def test_out_of_order_delivery_links_orphans():
@@ -188,3 +188,112 @@ def test_duplicate_add_is_ignored():
     tracker.add(a)
     tracker.add(a)
     assert len(tracker.blocks) == 2
+
+
+def _tx_id(label: str) -> Identifier:
+    return Identifier(hashlib.sha256(label.encode()).digest())
+
+
+TX_POOL = [_tx_id(f"pool-{k}") for k in range(6)]
+OWNERS = (0, 1)
+
+
+@st.composite
+def block_arrivals(draw):
+    """A random block tree over GENESIS (each height its parent's plus one),
+    delivered in a random order that may repeat blocks."""
+    count = draw(st.integers(1, 12))
+    # the id order decides height ties, so let it vary independently of shape
+    ranks = draw(st.permutations(range(count)))
+    infos: list[BlockInfo] = []
+    for i in range(count):
+        parent = draw(st.sampled_from([GENESIS] + infos))
+        tx_ids = draw(st.lists(st.sampled_from(TX_POOL), max_size=3))
+        owner = draw(st.sampled_from(OWNERS))
+        ident = bytes([ranks[i] + 1]) + _tx_id(f"block-{i}")[1:]
+        infos.append(BlockInfo(ident, parent.id, parent.height + 1, tuple(tx_ids),
+                               owner=owner))
+    repeats = draw(st.lists(st.sampled_from(infos), max_size=3))
+    return draw(st.permutations(infos + repeats))
+
+
+def _oracle_chain(added: list[BlockInfo]) -> list[BlockInfo]:
+    """Genesis to tail, from scratch: the best block reachable from genesis
+    (greatest height, then smaller numeric id), walked back to genesis."""
+    by_id = {GENESIS.id: GENESIS, **{info.id: info for info in added}}
+
+    def linked(info):
+        while info.id != GENESIS.id:
+            if info.parent not in by_id:
+                return False
+            info = by_id[info.parent]
+        return True
+
+    tail = min((info for info in by_id.values() if linked(info)),
+               key=lambda info: (-info.height, int.from_bytes(info.id, "big")))
+    chain = [tail]
+    while chain[-1].id != GENESIS.id:
+        chain.append(by_id[chain[-1].parent])
+    chain.reverse()
+    return chain
+
+
+def _oracle_txs(chain: list[BlockInfo], owner=None) -> dict:
+    txs = {}
+    for info in chain:
+        if owner is None or info.owner == owner:
+            for tx_id in info.tx_ids:
+                txs.setdefault(tx_id, info.height)
+    return txs
+
+
+def _naive_ancestry(tracker: ChainTracker, block_id: Identifier) -> set:
+    txs = set()
+    cur = tracker.blocks[block_id]
+    while True:
+        txs.update(cur.tx_ids)
+        if cur.id == GENESIS.id:
+            return txs
+        cur = tracker.blocks[cur.parent]
+
+
+@given(arrivals=block_arrivals())
+def test_incremental_index_matches_from_scratch_oracle(arrivals):
+    full = ChainTracker(GENESIS)
+    scoped = {owner: ChainTracker(GENESIS, owner=owner) for owner in OWNERS}
+    for step, info in enumerate(arrivals):
+        for tracker in (full, *scoped.values()):
+            tracker.add(info)
+        chain = _oracle_chain(arrivals[:step + 1])
+        assert full.tail == chain[-1]
+        assert full.chain_ids() == [b.id for b in chain]
+        assert full.chain_txs == _oracle_txs(chain)
+        for owner, tracker in scoped.items():
+            assert tracker.tail == chain[-1]
+            assert tracker.chain_ids() == [b.id for b in chain]
+            assert tracker.chain_txs == _oracle_txs(chain, owner)
+        for block_id in full.blocks:
+            ancestry = _naive_ancestry(full, block_id)
+            for tx_id in TX_POOL:
+                assert full.ancestry_holds_any(block_id, [tx_id]) == (tx_id in ancestry)
+
+
+def test_ancestry_query_refused_by_owner_scoped_tracker():
+    tracker = ChainTracker(GENESIS, owner=0)
+    with pytest.raises(AssertionError):
+        tracker.ancestry_holds_any(GENESIS.id, [_tx_id("t1")])
+
+
+def test_reorg_keeps_tx_shared_with_common_prefix():
+    # t1 sits in both a (height 1, kept) and b (height 2, cut by the reorg)
+    tracker = ChainTracker(GENESIS)
+    a = _info("a", GENESIS, ["t1"])
+    b = _info("b", a, ["t1", "t2"])
+    tracker.add(a)
+    tracker.add(b)
+    rival = _info("rival-b", a, ["t3"])
+    longer = _info("rival-c", rival, ["t4"])
+    tracker.add(rival)
+    tracker.add(longer)
+    assert tracker.chain_ids() == [GENESIS.id, a.id, rival.id, longer.id]
+    assert tracker.chain_txs == {_tx_id("t1"): 1, _tx_id("t3"): 2, _tx_id("t4"): 3}
