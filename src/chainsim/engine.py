@@ -192,6 +192,7 @@ class ValidationRound:
         self.tickets: list[ValidationTicket] = []
         self.unresolved = 0
         self.pending_replies = 0
+        self.request_bytes = 0
         self.done = False
 
     def start(self) -> None:
@@ -204,6 +205,7 @@ class ValidationRound:
             sim.ctx_validators.get(self.context, 0) + len(self.tickets)
         )
         self.unresolved = self.pending_replies = len(self.tickets)
+        self.request_bytes = len(full_bytes(self.entity))
         for ticket in self.tickets:
             sim.net.send_path(ticket.path, TAG_ROUTE, ROUTE_MSG_BYTES, self.context,
                               lambda t=ticket: self._resolved(t))
@@ -212,7 +214,7 @@ class ValidationRound:
         sim = self.sim
         sim.net.send(
             self.state.address, sim.addresses[ticket.validator],
-            TAG_VALIDATE_REQUEST, len(full_bytes(self.entity)), self.context,
+            TAG_VALIDATE_REQUEST, self.request_bytes, self.context,
             handler=lambda env, t=ticket: self._at_validator(t),
         )
         self.unresolved -= 1

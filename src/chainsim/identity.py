@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import NamedTuple
 
 ID_BYTES = 32
 ID_BITS = ID_BYTES * 8
@@ -26,9 +27,12 @@ class NodeKey:
     node_index: int
 
 
-@dataclass(frozen=True)
-class Address:
-    """Stable logical endpoint of one node (host:port analogue)."""
+class Address(NamedTuple):
+    """Stable logical endpoint of one node (host:port analogue).
+
+    A named tuple, so equality and hashing (every message checks both)
+    run in C.
+    """
     node_index: int
     endpoint: str
 

@@ -102,24 +102,25 @@ class SkipGraph:
             left, right = None, floor
         self._splice(vertex, 0, left, right)
         for level in range(1, self.levels):
-            left, path = self._scan_for_level(vertex, level, LEFT, path)
-            right, path = self._scan_for_level(vertex, level, RIGHT, path)
+            left = self._scan_for_level(vertex, level, LEFT, path)
+            right = self._scan_for_level(vertex, level, RIGHT, path)
             if left is None and right is None:
                 break
             self._splice(vertex, level, left, right)
         return path
 
     def _scan_for_level(self, vertex: Vertex, level: int, side: int,
-                        path: list[Address]) -> tuple[Vertex | None, list[Address]]:
+                        path: list[Address]) -> Vertex | None:
         # walk the level-(l-1) list away from the new vertex until a member
-        # sharing >= l membership-vector bits appears
+        # sharing >= l membership-vector bits appears; every visited owner
+        # is appended to `path`
         cur = vertex.neighbors[level - 1][side]
         while cur is not None and membership_prefix_len(cur.identifier, vertex.identifier) < level:
-            path = path + [cur.owner]
+            path.append(cur.owner)
             cur = cur.neighbors[level - 1][side]
         if cur is not None:
-            path = path + [cur.owner]
-        return cur, path
+            path.append(cur.owner)
+        return cur
 
     @staticmethod
     def _splice(vertex: Vertex, level: int, left: Vertex | None, right: Vertex | None):
@@ -133,6 +134,11 @@ class SkipGraph:
     # -- search ---------------------------------------------------------
 
     def _search(self, start: Vertex, target: Identifier) -> tuple[Vertex, list[Address]]:
+        """Floor vertex of `target` and the owners visited on the way.
+
+        An owner is appended only when it differs from the previous one,
+        so the path comes out compressed: one entry per inter-owner hop.
+        """
         cur = start
         path = [start.owner]
         for level in range(self.levels - 1, -1, -1):
@@ -140,15 +146,17 @@ class SkipGraph:
                 nxt = cur.neighbors[level][RIGHT]
                 while nxt is not None and nxt.identifier <= target:
                     cur = nxt
-                    path.append(cur.owner)
+                    if cur.owner != path[-1]:
+                        path.append(cur.owner)
                     nxt = cur.neighbors[level][RIGHT]
             else:
                 nxt = cur.neighbors[level][LEFT]
                 while cur.identifier > target and nxt is not None:
                     cur = nxt
-                    path.append(cur.owner)
+                    if cur.owner != path[-1]:
+                        path.append(cur.owner)
                     nxt = cur.neighbors[level][LEFT]
-        return cur, _compress(path)
+        return cur, path
 
     def search_num_id(self, start: Address, target: Identifier) -> SearchResult:
         if not self.by_id:

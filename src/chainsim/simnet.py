@@ -1,14 +1,16 @@
 """Simulated middleware: addressed messages with pairwise latency injection.
 
 Latency is drawn once per unordered node pair and fixed for the run, so
-delivery is FIFO per ordered pair.  Every send increments global and
-per-context counters; nothing is ever lost.
+delivery is FIFO per ordered pair.  The latencies sit in one flat,
+row-major n x n table, so a message's latency is a single list index.
+Every send increments global and per-context counters; nothing is ever
+lost.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .identity import Address
 from .rng import substream
@@ -35,8 +37,7 @@ class BadSampleFile(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Envelope:
+class Envelope(NamedTuple):
     src: Address
     dst: Address
     tag: str
@@ -49,19 +50,27 @@ class Envelope:
 
 @dataclass
 class LatencyMatrix:
+    """Symmetric pairwise latencies with a zero diagonal.
+
+    `values` is row-major: the latency between nodes a and b is
+    `values[a * n + b]`.
+    """
     n: int
-    values: dict[tuple[int, int], int]
+    values: list[int]
 
     def latency(self, a: int, b: int) -> int:
-        if a == b:
-            return 0
-        return self.values[(a, b) if a < b else (b, a)]
+        return self.values[a * self.n + b]
 
     def all_values(self) -> list[int]:
-        return list(self.values.values())
+        """One latency per unordered pair (a < b), row by row."""
+        n, values = self.n, self.values
+        out: list[int] = []
+        for a in range(n - 1):
+            out += values[a * n + a + 1:(a + 1) * n]
+        return out
 
     def percentile(self, q: float) -> int:
-        ordered = sorted(self.values.values())
+        ordered = sorted(self.all_values())
         index = max(0, math.ceil(q * len(ordered)) - 1)
         return ordered[index]
 
@@ -77,8 +86,8 @@ def load_latency_samples(path: str) -> list[float]:
                 value = float(line)
             except ValueError:
                 raise BadSampleFile(f"non-numeric latency sample: {line!r}") from None
-            if value <= 0:
-                raise BadSampleFile(f"latency sample must be positive: {line!r}")
+            if not math.isfinite(value) or value <= 0:
+                raise BadSampleFile(f"latency sample must be positive and finite: {line!r}")
             samples.append(value)
     if not samples:
         raise BadSampleFile(f"no latency samples in {path}")
@@ -98,15 +107,19 @@ def build_latency_matrix(n: int, seed: int, samples: list[float] | None = None,
         raise ValueError("need at least 2 nodes")
     rng = substream(seed, "latency")
     mu = math.log(median_ms)
-    values: dict[tuple[int, int], int] = {}
+    values = [0] * (n * n)
     for a in range(n):
-        for b in range(a + 1, n):
+        row = []
+        for _ in range(a + 1, n):
             if samples is not None:
                 ms = samples[rng.randrange(len(samples))]
             else:
                 ms = rng.lognormvariate(mu, sigma)
             ms = min(max(ms, LATENCY_MIN_MS), LATENCY_MAX_MS)
-            values[(a, b)] = max(1, round(ms))
+            row.append(max(1, round(ms)))
+        # row a right of the diagonal, and its mirror: column a below it
+        values[a * n + a + 1:(a + 1) * n] = row
+        values[(a + 1) * n + a::n] = row
     return LatencyMatrix(n=n, values=values)
 
 
@@ -122,7 +135,8 @@ class Network:
     def __init__(self, matrix: LatencyMatrix, clock: Callable[[], int],
                  schedule_at: Callable[[int, Callable[[], None]], None],
                  addresses: list[Address]):
-        self.matrix = matrix
+        self._latency = matrix.values
+        self._n = matrix.n
         self._clock = clock
         self._schedule_at = schedule_at
         self._registered = set(addresses)
@@ -142,12 +156,9 @@ class Network:
         if src == dst:
             raise ValueError("self-sends are disallowed")
         now = self._clock()
-        env = Envelope(
-            src=src, dst=dst, tag=tag, size=size, context=context,
-            send_time=now,
-            deliver_time=now + self.matrix.latency(src.node_index, dst.node_index),
-            payload=payload,
-        )
+        env = Envelope(src, dst, tag, size, context, now,
+                       now + self._latency[src.node_index * self._n + dst.node_index],
+                       payload)
         self.total_messages += 1
         self.total_bytes += size
         if context is None:
@@ -171,22 +182,27 @@ class Network:
         """Send a hop-by-hop routing chain; one envelope per inter-owner hop.
 
         Intermediate hops carry no handler, so the whole chain is accounted
-        up front and a single event fires when the last hop lands.
+        up front and a single event fires when the last hop lands.  The
+        path is checked hop by hop in the same walk that sums the latency,
+        and the first bad hop raises before any counter moves.
         """
         if len(path) < 2:
             if on_done is not None:
                 self._schedule_at(self._clock(), on_done)
             return
-        for addr in path:
-            if addr not in self._registered:
-                raise UnknownAddress(addr)
+        registered, latency, n = self._registered, self._latency, self._n
+        src = path[0]
+        if src not in registered:
+            raise UnknownAddress(src)
         arrival = self._clock()
-        hops = 0
-        for src, dst in zip(path, path[1:]):
-            if src == dst:
+        for dst in path[1:]:
+            if dst not in registered:
+                raise UnknownAddress(dst)
+            if dst == src:
                 raise ValueError("self-sends are disallowed")
-            arrival += self.matrix.latency(src.node_index, dst.node_index)
-            hops += 1
+            arrival += latency[src.node_index * n + dst.node_index]
+            src = dst
+        hops = len(path) - 1
         self.total_messages += hops
         self.total_bytes += size * hops
         if context is None:

@@ -65,6 +65,15 @@ def test_bad_latency_samples_is_config_error(config_file, tmp_path, capsys):
     assert code == cli.EXIT_CONFIG
 
 
+def test_non_finite_latency_sample_is_config_error(config_file, tmp_path, capsys):
+    samples = tmp_path / "latency.txt"
+    samples.write_text("10\nnan\n")
+    code = cli.main(["--config", str(config_file), "--summary-only",
+                     "--latency-samples", str(samples)])
+    assert code == cli.EXIT_CONFIG
+    assert "config error" in capsys.readouterr().err
+
+
 def test_repeat_invocations_identical(config_file, tmp_path, capsys):
     digests = []
     for name in ("a.csv", "b.csv"):

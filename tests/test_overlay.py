@@ -107,6 +107,24 @@ def test_path_starts_at_searcher():
     assert result.hop_count == len(result.path) - 1
 
 
+def test_search_paths_have_no_repeated_owners():
+    # node 3 owns long runs of adjacent vertices, so a search crosses
+    # several of its vertices in a row
+    graph, _ = build_overlay(12, seed=8)
+    rng = random.Random(8)
+    for i in range(240):
+        owner = 3 if i % 4 else rng.randrange(12)
+        graph.announce(Identifier(rng.randbytes(32)), address_for(owner), KIND_DATA)
+    for _ in range(300):
+        start = address_for(rng.randrange(12))
+        result = graph.search_num_id(start, Identifier(rng.randbytes(32)))
+        path = result.path
+        assert all(a != b for a, b in zip(path, path[1:]))
+        assert path[0] == start
+        assert path[-1] == result.terminal
+        assert result.hop_count == len(path) - 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(seeds=st.lists(st.integers(0, 2**30), min_size=1, max_size=40, unique=True))
 def test_invariants_hold_under_random_inserts(seeds):

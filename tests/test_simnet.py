@@ -5,6 +5,7 @@ import statistics
 import pytest
 
 from chainsim.identity import address_for
+from chainsim.rng import substream
 from chainsim.simnet import (
     BadSampleFile,
     LatencyMatrix,
@@ -43,11 +44,33 @@ def fixed_network(n: int, latency_ms: int) -> tuple[Network, MiniClock]:
 
 def test_matrix_is_symmetric_and_complete():
     matrix = build_latency_matrix(3, seed=1)
-    assert len(matrix.values) == 3
+    assert len(matrix.all_values()) == 3
     for a in range(3):
         for b in range(3):
             assert matrix.latency(a, b) == matrix.latency(b, a)
     assert matrix.latency(1, 1) == 0
+
+
+def test_flat_layout_symmetric_with_zero_diagonal():
+    n = 7
+    matrix = build_latency_matrix(n, seed=3)
+    values = matrix.values
+    assert len(values) == n * n
+    for a in range(n):
+        assert values[a * n + a] == 0
+        for b in range(n):
+            assert values[a * n + b] == values[b * n + a] == matrix.latency(a, b)
+    assert matrix.all_values() == [values[a * n + b]
+                                   for a in range(n) for b in range(a + 1, n)]
+
+
+def test_pairs_drawn_in_row_order():
+    # integral samples inside [5, 300] pass the clamp and rounding unchanged
+    samples = [float(ms) for ms in range(5, 300, 7)]
+    rng = substream(9, "latency")
+    expected = [int(samples[rng.randrange(len(samples))])
+                for a in range(6) for b in range(a + 1, 6)]
+    assert build_latency_matrix(6, seed=9, samples=samples).all_values() == expected
 
 
 def test_matrix_deterministic_per_seed():
@@ -65,7 +88,7 @@ def test_builtin_median_near_configured():
 
 
 def test_percentile_endpoints():
-    matrix = LatencyMatrix(n=3, values={(0, 1): 10, (0, 2): 20, (1, 2): 30})
+    matrix = LatencyMatrix(n=3, values=[0, 10, 20, 10, 0, 30, 20, 30, 0])
     assert matrix.percentile(0.0) == 10
     assert matrix.percentile(0.5) == 20
     assert matrix.percentile(1.0) == 30
@@ -105,6 +128,31 @@ def test_context_counts_track_hops_and_reply():
     net.check_accounting()
 
 
+@pytest.mark.parametrize("hops, error", [
+    ([9, 0, 1], UnknownAddress),     # unregistered first hop
+    ([0, 9, 1], UnknownAddress),     # unregistered hop in the middle
+    ([0, 1, 9], UnknownAddress),     # unregistered last hop
+    ([0, 1, 1, 2], ValueError),      # two consecutive equal hops
+])
+def test_bad_path_raises_before_any_accounting(hops, error):
+    net, clock = fixed_network(3, latency_ms=10)
+    net.send(address_for(0), address_for(1), "a", 5, "ctx", None)
+    net.send(address_for(1), address_for(2), "b", 7, None, None)
+
+    def state():
+        ctx = net.context_counters("ctx")
+        return (net.total_messages, net.total_bytes, net.uncontexted_messages,
+                ctx.messages, ctx.bytes, len(clock._heap))
+
+    before = state()
+    for context in ("ctx", None):
+        with pytest.raises(error):
+            net.send_path([address_for(i) for i in hops], "route", 72, context,
+                          on_done=lambda: None)
+    assert state() == before
+    net.check_accounting()
+
+
 def test_single_owner_path_costs_nothing():
     net, clock = fixed_network(2, latency_ms=10)
     done = []
@@ -137,6 +185,11 @@ def test_load_latency_samples_errors(tmp_path):
     neg.write_text("-5\n")
     with pytest.raises(BadSampleFile):
         load_latency_samples(str(neg))
+    for name, text in (("nan", "10\nnan\n"), ("inf", "inf\n"), ("ninf", "10\n-inf\n")):
+        non_finite = tmp_path / f"{name}.txt"
+        non_finite.write_text(text)
+        with pytest.raises(BadSampleFile):
+            load_latency_samples(str(non_finite))
     empty = tmp_path / "empty.txt"
     empty.write_text("\n")
     with pytest.raises(BadSampleFile):
