@@ -13,6 +13,7 @@ from random import Random
 
 from .config import SimulationConfig
 from .identity import Address, Identifier, hash_bytes
+from .simnet import ContextCounters
 from .storage import (
     DECISION_APPROVE,
     Block,
@@ -52,6 +53,8 @@ class NodeState:
     in_flight_txs: set[Identifier] = field(default_factory=set)
     block_attempt_open: bool = False
     block_ctx_counter: int = 0
+    # counters of the block attempt under validation, None between attempts
+    block_context: ContextCounters | None = None
 
     @property
     def malicious(self) -> bool:
@@ -99,7 +102,7 @@ def on_tx_timer(sim, state: NodeState) -> None:
     if state.malicious and state.rng_corrupt.random() < CORRUPTION_PROBABILITY:
         prev = _bogus_block_id(state, seq, attempt=0)
     tx = new_transaction(state.node_index, recipient, 1, prev, seq, created_at=now)
-    sim.begin_tx_validation(state, tx)
+    sim.begin_tx_validation(state, tx, ContextCounters())
     if state.tx_generated < cfg.transactions_per_node:
         state.next_tx_due = now + cfg.inter_tx_delay_s * 1000
         sim.schedule_at(state.next_tx_due, lambda: on_tx_timer(sim, state))
@@ -107,10 +110,11 @@ def on_tx_timer(sim, state: NodeState) -> None:
         sim.note_generator_done()
 
 
-def on_tx_result(sim, state: NodeState, tx: Transaction, tickets) -> None:
+def on_tx_result(sim, state: NodeState, tx: Transaction, tickets,
+                 context: ContextCounters) -> None:
     tx.signatures = signatures_of(tickets)
     if approvals_of(tickets) >= sim.cfg.signature_threshold:
-        sim.finalize_transaction(state, tx, tickets)
+        sim.finalize_transaction(state, tx, tickets, context)
         on_own_tx_finalized(sim, state, tx)
     else:
         # rebuild with honest fields against the current tail and retry
@@ -118,7 +122,7 @@ def on_tx_result(sim, state: NodeState, tx: Transaction, tickets) -> None:
             state.node_index, tx.recipient, 1, state.tracker.tail.id,
             tx.seq, tx.created_at, attempt=tx.attempt + 1,
         )
-        sim.schedule_in(RETRY_DELAY_MS, lambda: sim.begin_tx_validation(state, retry, retry=True))
+        sim.schedule_in(RETRY_DELAY_MS, lambda: sim.begin_tx_validation(state, retry, context))
 
 
 def on_own_tx_finalized(sim, state: NodeState, tx: Transaction) -> None:
@@ -150,6 +154,7 @@ def start_block_attempt(sim, state: NodeState, drain: bool) -> None:
     drain_flag = drain and len(tx_ids) < cfg.block_size_min
     state.in_flight_txs.update(tx_ids)
     state.block_ctx_counter += 1
+    state.block_context = ContextCounters()
     prev = state.tracker.tail.id
     height = state.tracker.tail.height + 1
     if state.malicious and state.rng_corrupt.random() < CORRUPTION_PROBABILITY:
@@ -163,10 +168,7 @@ def start_block_attempt(sim, state: NodeState, drain: bool) -> None:
 def on_block_result(sim, state: NodeState, block: Block, tickets, retries: int) -> None:
     block.signatures = signatures_of(tickets)
     if approvals_of(tickets) >= sim.cfg.signature_threshold:
-        sim.finalize_block(state, block, tickets)
-        info = BlockInfo(block.id, block.prev_block_id, block.height,
-                         tuple(block.tx_ids), block.drain, block.owner)
-        state.tracker.add(info)
+        state.tracker.add(sim.finalize_block(state, block, tickets))
         state.in_flight_txs.difference_update(block.tx_ids)
         _close_block_attempt(sim, state)
         return
@@ -193,6 +195,7 @@ def on_block_result(sim, state: NodeState, block: Block, tickets, retries: int) 
 
 def _close_block_attempt(sim, state: NodeState) -> None:
     state.block_attempt_open = False
+    state.block_context = None
     sim.open_block_ops -= 1
     maybe_schedule_block(sim, state)
 

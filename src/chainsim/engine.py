@@ -36,6 +36,7 @@ from .identity import (
 from .overlay import KIND_CONTROLLER, KIND_DATA, SkipGraph
 from .rng import substream
 from .simnet import (
+    ContextCounters,
     Network,
     TAG_ANNOUNCE,
     TAG_NOTIFY,
@@ -50,6 +51,9 @@ REPLICATION_FACTOR = 3
 ROUTE_MSG_BYTES = 72
 REPLY_MSG_BYTES = 41
 DRAIN_TICK_MS = 1000
+# a run that neither generates nor finalizes anything for this many
+# validation timeouts (plus one tx interval) is livelocked
+STALL_TIMEOUTS = 1000
 
 CSV_HEADER = ("event_type,entity_id,owner,created_at_ms,finalized_at_ms,"
               "messages,bytes,memory_bytes,validators_contacted,approvals,height,size")
@@ -59,7 +63,7 @@ class StalledSimulation(Exception):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetricRecord:
     event_type: str           # "tx" or "block"
     entity_id: str            # lowercase hex
@@ -183,7 +187,8 @@ class ValidationRound:
     """One entity's validator resolution, request fan-out, and collection."""
 
     def __init__(self, sim: "Simulation", state: NodeState, entity: Entity,
-                 context: str, on_result: Callable[[list[ValidationTicket]], None]):
+                 context: ContextCounters,
+                 on_result: Callable[[list[ValidationTicket]], None]):
         self.sim = sim
         self.state = state
         self.entity = entity
@@ -201,9 +206,7 @@ class ValidationRound:
             self.entity.id, self.entity.owner, sim.controllers, sim.overlay,
             self.state.address, sim.cfg,
         )
-        sim.ctx_validators[self.context] = (
-            sim.ctx_validators.get(self.context, 0) + len(self.tickets)
-        )
+        self.context.validators += len(self.tickets)
         self.unresolved = self.pending_replies = len(self.tickets)
         self.request_bytes = len(full_bytes(self.entity))
         for ticket in self.tickets:
@@ -279,6 +282,9 @@ class Simulation:
             median_ms=latency_median_ms, sigma=latency_sigma,
         )
         self.validation_timeout_ms = 10 * self.matrix.percentile(0.99)
+        self._stall_window = (STALL_TIMEOUTS * self.validation_timeout_ms
+                              + cfg.inter_tx_delay_s * 1000)
+        self._stall_deadline = self._stall_window
         self.net = Network(self.matrix, clock=lambda: self.now,
                            schedule_at=self.schedule_at, addresses=self.addresses)
 
@@ -314,7 +320,6 @@ class Simulation:
         self.open_block_ops = 0
         self.generators_remaining = n
         self.records: list[MetricRecord] = []
-        self.ctx_validators: dict[str, int] = {}
         self._terminated = False
         self._wall_clock_s = 0.0
         self._last_check = 0
@@ -347,26 +352,24 @@ class Simulation:
 
     # -- validation entry points ---------------------------------------
 
-    def tx_context(self, tx: Transaction) -> str:
-        return f"tx:{tx.owner}:{tx.seq}"
-
-    def block_context(self, state: NodeState) -> str:
-        return f"blk:{state.node_index}:{state.block_ctx_counter}"
-
     def begin_tx_validation(self, state: NodeState, tx: Transaction,
-                            retry: bool = False) -> None:
+                            context: ContextCounters) -> None:
+        """Validate one attempt of a tx slot; `context` spans the slot's attempts."""
         if tx.attempt == 0:
             self.open_tx_slots += 1
+            self._note_progress()
         round_ = ValidationRound(
-            self, state, tx, self.tx_context(tx),
-            on_result=lambda tickets: controller.on_tx_result(self, state, tx, tickets),
+            self, state, tx, context,
+            on_result=lambda tickets: controller.on_tx_result(
+                self, state, tx, tickets, context),
         )
         round_.start()
 
     def begin_block_validation(self, state: NodeState, block: Block,
                                retries: int) -> None:
+        """Validate one try of the node's open block attempt."""
         round_ = ValidationRound(
-            self, state, block, self.block_context(state),
+            self, state, block, state.block_context,
             on_result=lambda tickets: controller.on_block_result(
                 self, state, block, tickets, retries),
         )
@@ -377,8 +380,11 @@ class Simulation:
 
     # -- finalization ---------------------------------------------------
 
+    def _note_progress(self) -> None:
+        self._stall_deadline = self.now + self._stall_window
+
     def _announce_and_replicate(self, state: NodeState, entity: Entity,
-                                context: str) -> None:
+                                context: ContextCounters) -> None:
         state.store.store(entity)
         path = self.overlay.announce(entity.id, state.address, KIND_DATA)
         self.net.send_path(path, TAG_ANNOUNCE, ROUTE_MSG_BYTES, context, None)
@@ -391,24 +397,24 @@ class Simulation:
                 context, handler=lambda env, e=entity: self._store_replica(env.dst, e, context),
             )
 
-    def _store_replica(self, holder: Address, entity: Entity, context: str) -> None:
+    def _store_replica(self, holder: Address, entity: Entity,
+                       context: ContextCounters) -> None:
         holder_state = self.nodes[holder.node_index]
         holder_state.store.store(entity)
         path = self.overlay.announce(entity.id, holder_state.address, KIND_DATA)
         self.net.send_path(path, TAG_ANNOUNCE, ROUTE_MSG_BYTES, context, None)
 
-    def _record(self, entity: Entity, context: str,
+    def _record(self, entity: Entity, context: ContextCounters,
                 tickets: list[ValidationTicket]) -> None:
-        counters = self.net.context_counters(context)
         common = dict(
             entity_id=entity.id.hex(),
             owner=entity.owner,
             created_at=entity.created_at,
             finalized_at=self.now,
-            messages=counters.messages,
-            bytes=counters.bytes,
+            messages=context.messages,
+            bytes=context.bytes,
             memory_bytes=len(full_bytes(entity)),
-            validators_contacted=self.ctx_validators.get(context, 0),
+            validators_contacted=context.validators,
             approvals=approvals_of(tickets),
         )
         if isinstance(entity, Transaction):
@@ -419,8 +425,9 @@ class Simulation:
                 size=len(entity.tx_ids), **common))
 
     def finalize_transaction(self, state: NodeState, tx: Transaction,
-                             tickets: list[ValidationTicket]) -> None:
-        context = self.tx_context(tx)
+                             tickets: list[ValidationTicket],
+                             context: ContextCounters) -> None:
+        self._note_progress()
         apply_finalization_fees(self.ledger, tx.owner, tickets, self.cfg,
                                 is_block=False)
         self.registry.add_tx(tx.id, tx.owner, tx.seq, self.now)
@@ -430,8 +437,10 @@ class Simulation:
         self._record(tx, context, tickets)
 
     def finalize_block(self, state: NodeState, block: Block,
-                       tickets: list[ValidationTicket]) -> None:
-        context = self.block_context(state)
+                       tickets: list[ValidationTicket]) -> BlockInfo:
+        """Finalize the node's open block attempt; returns the block's one `BlockInfo`."""
+        self._note_progress()
+        context = state.block_context
         apply_finalization_fees(self.ledger, block.owner, tickets, self.cfg,
                                 is_block=True)
         info = BlockInfo(block.id, block.prev_block_id, block.height,
@@ -447,6 +456,7 @@ class Simulation:
                 handler=lambda env, o=other, i=info: controller.on_block_notify(self, o, i),
             )
         self._record(block, context, tickets)
+        return info
 
     # -- drain and termination ------------------------------------------
 
@@ -511,6 +521,10 @@ class Simulation:
                 fn()
                 self.events_processed += 1
             # quiescent point
+            if current_time > self._stall_deadline:
+                last = self._stall_deadline - self._stall_window
+                raise StalledSimulation(
+                    f"nothing generated or finalized since t={last} (now t={current_time})")
             if (self.check_invariants_every
                     and self.events_processed - self._last_check
                     >= self.check_invariants_every):

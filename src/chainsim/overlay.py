@@ -17,8 +17,8 @@ from .identity import Address, Identifier, membership_prefix_len
 KIND_CONTROLLER = "controller"
 KIND_DATA = "data-object"
 
-LEFT = 0
-RIGHT = 1
+LEFT = "left"
+RIGHT = "right"
 
 
 class OverlayError(Exception):
@@ -41,14 +41,16 @@ class NotFound(OverlayError):
 
 
 class Vertex:
-    __slots__ = ("identifier", "owner", "kind", "announcers", "neighbors")
+    """One overlay entry; `left[l]` and `right[l]` are its level-l neighbours."""
+    __slots__ = ("identifier", "owner", "kind", "announcers", "left", "right")
 
     def __init__(self, identifier: Identifier, owner: Address, kind: str, levels: int):
         self.identifier = identifier
         self.owner = owner
         self.kind = kind
         self.announcers: list[Address] = [owner]
-        self.neighbors: list[list[Vertex | None]] = [[None, None] for _ in range(levels)]
+        self.left: list[Vertex | None] = [None] * levels
+        self.right: list[Vertex | None] = [None] * levels
 
 
 @dataclass
@@ -97,7 +99,7 @@ class SkipGraph:
     def _insert(self, vertex: Vertex) -> list[Address]:
         floor, path = self._search(self.introducer, vertex.identifier)
         if floor.identifier < vertex.identifier:
-            left, right = floor, floor.neighbors[0][RIGHT]
+            left, right = floor, floor.right[0]
         else:  # floor is the global minimum and the new vertex precedes it
             left, right = None, floor
         self._splice(vertex, 0, left, right)
@@ -109,27 +111,28 @@ class SkipGraph:
             self._splice(vertex, level, left, right)
         return path
 
-    def _scan_for_level(self, vertex: Vertex, level: int, side: int,
+    def _scan_for_level(self, vertex: Vertex, level: int, side: str,
                         path: list[Address]) -> Vertex | None:
-        # walk the level-(l-1) list away from the new vertex until a member
-        # sharing >= l membership-vector bits appears; every visited owner
-        # is appended to `path`
-        cur = vertex.neighbors[level - 1][side]
+        # walk the level-(l-1) list away from the new vertex (towards `side`,
+        # LEFT or RIGHT) until a member sharing >= l membership-vector bits
+        # appears; every visited owner is appended to `path`
+        below = level - 1
+        cur = getattr(vertex, side)[below]
         while cur is not None and membership_prefix_len(cur.identifier, vertex.identifier) < level:
             path.append(cur.owner)
-            cur = cur.neighbors[level - 1][side]
+            cur = getattr(cur, side)[below]
         if cur is not None:
             path.append(cur.owner)
         return cur
 
     @staticmethod
     def _splice(vertex: Vertex, level: int, left: Vertex | None, right: Vertex | None):
-        vertex.neighbors[level][LEFT] = left
-        vertex.neighbors[level][RIGHT] = right
+        vertex.left[level] = left
+        vertex.right[level] = right
         if left is not None:
-            left.neighbors[level][RIGHT] = vertex
+            left.right[level] = vertex
         if right is not None:
-            right.neighbors[level][LEFT] = vertex
+            right.left[level] = vertex
 
     # -- search ---------------------------------------------------------
 
@@ -143,19 +146,19 @@ class SkipGraph:
         path = [start.owner]
         for level in range(self.levels - 1, -1, -1):
             if cur.identifier <= target:
-                nxt = cur.neighbors[level][RIGHT]
+                nxt = cur.right[level]
                 while nxt is not None and nxt.identifier <= target:
                     cur = nxt
                     if cur.owner != path[-1]:
                         path.append(cur.owner)
-                    nxt = cur.neighbors[level][RIGHT]
+                    nxt = cur.right[level]
             else:
-                nxt = cur.neighbors[level][LEFT]
+                nxt = cur.left[level]
                 while cur.identifier > target and nxt is not None:
                     cur = nxt
                     if cur.owner != path[-1]:
                         path.append(cur.owner)
-                    nxt = cur.neighbors[level][LEFT]
+                    nxt = cur.left[level]
         return cur, path
 
     def search_num_id(self, start: Address, target: Identifier) -> SearchResult:
@@ -186,8 +189,8 @@ class SkipGraph:
             raise EmptyOverlay()
         cur = self.introducer
         for level in range(self.levels - 1, -1, -1):
-            while cur.neighbors[level][LEFT] is not None:
-                cur = cur.neighbors[level][LEFT]
+            while cur.left[level] is not None:
+                cur = cur.left[level]
         return cur
 
     def in_order(self) -> list[Vertex]:
@@ -197,7 +200,7 @@ class SkipGraph:
         cur = self.min_vertex()
         while cur is not None:
             out.append(cur)
-            cur = cur.neighbors[0][RIGHT]
+            cur = cur.right[0]
         return out
 
     def check_invariants(self) -> None:
@@ -207,20 +210,20 @@ class SkipGraph:
             assert a.identifier < b.identifier, "level-0 list not strictly increasing"
         for vertex in self.by_id.values():
             for level in range(self.levels):
-                left, right = vertex.neighbors[level]
+                left, right = vertex.left[level], vertex.right[level]
                 if left is not None:
                     assert left.identifier < vertex.identifier
                     assert membership_prefix_len(left.identifier, vertex.identifier) >= level
-                    assert left.neighbors[level][RIGHT] is vertex
+                    assert left.right[level] is vertex
                 if right is not None:
                     assert right.identifier > vertex.identifier
                     assert membership_prefix_len(right.identifier, vertex.identifier) >= level
-                    assert right.neighbors[level][LEFT] is vertex
+                    assert right.left[level] is vertex
 
     def dump_lines(self) -> list[str]:
         lines = []
         for vertex in self.in_order():
-            left, right = vertex.neighbors[0]
+            left, right = vertex.left[0], vertex.right[0]
             lines.append(",".join([
                 vertex.identifier.hex(),
                 vertex.kind,

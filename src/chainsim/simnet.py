@@ -3,8 +3,8 @@
 Latency is drawn once per unordered node pair and fixed for the run, so
 delivery is FIFO per ordered pair.  The latencies sit in one flat,
 row-major n x n table, so a message's latency is a single list index.
-Every send increments global and per-context counters; nothing is ever
-lost.
+Every send increments the global counters and, when it carries one, the
+counters of the operation it serves; nothing is ever lost.
 """
 from __future__ import annotations
 
@@ -42,7 +42,7 @@ class Envelope(NamedTuple):
     dst: Address
     tag: str
     size: int
-    context: str | None
+    context: ContextCounters | None
     send_time: int
     deliver_time: int
     payload: object = None
@@ -123,10 +123,17 @@ def build_latency_matrix(n: int, seed: int, samples: list[float] | None = None,
     return LatencyMatrix(n=n, values=values)
 
 
-@dataclass
+@dataclass(slots=True)
 class ContextCounters:
+    """Traffic and validators of one operation: a tx slot or a block attempt.
+
+    The operation owns this object and hands it to every send it makes;
+    nothing else refers to it, so it is freed with the operation's last
+    message.
+    """
     messages: int = 0
     bytes: int = 0
+    validators: int = 0
 
 
 class Network:
@@ -144,10 +151,11 @@ class Network:
         self.total_bytes = 0
         self.delivered_messages = 0
         self.uncontexted_messages = 0
-        self.per_context: dict[str, ContextCounters] = {}
+        self.contexted_messages = 0
 
     def send(self, src: Address, dst: Address, tag: str, size: int,
-             context: str | None, handler: Callable[[Envelope], None] | None,
+             context: ContextCounters | None,
+             handler: Callable[[Envelope], None] | None,
              payload: object = None) -> Envelope:
         if src not in self._registered:
             raise UnknownAddress(src)
@@ -164,9 +172,9 @@ class Network:
         if context is None:
             self.uncontexted_messages += 1
         else:
-            counters = self.per_context.setdefault(context, ContextCounters())
-            counters.messages += 1
-            counters.bytes += size
+            self.contexted_messages += 1
+            context.messages += 1
+            context.bytes += size
 
         def deliver():
             self.delivered_messages += 1
@@ -177,7 +185,7 @@ class Network:
         return env
 
     def send_path(self, path: list[Address], tag: str, size: int,
-                  context: str | None,
+                  context: ContextCounters | None,
                   on_done: Callable[[], None] | None = None) -> None:
         """Send a hop-by-hop routing chain; one envelope per inter-owner hop.
 
@@ -208,9 +216,9 @@ class Network:
         if context is None:
             self.uncontexted_messages += hops
         else:
-            counters = self.per_context.setdefault(context, ContextCounters())
-            counters.messages += hops
-            counters.bytes += size * hops
+            self.contexted_messages += hops
+            context.messages += hops
+            context.bytes += size * hops
 
         def final():
             self.delivered_messages += hops
@@ -219,11 +227,7 @@ class Network:
 
         self._schedule_at(arrival, final)
 
-    def context_counters(self, context: str) -> ContextCounters:
-        return self.per_context.get(context, ContextCounters())
-
     def check_accounting(self) -> None:
-        total_ctx = sum(c.messages for c in self.per_context.values())
-        assert total_ctx + self.uncontexted_messages == self.total_messages, (
-            "per-context message counts do not sum to the total"
+        assert self.contexted_messages + self.uncontexted_messages == self.total_messages, (
+            "operation and uncontexted message counts do not sum to the total"
         )

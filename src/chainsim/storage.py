@@ -21,14 +21,14 @@ class IdMismatch(Exception):
         self.actual = actual
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Signature:
     validator: int
     decision: str
     token: bytes
 
 
-@dataclass
+@dataclass(slots=True)
 class Transaction:
     id: Identifier
     owner: int
@@ -41,7 +41,7 @@ class Transaction:
     signatures: list[Signature] = field(default_factory=list)
 
 
-@dataclass
+@dataclass(slots=True)
 class Block:
     id: Identifier
     owner: int
@@ -157,7 +157,7 @@ class ReplicaStore:
         return self._entities.get(identifier)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockInfo:
     """The slice of a block every node tracks for tail selection and pool eviction."""
     id: Identifier

@@ -1,8 +1,13 @@
 """Command-line interface behavior and exit codes."""
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chainsim
 from chainsim import cli
 from conftest import SAMPLE_CONFIG_TEXT
 
@@ -125,3 +130,36 @@ def test_zero_sigma_and_invariant_interval_accepted(config_file, capsys):
     code = cli.main(["--config", str(config_file), "--summary-only",
                      "--latency-sigma", "0", "--check-invariants", "0"])
     assert code == cli.EXIT_OK
+
+
+# The honest node's only validator is the malicious node, which rejects every
+# valid transaction, so the honest node retries forever.
+LIVELOCKED_CONFIG = (
+    "NODES = 2\n"
+    "TRANSACTIONS = 3\n"
+    "DELAY = 1\n"
+    "BLK_SIZE = 1\n"
+    "INIT_BALANCE = 20\n"
+    "MALICIOUS = 0.3\n"
+    "VALID_THR = 1\n"
+    "SIG_THR = 1\n"
+    "VALID_FEE = 2\n"
+    "ROUTE_FEE = 1\n"
+    "REWARD = 3\n"
+)
+
+
+def test_livelocked_run_exits_stalled(tmp_path):
+    # a subprocess with a timeout, so a hang fails the test instead of hanging it
+    path = tmp_path / "livelock.config"
+    path.write_text(LIVELOCKED_CONFIG)
+    src = str(Path(chainsim.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "chainsim.cli", "--config", str(path), "--seed", "3",
+         "--out", str(tmp_path / "run.csv")],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert proc.returncode == cli.EXIT_STALLED, proc.stderr
+    assert "stalled simulation" in proc.stderr

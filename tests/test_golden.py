@@ -1,0 +1,27 @@
+"""Pinned CSV digests: a change that claims the same behaviour must keep these bytes.
+
+The digests were taken from the code as it stood before slotted records,
+flat skip-graph links and operation-owned accounting, all of which leave
+the output unchanged.  A change that alters behaviour on purpose updates
+them and says so.
+"""
+import hashlib
+
+import pytest
+
+from chainsim.engine import run_simulation
+from conftest import make_cfg
+
+GOLDEN = [
+    ({}, 7, "5c7e1fe650bb3da1467ad972fd605a2af6daf94dd5bc56092cf77e0ce41656c2"),
+    ({}, 8, "98785a4d102ecf4f686121600b3b130c6411078324cafb7b83c6f1e98495afe3"),
+    ({"malicious_fraction": 0.25}, 7,
+     "2cda6361eb1c043385399bb2ecaf3c22d900952f1832249df754fea26a301652"),
+]
+
+
+@pytest.mark.parametrize("overrides, seed, digest", GOLDEN)
+def test_csv_digest_is_pinned(overrides, seed, digest):
+    cfg = make_cfg(nodes=16, transactions_per_node=10, block_size_min=5, **overrides)
+    csv_text, _ = run_simulation(cfg, seed=seed)
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == digest

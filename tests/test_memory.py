@@ -1,0 +1,69 @@
+"""Per-entity memory: slotted records, and accounting that ends with its operation."""
+import gc
+
+import pytest
+
+from chainsim import controller
+from chainsim.engine import ROUTE_MSG_BYTES, MetricRecord, Simulation
+from chainsim.identity import ZERO_ID, address_for
+from chainsim.overlay import KIND_DATA, Vertex
+from chainsim.simnet import ContextCounters
+from chainsim.storage import (
+    DECISION_APPROVE,
+    BlockInfo,
+    Signature,
+    new_block,
+    new_transaction,
+)
+from conftest import make_cfg
+
+
+def live_counters() -> int:
+    gc.collect()
+    return sum(1 for obj in gc.get_objects() if isinstance(obj, ContextCounters))
+
+
+@pytest.mark.parametrize("instance", [
+    Vertex(ZERO_ID, address_for(0), KIND_DATA, levels=3),
+    Signature(1, DECISION_APPROVE, bytes(32)),
+    new_transaction(0, 1, 1, ZERO_ID, seq=0, created_at=0),
+    new_block(0, ZERO_ID, 1, [bytes(32)], created_at=0),
+    BlockInfo(ZERO_ID, ZERO_ID, 0, ()),
+    MetricRecord("tx", "00", 0, 0, 0, 0, 0, 0, 0, 0),
+    ContextCounters(),
+], ids=lambda obj: type(obj).__name__)
+def test_per_entity_objects_have_no_dict(instance):
+    assert not hasattr(instance, "__dict__")
+
+
+def test_operation_counters_do_not_outlive_the_run():
+    before = live_counters()
+    sim = Simulation(make_cfg(nodes=16, transactions_per_node=10), seed=7)
+    sim.run()
+    # only events still queued (a validation timeout, say) may hold an operation
+    assert live_counters() - before <= len(sim._heap)
+
+
+def test_every_message_counted_once_against_an_operation_or_uncontexted(monkeypatch):
+    made = []
+
+    def recording_counters():
+        made.append(ContextCounters())
+        return made[-1]
+
+    monkeypatch.setattr(controller, "ContextCounters", recording_counters)
+    sim = Simulation(make_cfg(nodes=8, transactions_per_node=6, malicious_fraction=0.25),
+                     seed=3)
+    report = sim.run()
+    net = sim.net
+    assert sum(op.messages for op in made) + net.uncontexted_messages == net.total_messages
+    # the bootstrap announces are the only traffic outside an operation
+    assert net.total_bytes - sum(op.bytes for op in made) == (
+        ROUTE_MSG_BYTES * net.uncontexted_messages)
+    # one operation per tx slot, and one per block attempt, finalized or not
+    assert len(made) >= report.finalized_tx_count + report.finalized_block_count
+    # a row counts its operation up to finalization, never more
+    assert sum(r.messages for r in sim.records) <= sum(op.messages for op in made)
+    assert sum(r.validators_contacted for r in sim.records) <= sum(
+        op.validators for op in made)
+    net.check_accounting()

@@ -38,7 +38,8 @@ def test_first_vertex_has_empty_neighbors():
     path = graph.announce(Identifier(b"\x42" * 32), address_for(0), KIND_CONTROLLER)
     assert path == []
     vertex = graph.introducer
-    assert all(pair == [None, None] for pair in vertex.neighbors)
+    assert vertex.left == [None] * graph.levels
+    assert vertex.right == [None] * graph.levels
 
 
 def test_level_zero_sorted_after_random_inserts():

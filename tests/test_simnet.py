@@ -8,6 +8,7 @@ from chainsim.identity import address_for
 from chainsim.rng import substream
 from chainsim.simnet import (
     BadSampleFile,
+    ContextCounters,
     LatencyMatrix,
     Network,
     UnknownAddress,
@@ -98,7 +99,7 @@ def test_delivery_time_is_additive():
     net, clock = fixed_network(2, latency_ms=40)
     seen = []
     clock.schedule_at(100, lambda: net.send(
-        address_for(0), address_for(1), "tag", 10, "ctx",
+        address_for(0), address_for(1), "tag", 10, ContextCounters(),
         handler=lambda env: seen.append(clock.now)))
     clock.run()
     assert seen == [140]
@@ -115,13 +116,13 @@ def test_unregistered_and_self_sends_rejected():
 def test_context_counts_track_hops_and_reply():
     net, clock = fixed_network(5, latency_ms=10)
     path = [address_for(i) for i in range(5)]   # 4 inter-owner hops
+    counters = ContextCounters()
 
     def reply():
-        net.send(path[-1], path[0], "reply", 41, "ctx", handler=None)
+        net.send(path[-1], path[0], "reply", 41, counters, handler=None)
 
-    net.send_path(path, "route", 72, "ctx", on_done=reply)
+    net.send_path(path, "route", 72, counters, on_done=reply)
     clock.run()
-    counters = net.context_counters("ctx")
     assert counters.messages == 4 + 1
     assert counters.bytes == 4 * 72 + 41
     assert net.delivered_messages == 5
@@ -136,16 +137,16 @@ def test_context_counts_track_hops_and_reply():
 ])
 def test_bad_path_raises_before_any_accounting(hops, error):
     net, clock = fixed_network(3, latency_ms=10)
-    net.send(address_for(0), address_for(1), "a", 5, "ctx", None)
+    ctx = ContextCounters()
+    net.send(address_for(0), address_for(1), "a", 5, ctx, None)
     net.send(address_for(1), address_for(2), "b", 7, None, None)
 
     def state():
-        ctx = net.context_counters("ctx")
         return (net.total_messages, net.total_bytes, net.uncontexted_messages,
                 ctx.messages, ctx.bytes, len(clock._heap))
 
     before = state()
-    for context in ("ctx", None):
+    for context in (ctx, None):
         with pytest.raises(error):
             net.send_path([address_for(i) for i in hops], "route", 72, context,
                           on_done=lambda: None)
@@ -164,12 +165,13 @@ def test_single_owner_path_costs_nothing():
 
 def test_accounting_totals_split_by_context():
     net, clock = fixed_network(3, latency_ms=10)
-    net.send(address_for(0), address_for(1), "a", 5, "c1", None)
+    c1 = ContextCounters()
+    net.send(address_for(0), address_for(1), "a", 5, c1, None)
     net.send(address_for(1), address_for(2), "b", 7, None, None)
     clock.run()
     assert net.total_messages == 2
     assert net.uncontexted_messages == 1
-    assert net.context_counters("c1").bytes == 5
+    assert c1.bytes == 5
     net.check_accounting()
 
 
