@@ -17,6 +17,7 @@ from .overlay import SkipGraph
 from .storage import (
     DECISION_APPROVE,
     DECISION_REJECT,
+    DECISION_SILENT,
     Block,
     Entity,
     Transaction,
@@ -35,16 +36,11 @@ class ValidationTicket:
     validator: int
     terminal: Address
     path: list[Address]
-    decision: str = "silent"
-    token: bytes | None = None
+    decision: str = DECISION_SILENT
 
 
 def slot_target(entity_id: Identifier, slot: int) -> Identifier:
     return hash_bytes(entity_id, struct.pack(">Q", slot))
-
-
-def make_token(entity_id: Identifier, validator: int, decision: str) -> bytes:
-    return hash_bytes(entity_id, struct.pack(">Q", validator), decision.encode())
 
 
 def select_validators(entity_id: Identifier, owner: int,

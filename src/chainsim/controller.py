@@ -16,11 +16,11 @@ from .identity import Address, Identifier, hash_bytes
 from .simnet import ContextCounters
 from .storage import (
     DECISION_APPROVE,
+    DECISION_SILENT,
     Block,
     BlockInfo,
     ChainTracker,
     ReplicaStore,
-    Signature,
     Transaction,
     new_block,
     new_transaction,
@@ -51,25 +51,54 @@ class NodeState:
     next_tx_due: int = 0
     own_finalized: dict[Identifier, int] = field(default_factory=dict)
     in_flight_txs: set[Identifier] = field(default_factory=set)
+    # own finalized txs neither on the chain nor in flight -> finalized_at,
+    # kept as they change rather than rebuilt
+    pool: dict[Identifier, int] = field(default_factory=dict)
     block_attempt_open: bool = False
     block_ctx_counter: int = 0
     # counters of the block attempt under validation, None between attempts
     block_context: ContextCounters | None = None
 
+    def __post_init__(self):
+        # the owner-scoped tracker reports the node's txs entering and
+        # leaving its chain through `chained` and `unchained`
+        self.tracker.listener = self
+
     @property
     def malicious(self) -> bool:
         return self.role == ROLE_MALICIOUS
 
+    def add_finalized(self, tx_id: Identifier, finalized_at: int) -> None:
+        self.own_finalized[tx_id] = finalized_at
+        self.pool[tx_id] = finalized_at
+
+    def take(self, tx_ids) -> None:
+        """Move pooled txs into the block attempt under validation."""
+        self.in_flight_txs.update(tx_ids)
+        for tx_id in tx_ids:
+            del self.pool[tx_id]
+
+    def release(self, tx_ids) -> None:
+        """End the attempt holding `tx_ids`; those not on the chain go back to the pool."""
+        self.in_flight_txs.difference_update(tx_ids)
+        chain_txs = self.tracker.chain_txs
+        for tx_id in tx_ids:
+            if tx_id not in chain_txs:
+                self.pool[tx_id] = self.own_finalized[tx_id]
+
+    def chained(self, tx_ids) -> None:
+        for tx_id in tx_ids:
+            self.pool.pop(tx_id, None)
+
+    def unchained(self, tx_ids) -> None:
+        for tx_id in tx_ids:
+            if tx_id not in self.in_flight_txs:
+                self.pool[tx_id] = self.own_finalized[tx_id]
+
 
 def pending_pool(state: NodeState) -> list[tuple[int, Identifier]]:
-    """Finalized-but-unblocked own transactions, oldest first (ties by id)."""
-    pool = [
-        (finalized_at, tx_id)
-        for tx_id, finalized_at in state.own_finalized.items()
-        if tx_id not in state.tracker.chain_txs and tx_id not in state.in_flight_txs
-    ]
-    pool.sort()
-    return pool
+    """The node's pool as (finalized_at, tx id), oldest first (ties by id)."""
+    return sorted((finalized_at, tx_id) for tx_id, finalized_at in state.pool.items())
 
 
 def _bogus_block_id(state: NodeState, seq: int, attempt: int) -> Identifier:
@@ -81,9 +110,9 @@ def approvals_of(tickets) -> int:
     return sum(1 for t in tickets if t.decision == DECISION_APPROVE)
 
 
-def signatures_of(tickets) -> list[Signature]:
+def signatures_of(tickets) -> int:
     # a silent validator (no reply before the timeout) has no signature
-    return [Signature(t.validator, t.decision, t.token) for t in tickets if t.token is not None]
+    return sum(1 for t in tickets if t.decision != DECISION_SILENT)
 
 
 # -- transaction lifecycle ----------------------------------------------
@@ -126,7 +155,7 @@ def on_tx_result(sim, state: NodeState, tx: Transaction, tickets,
 
 
 def on_own_tx_finalized(sim, state: NodeState, tx: Transaction) -> None:
-    state.own_finalized[tx.id] = sim.now
+    state.add_finalized(tx.id, sim.now)
     maybe_schedule_block(sim, state)
 
 
@@ -136,23 +165,30 @@ def on_own_tx_finalized(sim, state: NodeState, tx: Transaction) -> None:
 def maybe_schedule_block(sim, state: NodeState) -> None:
     if state.block_attempt_open:
         return
-    if len(pending_pool(state)) < sim.cfg.block_size_min:
+    if len(state.pool) < sim.cfg.block_size_min:
         return
     state.block_attempt_open = True
     backoff = state.rng_backoff.randrange(BACKOFF_WINDOW_MS)
     sim.schedule_in(backoff, lambda: start_block_attempt(sim, state, drain=False))
 
 
+def _take_for_block(sim, state: NodeState, drain: bool) -> list[Identifier] | None:
+    """Take the oldest pooled txs for a block, or None when the pool cannot
+    fill one; a drain block takes whatever is left."""
+    size = sim.cfg.block_size_min
+    if len(state.pool) < size and not (drain and state.pool):
+        return None
+    tx_ids = [tx_id for _, tx_id in pending_pool(state)[:size]]
+    state.take(tx_ids)
+    return tx_ids
+
+
 def start_block_attempt(sim, state: NodeState, drain: bool) -> None:
-    cfg: SimulationConfig = sim.cfg
-    pool = pending_pool(state)
-    if len(pool) < cfg.block_size_min and not (drain and pool):
+    tx_ids = _take_for_block(sim, state, drain)
+    if tx_ids is None:
         state.block_attempt_open = False
         return
-    take = pool[: cfg.block_size_min]
-    tx_ids = [tx_id for _, tx_id in take]
-    drain_flag = drain and len(tx_ids) < cfg.block_size_min
-    state.in_flight_txs.update(tx_ids)
+    drain_flag = drain and len(tx_ids) < sim.cfg.block_size_min
     state.block_ctx_counter += 1
     state.block_context = ContextCounters()
     prev = state.tracker.tail.id
@@ -169,23 +205,19 @@ def on_block_result(sim, state: NodeState, block: Block, tickets, retries: int) 
     block.signatures = signatures_of(tickets)
     if approvals_of(tickets) >= sim.cfg.signature_threshold:
         state.tracker.add(sim.finalize_block(state, block, tickets))
-        state.in_flight_txs.difference_update(block.tx_ids)
+        state.release(block.tx_ids)
         _close_block_attempt(sim, state)
         return
-    state.in_flight_txs.difference_update(block.tx_ids)
+    state.release(block.tx_ids)
     if retries >= MAX_BLOCK_RETRIES:
         _close_block_attempt(sim, state)
         return
     # refresh the tail and re-assemble honestly from the current pool
-    cfg = sim.cfg
-    pool = pending_pool(state)
-    if len(pool) < cfg.block_size_min and not (block.drain and pool):
+    tx_ids = _take_for_block(sim, state, block.drain)
+    if tx_ids is None:
         _close_block_attempt(sim, state)
         return
-    take = pool[: cfg.block_size_min]
-    tx_ids = [tx_id for _, tx_id in take]
-    drain_flag = block.drain and len(tx_ids) < cfg.block_size_min
-    state.in_flight_txs.update(tx_ids)
+    drain_flag = block.drain and len(tx_ids) < sim.cfg.block_size_min
     rebuilt = new_block(state.node_index, state.tracker.tail.id,
                         state.tracker.tail.height + 1, tx_ids,
                         created_at=block.created_at, attempt=block.attempt + 1,

@@ -18,11 +18,11 @@ from .consensus import (
     ValidationTicket,
     apply_finalization_fees,
     decide,
-    make_token,
     replica_holders,
     select_validators,
     validate_entity,
 )
+# `pending_pool` is not called here; bench/tracing.py patches it in this module
 from .controller import NodeState, approvals_of, pending_pool
 from .identity import (
     Address,
@@ -45,7 +45,7 @@ from .simnet import (
     TAG_VALIDATE_REQUEST,
     build_latency_matrix,
 )
-from .storage import Block, BlockInfo, ChainTracker, Entity, Transaction, full_bytes
+from .storage import Block, BlockInfo, ChainTracker, Entity, Transaction, wire_size
 
 REPLICATION_FACTOR = 3
 ROUTE_MSG_BYTES = 72
@@ -198,6 +198,8 @@ class ValidationRound:
         self.unresolved = 0
         self.pending_replies = 0
         self.request_bytes = 0
+        # when the latest reply of a resolved ticket lands back at the owner
+        self.last_reply_at = 0
         self.done = False
 
     def start(self) -> None:
@@ -208,20 +210,26 @@ class ValidationRound:
         )
         self.context.validators += len(self.tickets)
         self.unresolved = self.pending_replies = len(self.tickets)
-        self.request_bytes = len(full_bytes(self.entity))
+        self.request_bytes = wire_size(self.entity)
         for ticket in self.tickets:
             sim.net.send_path(ticket.path, TAG_ROUTE, ROUTE_MSG_BYTES, self.context,
                               lambda t=ticket: self._resolved(t))
 
     def _resolved(self, ticket: ValidationTicket) -> None:
         sim = self.sim
+        owner, validator = self.state.address, sim.addresses[ticket.validator]
         sim.net.send(
-            self.state.address, sim.addresses[ticket.validator],
-            TAG_VALIDATE_REQUEST, self.request_bytes, self.context,
+            owner, validator, TAG_VALIDATE_REQUEST, self.request_bytes, self.context,
             handler=lambda env, t=ticket: self._at_validator(t),
         )
+        # the validator replies on arrival, so its reply lands one round trip from now
+        self.last_reply_at = max(self.last_reply_at,
+                                 sim.now + sim.net.round_trip(owner, validator))
         self.unresolved -= 1
-        if self.unresolved == 0:
+        if (self.unresolved == 0
+                and self.last_reply_at >= sim.now + sim.validation_timeout_ms):
+            # a reply may still be out when the timeout fires; otherwise
+            # every reply lands first and the timeout would find the round done
             sim.schedule_in(sim.validation_timeout_ms, self._timeout)
 
     def _at_validator(self, ticket: ValidationTicket) -> None:
@@ -239,13 +247,12 @@ class ValidationRound:
         if self.done:
             return
         ticket.decision = decision
-        ticket.token = make_token(self.entity.id, ticket.validator, decision)
         self.pending_replies -= 1
         if self.pending_replies == 0:
             self._complete()
 
     def _timeout(self) -> None:
-        if not self.done:
+        if not self.done:   # a reply landing at the deadline may run first
             self._complete()  # outstanding tickets stay "silent"
 
     def _complete(self) -> None:
@@ -390,7 +397,7 @@ class Simulation:
         self.net.send_path(path, TAG_ANNOUNCE, ROUTE_MSG_BYTES, context, None)
         holders = replica_holders(entity.id, entity.owner, self.controllers,
                                   REPLICATION_FACTOR)
-        payload_size = len(full_bytes(entity))
+        payload_size = wire_size(entity)
         for holder in holders[1:]:
             self.net.send(
                 state.address, self.addresses[holder], TAG_NOTIFY, payload_size,
@@ -413,7 +420,7 @@ class Simulation:
             finalized_at=self.now,
             messages=context.messages,
             bytes=context.bytes,
-            memory_bytes=len(full_bytes(entity)),
+            memory_bytes=wire_size(entity),
             validators_contacted=context.validators,
             approvals=approvals_of(tickets),
         )
@@ -480,12 +487,12 @@ class Simulation:
         if self._terminated:
             return
         for state in self.nodes:
-            if not state.block_attempt_open and pending_pool(state):
+            if not state.block_attempt_open and state.pool:
                 state.block_attempt_open = True
                 controller.start_block_attempt(self, state, drain=True)
                 break
         if (self.open_tx_slots or self.open_block_ops
-                or any(pending_pool(s) for s in self.nodes)):
+                or any(s.pool for s in self.nodes)):
             self._schedule_drain_tick(DRAIN_TICK_MS)
 
     def _check_termination(self) -> bool:
@@ -495,7 +502,7 @@ class Simulation:
             return False
         if self.net.delivered_messages != self.net.total_messages:
             return False   # replication or notify traffic still in flight
-        if any(pending_pool(s) for s in self.nodes):
+        if any(s.pool for s in self.nodes):
             return False
         chain_txs = self.registry.tracker.chain_txs
         return all(tx_id in chain_txs for tx_id in self.registry.finalized_txs)

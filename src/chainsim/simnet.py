@@ -153,6 +153,10 @@ class Network:
         self.uncontexted_messages = 0
         self.contexted_messages = 0
 
+    def round_trip(self, a: Address, b: Address) -> int:
+        """Time from a send a -> b until a reply sent on its arrival lands at a."""
+        return 2 * self._latency[a.node_index * self._n + b.node_index]
+
     def send(self, src: Address, dst: Address, tag: str, size: int,
              context: ContextCounters | None,
              handler: Callable[[Envelope], None] | None,

@@ -10,8 +10,9 @@ DECISION_APPROVE = "approve"
 DECISION_REJECT = "reject"
 DECISION_SILENT = "silent"
 
-_DECISION_CODE = {DECISION_APPROVE: 1, DECISION_REJECT: 2, DECISION_SILENT: 3}
-_CODE_DECISION = {v: k for k, v in _DECISION_CODE.items()}
+# one signature on the wire: an 8-byte validator, a 1-byte decision and a
+# 32-byte token
+SIGNATURE_BYTES = 8 + 1 + ID_BYTES
 
 
 class IdMismatch(Exception):
@@ -19,13 +20,6 @@ class IdMismatch(Exception):
         super().__init__(f"stored id {expected.hex()[:12]} != recomputed {actual.hex()[:12]}")
         self.expected = expected
         self.actual = actual
-
-
-@dataclass(frozen=True, slots=True)
-class Signature:
-    validator: int
-    decision: str
-    token: bytes
 
 
 @dataclass(slots=True)
@@ -38,7 +32,7 @@ class Transaction:
     seq: int
     created_at: int
     attempt: int = 0
-    signatures: list[Signature] = field(default_factory=list)
+    signatures: int = 0   # validators that replied
 
 
 @dataclass(slots=True)
@@ -51,7 +45,7 @@ class Block:
     created_at: int = 0
     attempt: int = 0
     drain: bool = False
-    signatures: list[Signature] = field(default_factory=list)
+    signatures: int = 0   # validators that replied
 
 
 Entity = Transaction | Block
@@ -78,46 +72,14 @@ def canonical_bytes(entity: Entity) -> bytes:
     raise TypeError(f"not a ledger entity: {type(entity)!r}")
 
 
-def full_bytes(entity: Entity) -> bytes:
-    """Canonical bytes plus the signature section; the unit of storage accounting."""
-    out = canonical_bytes(entity) + struct.pack(">Q", len(entity.signatures))
-    for sig in entity.signatures:
-        out += struct.pack(">QB", sig.validator, _DECISION_CODE[sig.decision]) + sig.token
-    return out
+def wire_size(entity: Entity) -> int:
+    """Bytes of the entity as sent and stored; the unit of storage accounting.
 
-
-def decode_entity(data: bytes) -> Entity:
-    tag, body = data[:1], data[1:]
-    if tag == b"T":
-        owner, recipient, amount = struct.unpack_from(">QQQ", body, 0)
-        prev = body[24:24 + ID_BYTES]
-        seq, created_at, attempt = struct.unpack_from(">QQQ", body, 24 + ID_BYTES)
-        entity: Entity = Transaction(ZERO_ID, owner, recipient, amount, prev, seq, created_at, attempt)
-        off = 24 + ID_BYTES + 24
-    elif tag == b"B":
-        (owner,) = struct.unpack_from(">Q", body, 0)
-        prev = body[8:8 + ID_BYTES]
-        height, created_at, attempt, drain = struct.unpack_from(">QQQB", body, 8 + ID_BYTES)
-        off = 8 + ID_BYTES + 25
-        (count,) = struct.unpack_from(">Q", body, off)
-        off += 8
-        tx_ids = []
-        for _ in range(count):
-            tx_ids.append(body[off:off + ID_BYTES])
-            off += ID_BYTES
-        entity = Block(ZERO_ID, owner, prev, height, tx_ids, created_at, attempt, bool(drain))
-    else:
-        raise ValueError(f"unknown entity tag {tag!r}")
-    (nsigs,) = struct.unpack_from(">Q", body, off)
-    off += 8
-    for _ in range(nsigs):
-        validator, code = struct.unpack_from(">QB", body, off)
-        off += 9
-        token = body[off:off + ID_BYTES]
-        off += ID_BYTES
-        entity.signatures.append(Signature(validator, _CODE_DECISION[code], token))
-    entity.id = derive_object_identifier(canonical_bytes(entity))
-    return entity
+    The layout is the canonical bytes, an 8-byte big-endian signature
+    count, then SIGNATURE_BYTES per signature.  Nothing in the simulator
+    reads the signatures themselves, so only their count is kept.
+    """
+    return len(canonical_bytes(entity)) + 8 + SIGNATURE_BYTES * entity.signatures
 
 
 def new_transaction(owner: int, recipient: int, amount: int, prev_block_id: Identifier,
@@ -151,7 +113,7 @@ class ReplicaStore:
         if entity.id in self._entities:
             return
         self._entities[entity.id] = entity
-        self.byte_count += len(full_bytes(entity))
+        self.byte_count += wire_size(entity)
 
     def fetch(self, identifier: Identifier) -> Entity | None:
         return self._entities.get(identifier)
@@ -175,14 +137,16 @@ class ChainTracker:
     holds the canonical blocks by height (genesis at 0), and `chain_txs`
     maps each transaction on it to the lowest height of a block holding
     it.  A tracker with an `owner` indexes only that owner's blocks, which
-    is all a node's pool asks about.  A reorg walks back only to the
-    common ancestor of the old and the new tail.  Every block's height is
-    its parent's height plus one.
+    is all a node's pool asks about, and tells its `listener` (the owner's
+    state) which of those txs enter and leave `chain_txs`.  A reorg walks
+    back only to the common ancestor of the old and the new tail.  Every
+    block's height is its parent's height plus one.
     """
 
     def __init__(self, genesis: BlockInfo, owner: int | None = None):
         self.genesis = genesis
         self.owner = owner
+        self.listener = None
         self.blocks: dict[Identifier, BlockInfo] = {genesis.id: genesis}
         self.tail: BlockInfo = genesis
         self.chain: list[BlockInfo] = [genesis]
@@ -226,11 +190,16 @@ class ChainTracker:
             cur = self.blocks[cur.parent]
         cut = self.chain[cur.height + 1:]
         del self.chain[cur.height + 1:]
+        chain_txs = self.chain_txs
         for info in cut:
             if self._indexes(info):
+                removed = []
                 for tx_id in info.tx_ids:
-                    if self.chain_txs.get(tx_id) == info.height:
-                        del self.chain_txs[tx_id]
+                    if chain_txs.get(tx_id) == info.height:
+                        del chain_txs[tx_id]
+                        removed.append(tx_id)
+                if self.listener is not None:
+                    self.listener.unchained(removed)
         for info in reversed(branch):
             self.chain.append(info)
             self._index(info)
@@ -243,6 +212,8 @@ class ChainTracker:
         if self._indexes(info):
             for tx_id in info.tx_ids:
                 self.chain_txs.setdefault(tx_id, info.height)
+            if self.listener is not None:
+                self.listener.chained(info.tx_ids)
 
     def ancestry_holds_any(self, block_id: Identifier, tx_ids) -> bool:
         """True when `block_id` or one of its ancestors holds a tx in `tx_ids`."""

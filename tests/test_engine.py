@@ -8,6 +8,7 @@ from chainsim.engine import (
     CSV_HEADER,
     MetricRecord,
     Simulation,
+    ValidationRound,
     run_simulation,
     summarize,
     write_csv,
@@ -141,6 +142,39 @@ def test_validation_timeout_leaves_silent_validators_unsigned():
     # with no malicious nodes only a timeout leaves a validator without a reply
     assert any(r.approvals < r.validators_contacted
                for r in sim.records if r.event_type == "tx")
+
+
+def record_timeouts(monkeypatch) -> list[bool]:
+    """Record, for each round timeout as it fires, whether its round was open."""
+    fired = []
+    timeout = ValidationRound._timeout
+
+    def recording(round_):
+        fired.append(not round_.done)
+        timeout(round_)
+
+    monkeypatch.setattr(ValidationRound, "_timeout", recording)
+    return fired
+
+
+@pytest.mark.parametrize("malicious_fraction", [0.0, 0.25])
+def test_default_latency_schedules_no_round_timeout(monkeypatch, malicious_fraction):
+    # 10 x the p99 latency outlasts every round trip, so no timeout could
+    # find a round open; the queue is empty at the end, so none was scheduled
+    fired = record_timeouts(monkeypatch)
+    sim = Simulation(make_cfg(nodes=16, transactions_per_node=10,
+                              malicious_fraction=malicious_fraction), seed=7)
+    sim.run()
+    assert fired == [] and sim._heap == []
+
+
+def test_round_timeouts_fire_only_on_open_rounds(monkeypatch):
+    # the skewed latencies of the test above; no reply lands exactly at a deadline
+    fired = record_timeouts(monkeypatch)
+    cfg = make_cfg(nodes=32, transactions_per_node=5, block_size_min=5,
+                   validators_per_entity=12, signature_threshold=10)
+    Simulation(cfg, seed=4, latency_samples=[5.0] * 249 + [300.0]).run()
+    assert fired and all(fired)
 
 
 def test_chain_indexes_match_the_chains_under_malice():

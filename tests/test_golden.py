@@ -1,9 +1,11 @@
 """Pinned CSV digests: a change that claims the same behaviour must keep these bytes.
 
-The digests were taken from the code as it stood before slotted records,
-flat skip-graph links and operation-owned accounting, all of which leave
-the output unchanged.  A change that alters behaviour on purpose updates
-them and says so.
+The first three digests were taken from the code as it stood before
+slotted records, flat skip-graph links and operation-owned accounting,
+the fourth before signature counts, the incremental pool and the
+skipping of round timeouts that cannot fire on an open round; all of
+these leave the output unchanged.  A change that alters behaviour on
+purpose updates them and says so.
 """
 import hashlib
 
@@ -25,3 +27,13 @@ def test_csv_digest_is_pinned(overrides, seed, digest):
     cfg = make_cfg(nodes=16, transactions_per_node=10, block_size_min=5, **overrides)
     csv_text, _ = run_simulation(cfg, seed=seed)
     assert hashlib.sha256(csv_text.encode()).hexdigest() == digest
+
+
+def test_csv_digest_is_pinned_when_timeouts_fire():
+    # one 300 ms sample in 250 makes the validation timeout (10 x p99 = 50 ms)
+    # shorter than the slowest round trips, so some rounds end on a timeout
+    cfg = make_cfg(nodes=32, transactions_per_node=5, block_size_min=5,
+                   validators_per_entity=12, signature_threshold=10)
+    csv_text, _ = run_simulation(cfg, seed=4, latency_samples=[5.0] * 249 + [300.0])
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == (
+        "d9c8da2ba49a77fc041194d7f4376c6e2b294634f515472a93d6aa231988d9fb")

@@ -8,13 +8,7 @@ from chainsim.engine import ROUTE_MSG_BYTES, MetricRecord, Simulation
 from chainsim.identity import ZERO_ID, address_for
 from chainsim.overlay import KIND_DATA, Vertex
 from chainsim.simnet import ContextCounters
-from chainsim.storage import (
-    DECISION_APPROVE,
-    BlockInfo,
-    Signature,
-    new_block,
-    new_transaction,
-)
+from chainsim.storage import BlockInfo, new_block, new_transaction
 from conftest import make_cfg
 
 
@@ -25,7 +19,6 @@ def live_counters() -> int:
 
 @pytest.mark.parametrize("instance", [
     Vertex(ZERO_ID, address_for(0), KIND_DATA, levels=3),
-    Signature(1, DECISION_APPROVE, bytes(32)),
     new_transaction(0, 1, 1, ZERO_ID, seq=0, created_at=0),
     new_block(0, ZERO_ID, 1, [bytes(32)], created_at=0),
     BlockInfo(ZERO_ID, ZERO_ID, 0, ()),
@@ -36,12 +29,22 @@ def test_per_entity_objects_have_no_dict(instance):
     assert not hasattr(instance, "__dict__")
 
 
-def test_operation_counters_do_not_outlive_the_run():
+def assert_nothing_outlives_the_run(cfg, seed):
     before = live_counters()
-    sim = Simulation(make_cfg(nodes=16, transactions_per_node=10), seed=7)
+    sim = Simulation(cfg, seed=seed)
     sim.run()
-    # only events still queued (a validation timeout, say) may hold an operation
-    assert live_counters() - before <= len(sim._heap)
+    # no event is left queued to hold an operation, and no operation is left
+    assert sim._heap == []
+    assert live_counters() == before
+
+
+def test_operation_counters_do_not_outlive_the_run():
+    assert_nothing_outlives_the_run(make_cfg(nodes=16, transactions_per_node=10), seed=7)
+
+
+def test_operation_counters_do_not_outlive_a_hostile_run():
+    assert_nothing_outlives_the_run(
+        make_cfg(nodes=16, transactions_per_node=10, malicious_fraction=0.25), seed=7)
 
 
 def test_every_message_counted_once_against_an_operation_or_uncontexted(monkeypatch):
