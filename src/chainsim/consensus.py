@@ -12,7 +12,7 @@ import struct
 from dataclasses import dataclass
 
 from .config import SimulationConfig
-from .identity import Address, Identifier, hash_bytes
+from .identity import Identifier, hash_bytes
 from .overlay import SkipGraph
 from .storage import (
     DECISION_APPROVE,
@@ -31,11 +31,9 @@ class InsufficientDistinctValidators(Exception):
 
 @dataclass
 class ValidationTicket:
-    slot: int
-    target: Identifier
     validator: int
-    terminal: Address
-    path: list[Address]
+    terminal: int
+    path: list[int]
     decision: str = DECISION_SILENT
 
 
@@ -44,10 +42,12 @@ def slot_target(entity_id: Identifier, slot: int) -> Identifier:
 
 
 def select_validators(entity_id: Identifier, owner: int,
-                      controllers: list[tuple[Identifier, Address]],
-                      overlay: SkipGraph, start: Address,
+                      controllers: list[tuple[Identifier, int]],
+                      overlay: SkipGraph,
                       cfg: SimulationConfig) -> list[ValidationTicket]:
     """Resolve one ticket per slot; pure in (entity_id, overlay snapshot, cfg).
+
+    Each slot's search starts at the owner's controller vertex.
 
     `controllers` is the controller population sorted by identifier; the
     probe hash picks a rank uniformly, giving every node the same chance
@@ -61,21 +61,18 @@ def select_validators(entity_id: Identifier, owner: int,
     for slot in range(cfg.validators_per_entity):
         target = slot_target(entity_id, slot)
         while True:
-            identifier, address = controllers[int.from_bytes(target, "big") % n]
-            if address.node_index != owner and address.node_index not in chosen:
+            identifier, validator = controllers[int.from_bytes(target, "big") % n]
+            if validator != owner and validator not in chosen:
                 break
             target = hash_bytes(target)
-        chosen.add(address.node_index)
-        result = overlay.search_num_id(start, identifier)
-        tickets.append(ValidationTicket(
-            slot=slot, target=target, validator=address.node_index,
-            terminal=result.terminal, path=result.path,
-        ))
+        chosen.add(validator)
+        result = overlay.search_num_id(owner, identifier)
+        tickets.append(ValidationTicket(validator, result.terminal, result.path))
     return tickets
 
 
 def replica_holders(entity_id: Identifier, owner: int,
-                    controllers: list[tuple[Identifier, Address]],
+                    controllers: list[tuple[Identifier, int]],
                     factor: int) -> list[int]:
     """Owner plus deterministically re-hash-placed holders, `factor` total."""
     n = len(controllers)
@@ -84,7 +81,7 @@ def replica_holders(entity_id: Identifier, owner: int,
     k = 0
     while len(holders) < factor:
         probe = hash_bytes(entity_id, b"rep", struct.pack(">Q", k))
-        candidate = controllers[int.from_bytes(probe, "big") % n][1].node_index
+        candidate = controllers[int.from_bytes(probe, "big") % n][1]
         if candidate not in holders:
             holders.append(candidate)
         k += 1
@@ -176,6 +173,6 @@ def apply_finalization_fees(ledger: EconomyLedger, owner: int,
     for ticket in tickets:
         if ticket.decision == DECISION_APPROVE:
             ledger.transfer(owner, ticket.validator, cfg.validation_fee)
-        ledger.transfer(owner, ticket.terminal.node_index, cfg.routing_fee)
+        ledger.transfer(owner, ticket.terminal, cfg.routing_fee)
     if is_block:
         ledger.mint(owner, cfg.block_reward)

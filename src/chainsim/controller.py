@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from random import Random
 
 from .config import SimulationConfig
-from .identity import Address, Identifier, hash_bytes
+from .identity import Identifier, hash_bytes
 from .simnet import ContextCounters
 from .storage import (
     DECISION_APPROVE,
@@ -38,8 +38,6 @@ MAX_BLOCK_RETRIES = 3
 @dataclass
 class NodeState:
     node_index: int
-    address: Address
-    identifier: Identifier
     role: str
     rng_recipient: Random
     rng_corrupt: Random

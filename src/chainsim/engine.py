@@ -24,15 +24,7 @@ from .consensus import (
 )
 # `pending_pool` is not called here; bench/tracing.py patches it in this module
 from .controller import NodeState, approvals_of, pending_pool
-from .identity import (
-    Address,
-    Identifier,
-    ZERO_ID,
-    address_for,
-    derive_node_identifier,
-    hash_bytes,
-    node_key_for,
-)
+from .identity import Identifier, ZERO_ID, derive_node_identifier, hash_bytes
 from .overlay import KIND_CONTROLLER, KIND_DATA, SkipGraph
 from .rng import substream
 from .simnet import (
@@ -205,8 +197,7 @@ class ValidationRound:
     def start(self) -> None:
         sim = self.sim
         self.tickets = select_validators(
-            self.entity.id, self.entity.owner, sim.controllers, sim.overlay,
-            self.state.address, sim.cfg,
+            self.entity.id, self.entity.owner, sim.controllers, sim.overlay, sim.cfg,
         )
         self.context.validators += len(self.tickets)
         self.unresolved = self.pending_replies = len(self.tickets)
@@ -217,7 +208,7 @@ class ValidationRound:
 
     def _resolved(self, ticket: ValidationTicket) -> None:
         sim = self.sim
-        owner, validator = self.state.address, sim.addresses[ticket.validator]
+        owner, validator = self.state.node_index, ticket.validator
         sim.net.send(
             owner, validator, TAG_VALIDATE_REQUEST, self.request_bytes, self.context,
             handler=lambda env, t=ticket: self._at_validator(t),
@@ -234,11 +225,10 @@ class ValidationRound:
 
     def _at_validator(self, ticket: ValidationTicket) -> None:
         sim = self.sim
-        validator = sim.nodes[ticket.validator]
         valid = validate_entity(sim.registry, self.entity, sim.cfg)
-        decision = decide(valid, validator.malicious)
+        decision = decide(valid, sim.nodes[ticket.validator].malicious)
         sim.net.send(
-            validator.address, self.state.address, TAG_VALIDATE_REPLY,
+            ticket.validator, self.state.node_index, TAG_VALIDATE_REPLY,
             REPLY_MSG_BYTES, self.context,
             handler=lambda env, t=ticket, d=decision: self._reply(t, d),
         )
@@ -274,11 +264,9 @@ class Simulation:
         self.check_invariants_every = check_invariants_every
 
         n = cfg.nodes
-        self.keys = [node_key_for(i) for i in range(n)]
-        self.identifiers = [derive_node_identifier(k) for k in self.keys]
+        self.identifiers = [derive_node_identifier(i) for i in range(n)]
         if len(set(self.identifiers)) != n:
             raise ValueError("node identifier collision; change node labels")
-        self.addresses = [address_for(i) for i in range(n)]
 
         shuffled = list(range(n))
         substream(seed, "malice").shuffle(shuffled)
@@ -293,13 +281,11 @@ class Simulation:
                               + cfg.inter_tx_delay_s * 1000)
         self._stall_deadline = self._stall_window
         self.net = Network(self.matrix, clock=lambda: self.now,
-                           schedule_at=self.schedule_at, addresses=self.addresses)
+                           schedule_at=self.schedule_at)
 
         expected_entities = n + n * cfg.transactions_per_node * 2 + 64
         self.overlay = SkipGraph(max_vertices=expected_entities)
-        self.controllers = sorted(
-            zip(self.identifiers, self.addresses), key=lambda pair: pair[0]
-        )
+        self.controllers = sorted(zip(self.identifiers, range(n)))
 
         genesis_id = hash_bytes(b"genesis", str(seed).encode())
         self.genesis = BlockInfo(genesis_id, ZERO_ID, 0, ())
@@ -309,8 +295,6 @@ class Simulation:
         self.nodes = [
             NodeState(
                 node_index=i,
-                address=self.addresses[i],
-                identifier=self.identifiers[i],
                 role=(controller.ROLE_MALICIOUS if i in self.malicious_set
                       else controller.ROLE_HONEST),
                 rng_recipient=substream(seed, "recipient", i),
@@ -346,10 +330,10 @@ class Simulation:
     # -- bootstrap ------------------------------------------------------
 
     def _bootstrap(self) -> None:
-        for i, state in enumerate(self.nodes):
-            path = self.overlay.announce(state.identifier, state.address, KIND_CONTROLLER)
+        for i, identifier in enumerate(self.identifiers):
+            path = self.overlay.announce(identifier, i, KIND_CONTROLLER)
             self.net.send_path(path, TAG_ANNOUNCE, ROUTE_MSG_BYTES, None, None)
-        path = self.overlay.announce(self.genesis.id, self.addresses[0], KIND_DATA)
+        path = self.overlay.announce(self.genesis.id, 0, KIND_DATA)
         self.net.send_path(path, TAG_ANNOUNCE, ROUTE_MSG_BYTES, None, None)
         delay_ms = max(1, self.cfg.inter_tx_delay_s * 1000)
         for i, state in enumerate(self.nodes):
@@ -393,22 +377,21 @@ class Simulation:
     def _announce_and_replicate(self, state: NodeState, entity: Entity,
                                 context: ContextCounters) -> None:
         state.store.store(entity)
-        path = self.overlay.announce(entity.id, state.address, KIND_DATA)
+        path = self.overlay.announce(entity.id, state.node_index, KIND_DATA)
         self.net.send_path(path, TAG_ANNOUNCE, ROUTE_MSG_BYTES, context, None)
         holders = replica_holders(entity.id, entity.owner, self.controllers,
                                   REPLICATION_FACTOR)
         payload_size = wire_size(entity)
         for holder in holders[1:]:
             self.net.send(
-                state.address, self.addresses[holder], TAG_NOTIFY, payload_size,
+                state.node_index, holder, TAG_NOTIFY, payload_size,
                 context, handler=lambda env, e=entity: self._store_replica(env.dst, e, context),
             )
 
-    def _store_replica(self, holder: Address, entity: Entity,
+    def _store_replica(self, holder: int, entity: Entity,
                        context: ContextCounters) -> None:
-        holder_state = self.nodes[holder.node_index]
-        holder_state.store.store(entity)
-        path = self.overlay.announce(entity.id, holder_state.address, KIND_DATA)
+        self.nodes[holder].store.store(entity)
+        path = self.overlay.announce(entity.id, holder, KIND_DATA)
         self.net.send_path(path, TAG_ANNOUNCE, ROUTE_MSG_BYTES, context, None)
 
     def _record(self, entity: Entity, context: ContextCounters,
@@ -459,7 +442,7 @@ class Simulation:
             if other.node_index == state.node_index:
                 continue
             self.net.send(
-                state.address, other.address, TAG_NOTIFY, notify_size, context,
+                state.node_index, other.node_index, TAG_NOTIFY, notify_size, context,
                 handler=lambda env, o=other, i=info: controller.on_block_notify(self, o, i),
             )
         self._record(block, context, tickets)

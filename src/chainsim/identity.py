@@ -9,8 +9,6 @@ membership vector, least-significant first.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import NamedTuple
 
 ID_BYTES = 32
 ID_BITS = ID_BYTES * 8
@@ -20,31 +18,6 @@ Identifier = bytes
 ZERO_ID = bytes(ID_BYTES)
 
 
-@dataclass(frozen=True)
-class NodeKey:
-    """Simulated key pair: an opaque, unique public-key byte string."""
-    public_key: bytes
-    node_index: int
-
-
-class Address(NamedTuple):
-    """Stable logical endpoint of one node (host:port analogue).
-
-    A named tuple, so equality and hashing (every message checks both)
-    run in C.
-    """
-    node_index: int
-    endpoint: str
-
-
-def node_key_for(index: int) -> NodeKey:
-    return NodeKey(public_key=f"node-{index}".encode(), node_index=index)
-
-
-def address_for(index: int) -> Address:
-    return Address(node_index=index, endpoint=f"10.0.{index // 256}.{index % 256}:7001")
-
-
 def hash_bytes(*parts: bytes) -> Identifier:
     h = hashlib.sha256()
     for part in parts:
@@ -52,10 +25,9 @@ def hash_bytes(*parts: bytes) -> Identifier:
     return h.digest()
 
 
-def derive_node_identifier(key: NodeKey) -> Identifier:
-    if not key.public_key:
-        raise ValueError("public key must be non-empty")
-    return hash_bytes(key.public_key)
+def derive_node_identifier(index: int) -> Identifier:
+    """Identifier of node `index`; the index itself is the node's address."""
+    return hash_bytes(f"node-{index}".encode())
 
 
 def derive_object_identifier(payload: bytes) -> Identifier:

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .identity import Address, Identifier, membership_prefix_len
+from .identity import Identifier, membership_prefix_len
 
 KIND_CONTROLLER = "controller"
 KIND_DATA = "data-object"
@@ -30,8 +30,8 @@ class EmptyOverlay(OverlayError):
 
 
 class DuplicateAnnouncement(OverlayError):
-    def __init__(self, identifier: Identifier, owner: Address):
-        super().__init__(f"{identifier.hex()[:12]} already announced by node {owner.node_index}")
+    def __init__(self, identifier: Identifier, owner: int):
+        super().__init__(f"{identifier.hex()[:12]} already announced by node {owner}")
 
 
 class NotFound(OverlayError):
@@ -44,11 +44,11 @@ class Vertex:
     """One overlay entry; `left[l]` and `right[l]` are its level-l neighbours."""
     __slots__ = ("identifier", "owner", "kind", "announcers", "left", "right")
 
-    def __init__(self, identifier: Identifier, owner: Address, kind: str, levels: int):
+    def __init__(self, identifier: Identifier, owner: int, kind: str, levels: int):
         self.identifier = identifier
         self.owner = owner
         self.kind = kind
-        self.announcers: list[Address] = [owner]
+        self.announcers: list[int] = [owner]
         self.left: list[Vertex | None] = [None] * levels
         self.right: list[Vertex | None] = [None] * levels
 
@@ -56,10 +56,10 @@ class Vertex:
 @dataclass
 class SearchResult:
     identifier: Identifier
-    terminal: Address
-    holders: list[Address]
+    terminal: int
+    holders: list[int]
     hop_count: int
-    path: list[Address]
+    path: list[int]
 
 
 class SkipGraph:
@@ -67,14 +67,14 @@ class SkipGraph:
         self.levels = max(1, math.ceil(math.log2(max(2, max_vertices)))) + 2
         self.by_id: dict[Identifier, Vertex] = {}
         self.introducer: Vertex | None = None
-        self.controller_by_owner: dict[Address, Vertex] = {}
+        self.controller_by_owner: dict[int, Vertex] = {}
 
     def __len__(self) -> int:
         return len(self.by_id)
 
     # -- announcement ---------------------------------------------------
 
-    def announce(self, identifier: Identifier, owner: Address, kind: str) -> list[Address]:
+    def announce(self, identifier: Identifier, owner: int, kind: str) -> list[int]:
         """Insert (or join as replica announcer) and return the message path."""
         existing = self.by_id.get(identifier)
         if existing is not None:
@@ -96,7 +96,7 @@ class SkipGraph:
         self.by_id[identifier] = vertex
         return _prepend_owner(owner, path)
 
-    def _insert(self, vertex: Vertex) -> list[Address]:
+    def _insert(self, vertex: Vertex) -> list[int]:
         floor, path = self._search(self.introducer, vertex.identifier)
         if floor.identifier < vertex.identifier:
             left, right = floor, floor.right[0]
@@ -112,17 +112,19 @@ class SkipGraph:
         return path
 
     def _scan_for_level(self, vertex: Vertex, level: int, side: str,
-                        path: list[Address]) -> Vertex | None:
+                        path: list[int]) -> Vertex | None:
         # walk the level-(l-1) list away from the new vertex (towards `side`,
         # LEFT or RIGHT) until a member sharing >= l membership-vector bits
-        # appears; every visited owner is appended to `path`
+        # appears; a visited owner is appended to `path` only when it differs
+        # from the last entry, so the path keeps one entry per inter-owner hop
         below = level - 1
         cur = getattr(vertex, side)[below]
-        while cur is not None and membership_prefix_len(cur.identifier, vertex.identifier) < level:
-            path.append(cur.owner)
+        while cur is not None:
+            if cur.owner != path[-1]:
+                path.append(cur.owner)
+            if membership_prefix_len(cur.identifier, vertex.identifier) >= level:
+                break
             cur = getattr(cur, side)[below]
-        if cur is not None:
-            path.append(cur.owner)
         return cur
 
     @staticmethod
@@ -136,7 +138,7 @@ class SkipGraph:
 
     # -- search ---------------------------------------------------------
 
-    def _search(self, start: Vertex, target: Identifier) -> tuple[Vertex, list[Address]]:
+    def _search(self, start: Vertex, target: Identifier) -> tuple[Vertex, list[int]]:
         """Floor vertex of `target` and the owners visited on the way.
 
         An owner is appended only when it differs from the previous one,
@@ -161,7 +163,7 @@ class SkipGraph:
                     nxt = cur.left[level]
         return cur, path
 
-    def search_num_id(self, start: Address, target: Identifier) -> SearchResult:
+    def search_num_id(self, start: int, target: Identifier) -> SearchResult:
         if not self.by_id:
             raise EmptyOverlay()
         start_vertex = self.controller_by_owner.get(start)
@@ -171,12 +173,12 @@ class SkipGraph:
         return SearchResult(
             identifier=vertex.identifier,
             terminal=vertex.owner,
-            holders=sorted(vertex.announcers, key=lambda a: a.node_index),
+            holders=sorted(vertex.announcers),
             hop_count=len(path) - 1,
             path=path,
         )
 
-    def resolve_holders(self, start: Address, identifier: Identifier) -> SearchResult:
+    def resolve_holders(self, start: int, identifier: Identifier) -> SearchResult:
         result = self.search_num_id(start, identifier)
         if result.identifier != identifier:
             raise NotFound(identifier)
@@ -227,7 +229,7 @@ class SkipGraph:
             lines.append(",".join([
                 vertex.identifier.hex(),
                 vertex.kind,
-                str(vertex.owner.node_index),
+                str(vertex.owner),
                 left.identifier.hex() if left is not None else "",
                 right.identifier.hex() if right is not None else "",
             ]))
@@ -235,18 +237,9 @@ class SkipGraph:
 
 
 class UnknownStart(OverlayError):
-    def __init__(self, address: Address):
-        super().__init__(f"no controller vertex registered for {address}")
+    def __init__(self, address: int):
+        super().__init__(f"no controller vertex registered for node {address}")
 
 
-def _compress(path: list[Address]) -> list[Address]:
-    """Drop consecutive same-owner entries; hops are inter-owner traversals."""
-    out: list[Address] = []
-    for addr in path:
-        if not out or out[-1] != addr:
-            out.append(addr)
-    return out
-
-
-def _prepend_owner(owner: Address, path: list[Address]) -> list[Address]:
-    return _compress([owner] + path)
+def _prepend_owner(owner: int, path: list[int]) -> list[int]:
+    return path if path[0] == owner else [owner] + path

@@ -2,7 +2,8 @@
 
 Latency is drawn once per unordered node pair and fixed for the run, so
 delivery is FIFO per ordered pair.  The latencies sit in one flat,
-row-major n x n table, so a message's latency is a single list index.
+row-major n x n table and a node's address is its index, so a message's
+latency is a single list index.
 Every send increments the global counters and, when it carries one, the
 counters of the operation it serves; nothing is ever lost.
 """
@@ -12,7 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
-from .identity import Address
 from .rng import substream
 
 TAG_ROUTE = "overlay-route"
@@ -28,8 +28,8 @@ DEFAULT_SIGMA = 0.5
 
 
 class UnknownAddress(Exception):
-    def __init__(self, address: Address):
-        super().__init__(f"address not registered: {address}")
+    def __init__(self, address: int):
+        super().__init__(f"no node at address {address}")
         self.address = address
 
 
@@ -38,8 +38,8 @@ class BadSampleFile(Exception):
 
 
 class Envelope(NamedTuple):
-    src: Address
-    dst: Address
+    src: int
+    dst: int
     tag: str
     size: int
     context: ContextCounters | None
@@ -140,37 +140,36 @@ class Network:
     """Delivery queue facade over the engine's scheduler."""
 
     def __init__(self, matrix: LatencyMatrix, clock: Callable[[], int],
-                 schedule_at: Callable[[int, Callable[[], None]], None],
-                 addresses: list[Address]):
+                 schedule_at: Callable[[int, Callable[[], None]], None]):
         self._latency = matrix.values
         self._n = matrix.n
         self._clock = clock
         self._schedule_at = schedule_at
-        self._registered = set(addresses)
         self.total_messages = 0
         self.total_bytes = 0
         self.delivered_messages = 0
         self.uncontexted_messages = 0
         self.contexted_messages = 0
 
-    def round_trip(self, a: Address, b: Address) -> int:
+    def round_trip(self, a: int, b: int) -> int:
         """Time from a send a -> b until a reply sent on its arrival lands at a."""
-        return 2 * self._latency[a.node_index * self._n + b.node_index]
+        return 2 * self._latency[a * self._n + b]
 
-    def send(self, src: Address, dst: Address, tag: str, size: int,
+    def send(self, src: int, dst: int, tag: str, size: int,
              context: ContextCounters | None,
              handler: Callable[[Envelope], None] | None,
              payload: object = None) -> Envelope:
-        if src not in self._registered:
+        n = self._n
+        # range checks: a negative address would silently wrap as a list index
+        if not 0 <= src < n:
             raise UnknownAddress(src)
-        if dst not in self._registered:
+        if not 0 <= dst < n:
             raise UnknownAddress(dst)
         if src == dst:
             raise ValueError("self-sends are disallowed")
         now = self._clock()
         env = Envelope(src, dst, tag, size, context, now,
-                       now + self._latency[src.node_index * self._n + dst.node_index],
-                       payload)
+                       now + self._latency[src * n + dst], payload)
         self.total_messages += 1
         self.total_bytes += size
         if context is None:
@@ -188,7 +187,7 @@ class Network:
         self._schedule_at(env.deliver_time, deliver)
         return env
 
-    def send_path(self, path: list[Address], tag: str, size: int,
+    def send_path(self, path: list[int], tag: str, size: int,
                   context: ContextCounters | None,
                   on_done: Callable[[], None] | None = None) -> None:
         """Send a hop-by-hop routing chain; one envelope per inter-owner hop.
@@ -202,17 +201,17 @@ class Network:
             if on_done is not None:
                 self._schedule_at(self._clock(), on_done)
             return
-        registered, latency, n = self._registered, self._latency, self._n
+        latency, n = self._latency, self._n
         src = path[0]
-        if src not in registered:
+        if not 0 <= src < n:
             raise UnknownAddress(src)
         arrival = self._clock()
         for dst in path[1:]:
-            if dst not in registered:
+            if not 0 <= dst < n:
                 raise UnknownAddress(dst)
             if dst == src:
                 raise ValueError("self-sends are disallowed")
-            arrival += latency[src.node_index * n + dst.node_index]
+            arrival += latency[src * n + dst]
             src = dst
         hops = len(path) - 1
         self.total_messages += hops

@@ -15,7 +15,7 @@ from chainsim.consensus import (
     select_validators,
     validate_entity,
 )
-from chainsim.identity import Identifier, ZERO_ID, address_for
+from chainsim.identity import Identifier, ZERO_ID
 from chainsim.overlay import KIND_CONTROLLER, SkipGraph
 from chainsim.storage import BlockInfo, ChainTracker, new_block, new_transaction
 from conftest import make_cfg
@@ -64,8 +64,8 @@ def build_population(n: int, seed: int):
     controllers = []
     for i in range(n):
         ident = Identifier(rng.randbytes(32))
-        graph.announce(ident, address_for(i), KIND_CONTROLLER)
-        controllers.append((ident, address_for(i)))
+        graph.announce(ident, i, KIND_CONTROLLER)
+        controllers.append((ident, i))
     controllers.sort(key=lambda pair: pair[0])
     return graph, controllers
 
@@ -75,7 +75,7 @@ def test_two_nodes_pick_the_only_candidate():
     cfg = make_cfg(nodes=2, validators_per_entity=1, signature_threshold=1)
     for k in range(20):
         entity = Identifier(random.Random(k).randbytes(32))
-        tickets = select_validators(entity, 0, controllers, graph, address_for(0), cfg)
+        tickets = select_validators(entity, 0, controllers, graph, cfg)
         assert [t.validator for t in tickets] == [1]
 
 
@@ -83,8 +83,8 @@ def test_selection_is_deterministic():
     graph, controllers = build_population(16, seed=2)
     cfg = make_cfg(nodes=16, validators_per_entity=6, signature_threshold=4)
     entity = Identifier(b"\x31" * 32)
-    first = select_validators(entity, 3, controllers, graph, address_for(3), cfg)
-    second = select_validators(entity, 3, controllers, graph, address_for(3), cfg)
+    first = select_validators(entity, 3, controllers, graph, cfg)
+    second = select_validators(entity, 3, controllers, graph, cfg)
     assert [t.validator for t in first] == [t.validator for t in second]
 
 
@@ -93,7 +93,7 @@ def test_validators_distinct_and_exclude_owner():
     cfg = make_cfg(nodes=16, validators_per_entity=8, signature_threshold=4)
     for k in range(50):
         entity = Identifier(random.Random(1000 + k).randbytes(32))
-        tickets = select_validators(entity, 5, controllers, graph, address_for(5), cfg)
+        tickets = select_validators(entity, 5, controllers, graph, cfg)
         picked = [t.validator for t in tickets]
         assert len(set(picked)) == 8
         assert 5 not in picked
@@ -103,8 +103,7 @@ def test_too_few_nodes_raises():
     graph, controllers = build_population(4, seed=4)
     cfg = make_cfg(nodes=8, validators_per_entity=4, signature_threshold=2)
     with pytest.raises(InsufficientDistinctValidators):
-        select_validators(Identifier(b"\x01" * 32), 0, controllers, graph,
-                          address_for(0), cfg)
+        select_validators(Identifier(b"\x01" * 32), 0, controllers, graph, cfg)
 
 
 def test_selection_frequency_is_uniform():
@@ -116,7 +115,7 @@ def test_selection_frequency_is_uniform():
     for _ in range(entities):
         owner = rng.randrange(64)
         tickets = select_validators(Identifier(rng.randbytes(32)), owner,
-                                    controllers, graph, address_for(owner), cfg)
+                                    controllers, graph, cfg)
         counts.update(t.validator for t in tickets)
     expected = entities * 12 / 64
     for node in range(64):
@@ -248,9 +247,7 @@ def _tickets(approvals, total, terminal_of=lambda i: 10 + i):
     for i in range(total):
         decision = "approve" if i < approvals else "reject"
         tickets.append(ValidationTicket(
-            slot=i, target=Identifier(b"\x00" * 32), validator=i + 1,
-            terminal=address_for(terminal_of(i)), path=[],
-            decision=decision))
+            validator=i + 1, terminal=terminal_of(i), path=[], decision=decision))
     return tickets
 
 

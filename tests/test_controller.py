@@ -5,7 +5,7 @@ import pytest
 
 from chainsim.controller import NodeState, ROLE_HONEST, pending_pool
 from chainsim.engine import Simulation
-from chainsim.identity import Identifier, ZERO_ID, address_for
+from chainsim.identity import Identifier, ZERO_ID
 from chainsim.storage import BlockInfo, ChainTracker
 from conftest import make_cfg
 
@@ -14,8 +14,7 @@ GENESIS = BlockInfo(ZERO_ID, ZERO_ID, 0, ())
 
 def make_state(index=0) -> NodeState:
     return NodeState(
-        node_index=index, address=address_for(index),
-        identifier=Identifier(bytes([index]) * 32), role=ROLE_HONEST,
+        node_index=index, role=ROLE_HONEST,
         rng_recipient=random.Random(1), rng_corrupt=random.Random(2),
         rng_backoff=random.Random(3), tracker=ChainTracker(GENESIS, owner=index),
     )

@@ -1,5 +1,4 @@
 """Identifier derivation, ordering, and prefix computations."""
-import pytest
 from hypothesis import given, strategies as st
 
 from chainsim.identity import (
@@ -9,7 +8,6 @@ from chainsim.identity import (
     derive_node_identifier,
     derive_object_identifier,
     membership_prefix_len,
-    node_key_for,
 )
 
 # sha256("node-0"), cross-checked with an independent hash implementation
@@ -23,22 +21,16 @@ def _value(identifier) -> int:
 
 
 def test_node_zero_digest_matches_external_oracle():
-    assert derive_node_identifier(node_key_for(0)).hex() == NODE0_DIGEST
+    assert derive_node_identifier(0).hex() == NODE0_DIGEST
 
 
 def test_distinct_keys_distinct_identifiers():
-    ids = {derive_node_identifier(node_key_for(i)) for i in range(256)}
+    ids = {derive_node_identifier(i) for i in range(256)}
     assert len(ids) == 256
 
 
 def test_same_key_same_identifier():
-    assert derive_node_identifier(node_key_for(7)) == derive_node_identifier(node_key_for(7))
-
-
-def test_empty_key_rejected():
-    from chainsim.identity import NodeKey
-    with pytest.raises(ValueError):
-        derive_node_identifier(NodeKey(public_key=b"", node_index=0))
+    assert derive_node_identifier(7) == derive_node_identifier(7)
 
 
 def test_payload_flip_changes_identifier():

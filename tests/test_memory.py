@@ -5,7 +5,7 @@ import pytest
 
 from chainsim import controller
 from chainsim.engine import ROUTE_MSG_BYTES, MetricRecord, Simulation
-from chainsim.identity import ZERO_ID, address_for
+from chainsim.identity import ZERO_ID
 from chainsim.overlay import KIND_DATA, Vertex
 from chainsim.simnet import ContextCounters
 from chainsim.storage import BlockInfo, new_block, new_transaction
@@ -18,7 +18,7 @@ def live_counters() -> int:
 
 
 @pytest.mark.parametrize("instance", [
-    Vertex(ZERO_ID, address_for(0), KIND_DATA, levels=3),
+    Vertex(ZERO_ID, 0, KIND_DATA, levels=3),
     new_transaction(0, 1, 1, ZERO_ID, seq=0, created_at=0),
     new_block(0, ZERO_ID, 1, [bytes(32)], created_at=0),
     BlockInfo(ZERO_ID, ZERO_ID, 0, ()),

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainsim.identity import Identifier, address_for
+from chainsim.identity import Identifier
 from chainsim.overlay import (
     DuplicateAnnouncement,
     EmptyOverlay,
@@ -22,7 +22,7 @@ def build_overlay(count: int, seed: int) -> tuple[SkipGraph, list[Identifier]]:
     ids = []
     for i in range(count):
         ident = Identifier(rng.randbytes(32))
-        graph.announce(ident, address_for(i), KIND_CONTROLLER)
+        graph.announce(ident, i, KIND_CONTROLLER)
         ids.append(ident)
     return graph, ids
 
@@ -35,7 +35,7 @@ def brute_force_floor(ids: list[Identifier], target: Identifier) -> Identifier:
 
 def test_first_vertex_has_empty_neighbors():
     graph = SkipGraph(max_vertices=4)
-    path = graph.announce(Identifier(b"\x42" * 32), address_for(0), KIND_CONTROLLER)
+    path = graph.announce(Identifier(b"\x42" * 32), 0, KIND_CONTROLLER)
     assert path == []
     vertex = graph.introducer
     assert vertex.left == [None] * graph.levels
@@ -51,25 +51,25 @@ def test_level_zero_sorted_after_random_inserts():
 def test_duplicate_announcement_rejected():
     graph = SkipGraph(max_vertices=4)
     ident = Identifier(b"\x42" * 32)
-    graph.announce(ident, address_for(0), KIND_CONTROLLER)
+    graph.announce(ident, 0, KIND_CONTROLLER)
     with pytest.raises(DuplicateAnnouncement):
-        graph.announce(ident, address_for(0), KIND_CONTROLLER)
+        graph.announce(ident, 0, KIND_CONTROLLER)
 
 
 def test_exact_hit_returns_all_announcers():
     graph, ids = build_overlay(8, seed=2)
     target = ids[3]
-    graph.announce(target, address_for(6), KIND_DATA)   # replica announcer
-    result = graph.search_num_id(address_for(0), target)
+    graph.announce(target, 6, KIND_DATA)   # replica announcer
+    result = graph.search_num_id(0, target)
     assert result.identifier == target
-    assert [a.node_index for a in result.holders] == [3, 6]
+    assert result.holders == [3, 6]
 
 
 def test_single_vertex_search():
     graph = SkipGraph(max_vertices=4)
     ident = Identifier(b"\x42" * 32)
-    graph.announce(ident, address_for(0), KIND_CONTROLLER)
-    result = graph.search_num_id(address_for(0), Identifier(b"\x99" * 32))
+    graph.announce(ident, 0, KIND_CONTROLLER)
+    result = graph.search_num_id(0, Identifier(b"\x99" * 32))
     assert result.identifier == ident
     assert result.hop_count == 0
 
@@ -79,51 +79,63 @@ def test_search_matches_brute_force_floor():
     rng = random.Random(99)
     for _ in range(500):
         target = Identifier(rng.randbytes(32))
-        start = address_for(rng.randrange(64))
+        start = rng.randrange(64)
         assert graph.search_num_id(start, target).identifier == brute_force_floor(ids, target)
 
 
 def test_search_result_independent_of_start():
     graph, ids = build_overlay(32, seed=4)
     target = Identifier(b"\x55" * 32)
-    results = {graph.search_num_id(address_for(i), target).identifier for i in range(32)}
+    results = {graph.search_num_id(i, target).identifier for i in range(32)}
     assert len(results) == 1
 
 
 def test_resolve_holders_errors():
     graph, _ = build_overlay(8, seed=5)
     with pytest.raises(NotFound):
-        graph.resolve_holders(address_for(0), Identifier(b"\x77" * 32))
+        graph.resolve_holders(0, Identifier(b"\x77" * 32))
     with pytest.raises(UnknownStart):
-        graph.search_num_id(address_for(42), Identifier(b"\x77" * 32))
+        graph.search_num_id(42, Identifier(b"\x77" * 32))
     with pytest.raises(EmptyOverlay):
-        SkipGraph(max_vertices=2).search_num_id(address_for(0), Identifier(b"\x77" * 32))
+        SkipGraph(max_vertices=2).search_num_id(0, Identifier(b"\x77" * 32))
 
 
 def test_path_starts_at_searcher():
     graph, _ = build_overlay(16, seed=6)
-    result = graph.search_num_id(address_for(5), Identifier(b"\x11" * 32))
-    assert result.path[0] == address_for(5)
+    result = graph.search_num_id(5, Identifier(b"\x11" * 32))
+    assert result.path[0] == 5
     assert result.path[-1] == result.terminal
     assert result.hop_count == len(result.path) - 1
 
 
+def assert_hop_path(path: list[int], first: int) -> None:
+    """One entry per inter-owner hop, starting at `first`."""
+    assert path[0] == first
+    assert all(a != b for a, b in zip(path, path[1:]))
+
+
 def test_search_paths_have_no_repeated_owners():
-    # node 3 owns long runs of adjacent vertices, so a search crosses
-    # several of its vertices in a row
+    # node 3 owns long runs of adjacent vertices, so a search, or the level
+    # scans of an insertion, crosses several of its vertices in a row
     graph, _ = build_overlay(12, seed=8)
     rng = random.Random(8)
+    data_ids = []
     for i in range(240):
         owner = 3 if i % 4 else rng.randrange(12)
-        graph.announce(Identifier(rng.randbytes(32)), address_for(owner), KIND_DATA)
+        ident = Identifier(rng.randbytes(32))
+        assert_hop_path(graph.announce(ident, owner, KIND_DATA), owner)
+        data_ids.append(ident)
     for _ in range(300):
-        start = address_for(rng.randrange(12))
+        start = rng.randrange(12)
         result = graph.search_num_id(start, Identifier(rng.randbytes(32)))
         path = result.path
-        assert all(a != b for a, b in zip(path, path[1:]))
-        assert path[0] == start
+        assert_hop_path(path, start)
         assert path[-1] == result.terminal
         assert result.hop_count == len(path) - 1
+    for ident in rng.sample(data_ids, 60):   # replica joins
+        announcers = graph.by_id[ident].announcers
+        owner = rng.choice([i for i in range(12) if i not in announcers])
+        assert_hop_path(graph.announce(ident, owner, KIND_DATA), owner)
 
 
 @settings(max_examples=40, deadline=None)
@@ -132,7 +144,7 @@ def test_invariants_hold_under_random_inserts(seeds):
     graph = SkipGraph(max_vertices=len(seeds))
     for i, seed in enumerate(seeds):
         graph.announce(Identifier(random.Random(seed).randbytes(32)),
-                       address_for(i), KIND_CONTROLLER)
+                       i, KIND_CONTROLLER)
     graph.check_invariants()
 
 

@@ -4,7 +4,6 @@ import statistics
 
 import pytest
 
-from chainsim.identity import address_for
 from chainsim.rng import substream
 from chainsim.simnet import (
     BadSampleFile,
@@ -38,8 +37,7 @@ class MiniClock:
 def fixed_network(n: int, latency_ms: int) -> tuple[Network, MiniClock]:
     clock = MiniClock()
     matrix = build_latency_matrix(n, seed=0, samples=[float(latency_ms)])
-    net = Network(matrix, clock=lambda: clock.now, schedule_at=clock.schedule_at,
-                  addresses=[address_for(i) for i in range(n)])
+    net = Network(matrix, clock=lambda: clock.now, schedule_at=clock.schedule_at)
     return net, clock
 
 
@@ -99,7 +97,7 @@ def test_delivery_time_is_additive():
     net, clock = fixed_network(2, latency_ms=40)
     seen = []
     clock.schedule_at(100, lambda: net.send(
-        address_for(0), address_for(1), "tag", 10, ContextCounters(),
+        0, 1, "tag", 10, ContextCounters(),
         handler=lambda env: seen.append(clock.now)))
     clock.run()
     assert seen == [140]
@@ -108,14 +106,17 @@ def test_delivery_time_is_additive():
 def test_unregistered_and_self_sends_rejected():
     net, _ = fixed_network(2, latency_ms=10)
     with pytest.raises(UnknownAddress):
-        net.send(address_for(0), address_for(9), "tag", 1, None, None)
+        net.send(0, 9, "tag", 1, None, None)
+    for src, dst in ((0, -1), (-1, 0)):   # a list index would wrap round
+        with pytest.raises(UnknownAddress):
+            net.send(src, dst, "tag", 1, None, None)
     with pytest.raises(ValueError):
-        net.send(address_for(0), address_for(0), "tag", 1, None, None)
+        net.send(0, 0, "tag", 1, None, None)
 
 
 def test_context_counts_track_hops_and_reply():
     net, clock = fixed_network(5, latency_ms=10)
-    path = [address_for(i) for i in range(5)]   # 4 inter-owner hops
+    path = list(range(5))   # 4 inter-owner hops
     counters = ContextCounters()
 
     def reply():
@@ -134,12 +135,13 @@ def test_context_counts_track_hops_and_reply():
     ([0, 9, 1], UnknownAddress),     # unregistered hop in the middle
     ([0, 1, 9], UnknownAddress),     # unregistered last hop
     ([0, 1, 1, 2], ValueError),      # two consecutive equal hops
+    ([0, -1, 1], UnknownAddress),    # negative hop, which a list index would wrap
 ])
 def test_bad_path_raises_before_any_accounting(hops, error):
     net, clock = fixed_network(3, latency_ms=10)
     ctx = ContextCounters()
-    net.send(address_for(0), address_for(1), "a", 5, ctx, None)
-    net.send(address_for(1), address_for(2), "b", 7, None, None)
+    net.send(0, 1, "a", 5, ctx, None)
+    net.send(1, 2, "b", 7, None, None)
 
     def state():
         return (net.total_messages, net.total_bytes, net.uncontexted_messages,
@@ -148,7 +150,7 @@ def test_bad_path_raises_before_any_accounting(hops, error):
     before = state()
     for context in (ctx, None):
         with pytest.raises(error):
-            net.send_path([address_for(i) for i in hops], "route", 72, context,
+            net.send_path(hops, "route", 72, context,
                           on_done=lambda: None)
     assert state() == before
     net.check_accounting()
@@ -157,7 +159,7 @@ def test_bad_path_raises_before_any_accounting(hops, error):
 def test_single_owner_path_costs_nothing():
     net, clock = fixed_network(2, latency_ms=10)
     done = []
-    net.send_path([address_for(0)], "route", 72, None, on_done=lambda: done.append(True))
+    net.send_path([0], "route", 72, None, on_done=lambda: done.append(True))
     clock.run()
     assert done == [True]
     assert net.total_messages == 0
@@ -166,8 +168,8 @@ def test_single_owner_path_costs_nothing():
 def test_accounting_totals_split_by_context():
     net, clock = fixed_network(3, latency_ms=10)
     c1 = ContextCounters()
-    net.send(address_for(0), address_for(1), "a", 5, c1, None)
-    net.send(address_for(1), address_for(2), "b", 7, None, None)
+    net.send(0, 1, "a", 5, c1, None)
+    net.send(1, 2, "b", 7, None, None)
     clock.run()
     assert net.total_messages == 2
     assert net.uncontexted_messages == 1
