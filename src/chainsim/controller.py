@@ -26,9 +26,6 @@ from .storage import (
     new_transaction,
 )
 
-ROLE_HONEST = "honest"
-ROLE_MALICIOUS = "malicious"
-
 CORRUPTION_PROBABILITY = 0.5
 RETRY_DELAY_MS = 200
 BACKOFF_WINDOW_MS = 500
@@ -38,15 +35,13 @@ MAX_BLOCK_RETRIES = 3
 @dataclass
 class NodeState:
     node_index: int
-    role: str
+    malicious: bool
     rng_recipient: Random
     rng_corrupt: Random
     rng_backoff: Random
     tracker: ChainTracker
     store: ReplicaStore = field(default_factory=ReplicaStore)
-    tx_generated: int = 0
-    next_seq: int = 0
-    next_tx_due: int = 0
+    tx_generated: int = 0   # also the seq of the node's next tx
     own_finalized: dict[Identifier, int] = field(default_factory=dict)
     in_flight_txs: set[Identifier] = field(default_factory=set)
     # own finalized txs neither on the chain nor in flight -> finalized_at,
@@ -61,10 +56,6 @@ class NodeState:
         # the owner-scoped tracker reports the node's txs entering and
         # leaving its chain through `chained` and `unchained`
         self.tracker.listener = self
-
-    @property
-    def malicious(self) -> bool:
-        return self.role == ROLE_MALICIOUS
 
     def add_finalized(self, tx_id: Identifier, finalized_at: int) -> None:
         self.own_finalized[tx_id] = finalized_at
@@ -118,23 +109,18 @@ def signatures_of(tickets) -> int:
 
 def on_tx_timer(sim, state: NodeState) -> None:
     cfg: SimulationConfig = sim.cfg
-    now = sim.now
     recipient = state.rng_recipient.randrange(cfg.nodes - 1)
     if recipient >= state.node_index:
         recipient += 1
-    seq = state.next_seq
-    state.next_seq += 1
+    seq = state.tx_generated
     state.tx_generated += 1
     prev = state.tracker.tail.id
     if state.malicious and state.rng_corrupt.random() < CORRUPTION_PROBABILITY:
         prev = _bogus_block_id(state, seq, attempt=0)
-    tx = new_transaction(state.node_index, recipient, 1, prev, seq, created_at=now)
+    tx = new_transaction(state.node_index, recipient, 1, prev, seq, created_at=sim.now)
     sim.begin_tx_validation(state, tx, ContextCounters())
     if state.tx_generated < cfg.transactions_per_node:
-        state.next_tx_due = now + cfg.inter_tx_delay_s * 1000
-        sim.schedule_at(state.next_tx_due, lambda: on_tx_timer(sim, state))
-    else:
-        sim.note_generator_done()
+        sim.schedule_in(cfg.inter_tx_delay_s * 1000, lambda: on_tx_timer(sim, state))
 
 
 def on_tx_result(sim, state: NodeState, tx: Transaction, tickets,
@@ -195,7 +181,6 @@ def start_block_attempt(sim, state: NodeState, drain: bool) -> None:
         prev = _bogus_block_id(state, state.block_ctx_counter, attempt=0)
     block = new_block(state.node_index, prev, height, tx_ids,
                       created_at=sim.now, drain=drain_flag)
-    sim.open_block_ops += 1
     sim.begin_block_validation(state, block, retries=0)
 
 
@@ -226,7 +211,6 @@ def on_block_result(sim, state: NodeState, block: Block, tickets, retries: int) 
 def _close_block_attempt(sim, state: NodeState) -> None:
     state.block_attempt_open = False
     state.block_context = None
-    sim.open_block_ops -= 1
     maybe_schedule_block(sim, state)
 
 

@@ -178,11 +178,9 @@ class Registry:
 class ValidationRound:
     """One entity's validator resolution, request fan-out, and collection."""
 
-    def __init__(self, sim: "Simulation", state: NodeState, entity: Entity,
-                 context: ContextCounters,
+    def __init__(self, sim: "Simulation", entity: Entity, context: ContextCounters,
                  on_result: Callable[[list[ValidationTicket]], None]):
         self.sim = sim
-        self.state = state
         self.entity = entity
         self.context = context
         self.on_result = on_result
@@ -208,10 +206,10 @@ class ValidationRound:
 
     def _resolved(self, ticket: ValidationTicket) -> None:
         sim = self.sim
-        owner, validator = self.state.node_index, ticket.validator
+        owner, validator = self.entity.owner, ticket.validator
         sim.net.send(
             owner, validator, TAG_VALIDATE_REQUEST, self.request_bytes, self.context,
-            handler=lambda env, t=ticket: self._at_validator(t),
+            handler=lambda t=ticket: self._at_validator(t),
         )
         # the validator replies on arrival, so its reply lands one round trip from now
         self.last_reply_at = max(self.last_reply_at,
@@ -228,9 +226,9 @@ class ValidationRound:
         valid = validate_entity(sim.registry, self.entity, sim.cfg)
         decision = decide(valid, sim.nodes[ticket.validator].malicious)
         sim.net.send(
-            ticket.validator, self.state.node_index, TAG_VALIDATE_REPLY,
+            ticket.validator, self.entity.owner, TAG_VALIDATE_REPLY,
             REPLY_MSG_BYTES, self.context,
-            handler=lambda env, t=ticket, d=decision: self._reply(t, d),
+            handler=lambda t=ticket, d=decision: self._reply(t, d),
         )
 
     def _reply(self, ticket: ValidationTicket, decision: str) -> None:
@@ -295,8 +293,7 @@ class Simulation:
         self.nodes = [
             NodeState(
                 node_index=i,
-                role=(controller.ROLE_MALICIOUS if i in self.malicious_set
-                      else controller.ROLE_HONEST),
+                malicious=i in self.malicious_set,
                 rng_recipient=substream(seed, "recipient", i),
                 rng_corrupt=substream(seed, "corrupt", i),
                 rng_backoff=substream(seed, "backoff", i),
@@ -306,12 +303,7 @@ class Simulation:
         ]
 
         self.slots_total = n * cfg.transactions_per_node
-        self.slots_finalized = 0
-        self.open_tx_slots = 0
-        self.open_block_ops = 0
-        self.generators_remaining = n
         self.records: list[MetricRecord] = []
-        self._terminated = False
         self._wall_clock_s = 0.0
         self._last_check = 0
         self._drain_tick_pending = False
@@ -338,7 +330,6 @@ class Simulation:
         delay_ms = max(1, self.cfg.inter_tx_delay_s * 1000)
         for i, state in enumerate(self.nodes):
             offset = substream(self.seed, "offset", i).randrange(delay_ms)
-            state.next_tx_due = offset
             self.schedule_at(offset, lambda s=state: controller.on_tx_timer(self, s))
 
     # -- validation entry points ---------------------------------------
@@ -347,10 +338,9 @@ class Simulation:
                             context: ContextCounters) -> None:
         """Validate one attempt of a tx slot; `context` spans the slot's attempts."""
         if tx.attempt == 0:
-            self.open_tx_slots += 1
             self._note_progress()
         round_ = ValidationRound(
-            self, state, tx, context,
+            self, tx, context,
             on_result=lambda tickets: controller.on_tx_result(
                 self, state, tx, tickets, context),
         )
@@ -360,14 +350,11 @@ class Simulation:
                                retries: int) -> None:
         """Validate one try of the node's open block attempt."""
         round_ = ValidationRound(
-            self, state, block, state.block_context,
+            self, block, state.block_context,
             on_result=lambda tickets: controller.on_block_result(
                 self, state, block, tickets, retries),
         )
         round_.start()
-
-    def note_generator_done(self) -> None:
-        self.generators_remaining -= 1
 
     # -- finalization ---------------------------------------------------
 
@@ -385,7 +372,7 @@ class Simulation:
         for holder in holders[1:]:
             self.net.send(
                 state.node_index, holder, TAG_NOTIFY, payload_size,
-                context, handler=lambda env, e=entity: self._store_replica(env.dst, e, context),
+                context, handler=lambda h=holder: self._store_replica(h, entity, context),
             )
 
     def _store_replica(self, holder: int, entity: Entity,
@@ -421,8 +408,6 @@ class Simulation:
         apply_finalization_fees(self.ledger, tx.owner, tickets, self.cfg,
                                 is_block=False)
         self.registry.add_tx(tx.id, tx.owner, tx.seq, self.now)
-        self.open_tx_slots -= 1
-        self.slots_finalized += 1
         self._announce_and_replicate(state, tx, context)
         self._record(tx, context, tickets)
 
@@ -443,7 +428,7 @@ class Simulation:
                 continue
             self.net.send(
                 state.node_index, other.node_index, TAG_NOTIFY, notify_size, context,
-                handler=lambda env, o=other, i=info: controller.on_block_notify(self, o, i),
+                handler=lambda o=other: controller.on_block_notify(self, o, info),
             )
         self._record(block, context, tickets)
         return info
@@ -467,25 +452,26 @@ class Simulation:
 
     def _drain_tick(self) -> None:
         self._drain_tick_pending = False
-        if self._terminated:
-            return
         for state in self.nodes:
             if not state.block_attempt_open and state.pool:
                 state.block_attempt_open = True
                 controller.start_block_attempt(self, state, drain=True)
                 break
-        if (self.open_tx_slots or self.open_block_ops
-                or any(s.pool for s in self.nodes)):
+        # every tx slot is finalized by now, so only block attempts and
+        # pools can still hold work
+        if any(s.block_context is not None or s.pool for s in self.nodes):
             self._schedule_drain_tick(DRAIN_TICK_MS)
 
+    def _all_txs_finalized(self) -> bool:
+        # each tx slot finalizes once, so this is "all generated, none open"
+        return len(self.registry.finalized_txs) == self.slots_total
+
     def _check_termination(self) -> bool:
-        if self.generators_remaining or self.slots_finalized != self.slots_total:
-            return False
-        if self.open_tx_slots or self.open_block_ops:
+        if not self._all_txs_finalized():
             return False
         if self.net.delivered_messages != self.net.total_messages:
             return False   # replication or notify traffic still in flight
-        if any(s.pool for s in self.nodes):
+        if any(s.block_context is not None or s.pool for s in self.nodes):
             return False
         chain_txs = self.registry.tracker.chain_txs
         return all(tx_id in chain_txs for tx_id in self.registry.finalized_txs)
@@ -520,13 +506,11 @@ class Simulation:
                     >= self.check_invariants_every):
                 self.check_invariants()
                 self._last_check = self.events_processed
-            if (not self.registry.drain_mode and self.generators_remaining == 0
-                    and self.open_tx_slots == 0):
+            if not self.registry.drain_mode and self._all_txs_finalized():
                 # every transaction is generated and finalized: pools are
                 # final, so leftover (possibly undersized) blocks may drain
                 self._enter_drain_mode()
             if self._check_termination():
-                self._terminated = True
                 break
         self._wall_clock_s = time.perf_counter() - start
         return self.report()

@@ -34,12 +34,6 @@ class DuplicateAnnouncement(OverlayError):
         super().__init__(f"{identifier.hex()[:12]} already announced by node {owner}")
 
 
-class NotFound(OverlayError):
-    def __init__(self, identifier: Identifier):
-        super().__init__(f"identifier not announced: {identifier.hex()[:12]}")
-        self.identifier = identifier
-
-
 class Vertex:
     """One overlay entry; `left[l]` and `right[l]` are its level-l neighbours."""
     __slots__ = ("identifier", "owner", "kind", "announcers", "left", "right")
@@ -57,7 +51,6 @@ class Vertex:
 class SearchResult:
     identifier: Identifier
     terminal: int
-    holders: list[int]
     hop_count: int
     path: list[int]
 
@@ -173,16 +166,9 @@ class SkipGraph:
         return SearchResult(
             identifier=vertex.identifier,
             terminal=vertex.owner,
-            holders=sorted(vertex.announcers),
             hop_count=len(path) - 1,
             path=path,
         )
-
-    def resolve_holders(self, start: int, identifier: Identifier) -> SearchResult:
-        result = self.search_num_id(start, identifier)
-        if result.identifier != identifier:
-            raise NotFound(identifier)
-        return result
 
     # -- inspection -----------------------------------------------------
 

@@ -163,3 +163,12 @@ def test_livelocked_run_exits_stalled(tmp_path):
     )
     assert proc.returncode == cli.EXIT_STALLED, proc.stderr
     assert "stalled simulation" in proc.stderr
+
+
+def test_livelocked_run_stalls_at_a_pinned_point():
+    sim = chainsim.Simulation(chainsim.parse_config(LIVELOCKED_CONFIG), seed=3)
+    message = "nothing generated or finalized since t=4227 (now t=1065243)"
+    with pytest.raises(chainsim.StalledSimulation) as exc:
+        sim.run()
+    assert str(exc.value) == message
+    assert sim.events_processed == 24686

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from chainsim.controller import NodeState, ROLE_HONEST, pending_pool
+from chainsim.controller import NodeState, pending_pool
 from chainsim.engine import Simulation
 from chainsim.identity import Identifier, ZERO_ID
 from chainsim.storage import BlockInfo, ChainTracker
@@ -14,7 +14,7 @@ GENESIS = BlockInfo(ZERO_ID, ZERO_ID, 0, ())
 
 def make_state(index=0) -> NodeState:
     return NodeState(
-        node_index=index, role=ROLE_HONEST,
+        node_index=index, malicious=False,
         rng_recipient=random.Random(1), rng_corrupt=random.Random(2),
         rng_backoff=random.Random(3), tracker=ChainTracker(GENESIS, owner=index),
     )
@@ -87,8 +87,13 @@ def test_first_transaction_timers_respect_delay():
     sim = Simulation(make_cfg(nodes=4, transactions_per_node=2), seed=3)
     sim.run()
     # DELAY = 1: consecutive transactions of a node are 1000 ms apart
+    created = {}
+    for rec in sim.records:
+        if rec.event_type == "tx":
+            created.setdefault(rec.owner, []).append(rec.created_at)
     for state in sim.nodes:
-        assert state.next_tx_due >= 1000
+        first, second = sorted(created[state.node_index])
+        assert second - first == 1000
         assert state.tx_generated == 2
 
 
@@ -96,7 +101,7 @@ def test_generation_stops_at_quota():
     sim = Simulation(make_cfg(nodes=4, transactions_per_node=3, block_size_min=3), seed=4)
     sim.run()
     assert all(s.tx_generated == 3 for s in sim.nodes)
-    assert sim.generators_remaining == 0
+    assert len(sim.registry.finalized_txs) == 12
 
 
 def test_malicious_owner_retries_until_accepted():
@@ -106,7 +111,7 @@ def test_malicious_owner_retries_until_accepted():
     sim = Simulation(cfg, seed=5)
     sim.run()
     assert len(sim.malicious_set) == 2
-    assert sim.slots_finalized == 24
+    assert len(sim.registry.finalized_txs) == 24
     retried = [r for r in sim.records if r.event_type == "tx"
                and r.owner in sim.malicious_set]
     assert retried   # malicious owners still land every transaction

@@ -64,8 +64,8 @@ def test_replica_holders_resolvable_through_overlay():
     from chainsim.identity import Identifier
     for rec in blocks:
         ident = Identifier(bytes.fromhex(rec.entity_id))
-        result = sim.overlay.resolve_holders(0, ident)
-        holder_indexes = set(result.holders)
+        assert sim.overlay.search_num_id(0, ident).identifier == ident
+        holder_indexes = set(sim.overlay.by_id[ident].announcers)
         storing = {s.node_index for s in sim.nodes if s.store.fetch(ident) is not None}
         assert holder_indexes == storing
         assert len(holder_indexes) == 3

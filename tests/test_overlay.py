@@ -10,7 +10,6 @@ from chainsim.overlay import (
     EmptyOverlay,
     KIND_CONTROLLER,
     KIND_DATA,
-    NotFound,
     SkipGraph,
     UnknownStart,
 )
@@ -62,7 +61,7 @@ def test_exact_hit_returns_all_announcers():
     graph.announce(target, 6, KIND_DATA)   # replica announcer
     result = graph.search_num_id(0, target)
     assert result.identifier == target
-    assert result.holders == [3, 6]
+    assert graph.by_id[target].announcers == [3, 6]
 
 
 def test_single_vertex_search():
@@ -90,10 +89,8 @@ def test_search_result_independent_of_start():
     assert len(results) == 1
 
 
-def test_resolve_holders_errors():
+def test_search_errors():
     graph, _ = build_overlay(8, seed=5)
-    with pytest.raises(NotFound):
-        graph.resolve_holders(0, Identifier(b"\x77" * 32))
     with pytest.raises(UnknownStart):
         graph.search_num_id(42, Identifier(b"\x77" * 32))
     with pytest.raises(EmptyOverlay):

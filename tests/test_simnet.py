@@ -98,9 +98,51 @@ def test_delivery_time_is_additive():
     seen = []
     clock.schedule_at(100, lambda: net.send(
         0, 1, "tag", 10, ContextCounters(),
-        handler=lambda env: seen.append(clock.now)))
+        handler=lambda: seen.append(clock.now)))
     clock.run()
     assert seen == [140]
+
+
+@pytest.mark.parametrize("with_context", [False, True])
+@pytest.mark.parametrize("src, dst, error", [
+    (0, 1, None),
+    (2, 0, None),
+    (1, 2, None),
+    (0, -1, UnknownAddress),
+    (-1, 0, UnknownAddress),
+    (0, 3, UnknownAddress),
+    (3, 0, UnknownAddress),
+    (1, 1, ValueError),
+])
+def test_send_is_a_one_hop_send_path(src, dst, error, with_context):
+    matrix = build_latency_matrix(3, seed=1)
+    outcomes = []
+    for one_hop in (lambda net, ctx, done: net.send(src, dst, "tag", 9, ctx, done),
+                    lambda net, ctx, done: net.send_path([src, dst], "tag", 9, ctx, done)):
+        clock = MiniClock()
+        clock.now = 100
+        net = Network(matrix, clock=lambda: clock.now, schedule_at=clock.schedule_at)
+        ctx = ContextCounters() if with_context else None
+        seen = []
+        raised = None
+        try:
+            one_hop(net, ctx, lambda: seen.append(clock.now))
+        except Exception as exc:
+            raised = type(exc)
+        clock.run()
+        outcomes.append((raised, seen, net.total_messages, net.total_bytes,
+                         net.contexted_messages, net.uncontexted_messages,
+                         net.delivered_messages, ctx))
+    assert outcomes[0] == outcomes[1]
+    raised, seen, *counters, ctx = outcomes[0]
+    assert raised is error
+    if error is None:
+        assert seen == [100 + matrix.latency(src, dst)]
+        assert counters == [1, 9, int(with_context), int(not with_context), 1]
+        assert ctx == (ContextCounters(messages=1, bytes=9) if with_context else None)
+    else:
+        assert seen == [] and counters == [0, 0, 0, 0, 0]
+        assert ctx == (ContextCounters() if with_context else None)
 
 
 def test_unregistered_and_self_sends_rejected():
