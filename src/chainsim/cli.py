@@ -5,7 +5,7 @@ import argparse
 import math
 import sys
 
-from .config import ConfigError, parse_config
+from .config import ConfigError, SimulationConfig, parse_config
 from .engine import Simulation, StalledSimulation
 from .simnet import BadSampleFile, load_latency_samples
 
@@ -41,6 +41,15 @@ def non_negative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0: {text!r}")
     return value
+
+
+def read_config(path: str) -> SimulationConfig:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from None
+    return parse_config(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -85,8 +94,7 @@ def print_summary(report) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = parse_config(fh.read())
+        cfg = read_config(args.config)
         samples = None
         if args.latency_samples:
             samples = load_latency_samples(args.latency_samples)

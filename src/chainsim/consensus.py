@@ -29,7 +29,7 @@ class InsufficientDistinctValidators(Exception):
         super().__init__(f"{nodes} nodes cannot supply {wanted} distinct validators")
 
 
-@dataclass
+@dataclass(slots=True)
 class ValidationTicket:
     validator: int
     terminal: int

@@ -6,9 +6,9 @@ run, down to the output CSV bytes.
 """
 from __future__ import annotations
 
-import heapq
 import time
 from dataclasses import dataclass
+from heapq import heappop, heappush, heappushpop
 from typing import Callable
 
 from . import controller
@@ -314,7 +314,7 @@ class Simulation:
         if fire_time < self.now:
             raise ValueError("cannot schedule into the past")
         self._event_seq += 1
-        heapq.heappush(self._heap, (fire_time, self._event_seq, fn))
+        heappush(self._heap, (fire_time, self._event_seq, fn))
 
     def schedule_in(self, delay: int, fn: Callable[[], None]) -> None:
         self.schedule_at(self.now + delay, fn)
@@ -469,8 +469,10 @@ class Simulation:
     def _check_termination(self) -> bool:
         if not self._all_txs_finalized():
             return False
-        if self.net.delivered_messages != self.net.total_messages:
-            return False   # replication or notify traffic still in flight
+        # every event up to now has run, so a message that has not landed
+        # lands later: replication or notify traffic is still in flight
+        if self.net.last_arrival > self.now:
+            return False
         if any(s.block_context is not None or s.pool for s in self.nodes):
             return False
         chain_txs = self.registry.tracker.chain_txs
@@ -486,32 +488,52 @@ class Simulation:
     def run(self) -> SimulationReport:
         start = time.perf_counter()
         self._bootstrap()
+        heap = self._heap
+        processed = self.events_processed
+        # An instant ends when an event of a later one comes off the queue.
+        # That event is held over the quiescent point, and goes back on the
+        # queue if the run ends there or the point schedules work before it.
+        event = heappop(heap) if heap else None
         while True:
-            if not self._heap:
+            if event is None:
                 raise StalledSimulation(
                     f"event queue empty at t={self.now} before termination")
-            current_time = self._heap[0][0]
+            current_time, _, fn = event
             self.now = current_time
-            while self._heap and self._heap[0][0] == current_time:
-                _, _, fn = heapq.heappop(self._heap)
+            while True:
                 fn()
-                self.events_processed += 1
+                processed += 1
+                if not heap:
+                    event = None
+                    break
+                event = heappop(heap)
+                if event[0] != current_time:
+                    break
+                fn = event[2]
+            self.events_processed = processed
             # quiescent point
             if current_time > self._stall_deadline:
+                if event is not None:
+                    heappush(heap, event)
                 last = self._stall_deadline - self._stall_window
                 raise StalledSimulation(
                     f"nothing generated or finalized since t={last} (now t={current_time})")
             if (self.check_invariants_every
-                    and self.events_processed - self._last_check
-                    >= self.check_invariants_every):
+                    and processed - self._last_check >= self.check_invariants_every):
                 self.check_invariants()
-                self._last_check = self.events_processed
+                self._last_check = processed
             if not self.registry.drain_mode and self._all_txs_finalized():
                 # every transaction is generated and finalized: pools are
                 # final, so leftover (possibly undersized) blocks may drain
                 self._enter_drain_mode()
             if self._check_termination():
+                if event is not None:
+                    heappush(heap, event)
                 break
+            if event is None:
+                event = heappop(heap) if heap else None
+            elif heap:
+                event = heappushpop(heap, event)
         self._wall_clock_s = time.perf_counter() - start
         return self.report()
 

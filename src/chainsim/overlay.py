@@ -47,7 +47,7 @@ class Vertex:
         self.right: list[Vertex | None] = [None] * levels
 
 
-@dataclass
+@dataclass(slots=True)
 class SearchResult:
     identifier: Identifier
     terminal: int

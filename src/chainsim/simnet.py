@@ -5,7 +5,10 @@ delivery is FIFO per ordered pair.  The latencies sit in one flat,
 row-major n x n table and a node's address is its index, so a message's
 latency is a single list index.
 Every send increments the global counters and, when it carries one, the
-counters of the operation it serves; nothing is ever lost.
+counters of the operation it serves; nothing is ever lost.  A message is
+one scheduled event: its handler, called when it lands.  The network keeps
+only the latest arrival of any message sent so far, so "traffic is still in
+flight" is `last_arrival > now`.
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ TAG_NOTIFY = "notify"
 
 LATENCY_MIN_MS = 5
 LATENCY_MAX_MS = 300
+LOG_LATENCY_MAX = math.log(LATENCY_MAX_MS)
 DEFAULT_MEDIAN_MS = 50.0
 DEFAULT_SIGMA = 0.5
 
@@ -66,18 +70,22 @@ class LatencyMatrix:
 
 def load_latency_samples(path: str) -> list[float]:
     samples = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                value = float(line)
-            except ValueError:
-                raise BadSampleFile(f"non-numeric latency sample: {line!r}") from None
-            if not math.isfinite(value) or value <= 0:
-                raise BadSampleFile(f"latency sample must be positive and finite: {line!r}")
-            samples.append(value)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise BadSampleFile(f"{path} is not UTF-8 text: {exc}") from None
+    for line in lines:
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            value = float(line)
+        except ValueError:
+            raise BadSampleFile(f"non-numeric latency sample: {line!r}") from None
+        if not math.isfinite(value) or value <= 0:
+            raise BadSampleFile(f"latency sample must be positive and finite: {line!r}")
+        samples.append(value)
     if not samples:
         raise BadSampleFile(f"no latency samples in {path}")
     return samples
@@ -95,6 +103,7 @@ def build_latency_matrix(n: int, seed: int, samples: list[float] | None = None,
     if n < 2:
         raise ValueError("need at least 2 nodes")
     rng = substream(seed, "latency")
+    normal, exp = rng.normalvariate, math.exp
     mu = math.log(median_ms)
     values = [0] * (n * n)
     for a in range(n):
@@ -103,7 +112,11 @@ def build_latency_matrix(n: int, seed: int, samples: list[float] | None = None,
             if samples is not None:
                 ms = samples[rng.randrange(len(samples))]
             else:
-                ms = rng.lognormvariate(mu, sigma)
+                # the same draw as `lognormvariate`, exp(normalvariate), but
+                # an exponent past the clamp never reaches `exp`, which would
+                # overflow on a far tail (a low one underflows to 0.0 harmlessly)
+                x = normal(mu, sigma)
+                ms = exp(x) if x < LOG_LATENCY_MAX else LATENCY_MAX_MS
             ms = min(max(ms, LATENCY_MIN_MS), LATENCY_MAX_MS)
             row.append(max(1, round(ms)))
         # row a right of the diagonal, and its mirror: column a below it
@@ -125,6 +138,10 @@ class ContextCounters:
     validators: int = 0
 
 
+def _arrived() -> None:
+    """The handler of a message that nothing waits for."""
+
+
 class Network:
     """Delivery queue facade over the engine's scheduler."""
 
@@ -136,9 +153,10 @@ class Network:
         self._schedule_at = schedule_at
         self.total_messages = 0
         self.total_bytes = 0
-        self.delivered_messages = 0
         self.uncontexted_messages = 0
         self.contexted_messages = 0
+        # when the last message sent so far lands
+        self.last_arrival = 0
 
     def round_trip(self, a: int, b: int) -> int:
         """Time from a send a -> b until a reply sent on its arrival lands at a."""
@@ -148,8 +166,19 @@ class Network:
              context: ContextCounters | None,
              handler: Callable[[], None] | None,
              payload: object = None) -> None:
-        """A one-hop `send_path`; `payload` is not read."""
-        self._send_path((src, dst), tag, size, context, handler)
+        """One message src -> dst, the same as `send_path([src, dst], ...)`.
+
+        `payload` is not read.
+        """
+        n = self._n
+        # a negative address would silently wrap as a list index
+        if not 0 <= src < n:
+            raise UnknownAddress(src)
+        if not 0 <= dst < n:
+            raise UnknownAddress(dst)
+        if dst == src:
+            raise ValueError("self-sends are disallowed")
+        self._post(self._clock() + self._latency[src * n + dst], 1, size, context, handler)
 
     def send_path(self, path: Sequence[int], tag: str, size: int,
                   context: ContextCounters | None,
@@ -167,7 +196,6 @@ class Network:
             return
         latency, n = self._latency, self._n
         src = path[0]
-        # a negative address would silently wrap as a list index
         if not 0 <= src < n:
             raise UnknownAddress(src)
         arrival = self._clock()
@@ -178,7 +206,12 @@ class Network:
                 raise ValueError("self-sends are disallowed")
             arrival += latency[src * n + dst]
             src = dst
-        hops = len(path) - 1
+        self._post(arrival, len(path) - 1, size, context, on_done)
+
+    def _post(self, arrival: int, hops: int, size: int,
+              context: ContextCounters | None,
+              handler: Callable[[], None] | None) -> None:
+        """Account `hops` messages of `size` bytes and schedule their landing."""
         self.total_messages += hops
         self.total_bytes += size * hops
         if context is None:
@@ -187,17 +220,11 @@ class Network:
             self.contexted_messages += hops
             context.messages += hops
             context.bytes += size * hops
-
-        def final():
-            self.delivered_messages += hops
-            if on_done is not None:
-                on_done()
-
-        self._schedule_at(arrival, final)
-
-    # `send` reaches the body under this name, so that a wrapper put on
-    # `send_path` (bench/tracing.py) sees routed chains only
-    _send_path = send_path
+        if arrival > self.last_arrival:
+            self.last_arrival = arrival
+        # a handler-less message is still one event, so that event counts
+        # and quiescent points do not depend on who waits for a message
+        self._schedule_at(arrival, _arrived if handler is None else handler)
 
     def check_accounting(self) -> None:
         assert self.contexted_messages + self.uncontexted_messages == self.total_messages, (

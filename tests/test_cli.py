@@ -9,6 +9,7 @@ import pytest
 
 import chainsim
 from chainsim import cli
+from chainsim.simnet import LATENCY_MAX_MS, LATENCY_MIN_MS, build_latency_matrix
 from conftest import SAMPLE_CONFIG_TEXT
 
 SMALL_CONFIG = (
@@ -130,6 +131,35 @@ def test_zero_sigma_and_invariant_interval_accepted(config_file, capsys):
     code = cli.main(["--config", str(config_file), "--summary-only",
                      "--latency-sigma", "0", "--check-invariants", "0"])
     assert code == cli.EXIT_OK
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--latency-sigma", "1000"),
+    ("--latency-median", "1e308"),
+])
+def test_far_latency_tail_is_clamped(config_file, flag, value, capsys):
+    code = cli.main(["--config", str(config_file), "--summary-only", flag, value])
+    assert code == cli.EXIT_OK, capsys.readouterr().err
+    kwargs = {"sigma": 1000.0} if flag == "--latency-sigma" else {"median_ms": 1e308}
+    values = build_latency_matrix(30, seed=42, **kwargs).all_values()
+    assert all(LATENCY_MIN_MS <= ms <= LATENCY_MAX_MS for ms in values)
+
+
+def test_non_utf8_config_is_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.config"
+    path.write_bytes(b"NODES = 3\xff\n")
+    code = cli.main(["--config", str(path), "--summary-only"])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
+def test_non_utf8_latency_samples_is_config_error(config_file, tmp_path, capsys):
+    samples = tmp_path / "latency.txt"
+    samples.write_bytes(b"10\n\xff\n")
+    code = cli.main(["--config", str(config_file), "--summary-only",
+                     "--latency-samples", str(samples)])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: ")
 
 
 # The honest node's only validator is the malicious node, which rejects every

@@ -11,7 +11,7 @@ import hashlib
 
 import pytest
 
-from chainsim.engine import run_simulation
+from chainsim.engine import Simulation, run_simulation
 from conftest import make_cfg
 
 GOLDEN = [
@@ -27,6 +27,15 @@ def test_csv_digest_is_pinned(overrides, seed, digest):
     cfg = make_cfg(nodes=16, transactions_per_node=10, block_size_min=5, **overrides)
     csv_text, _ = run_simulation(cfg, seed=seed)
     assert hashlib.sha256(csv_text.encode()).hexdigest() == digest
+
+
+def test_golden_run_ends_at_a_pinned_event_and_time():
+    # taken before handler-less messages were scheduled as a shared no-op and
+    # in-flight traffic was read from the latest arrival: every message is
+    # still one event, and the run still ends at the same virtual time
+    sim = Simulation(make_cfg(nodes=16, transactions_per_node=10, block_size_min=5), seed=7)
+    sim.run()
+    assert (sim.events_processed, sim.now) == (11076, 32461)
 
 
 def test_csv_digest_is_pinned_when_timeouts_fire():

@@ -4,9 +4,10 @@ import gc
 import pytest
 
 from chainsim import controller
+from chainsim.consensus import ValidationTicket
 from chainsim.engine import ROUTE_MSG_BYTES, MetricRecord, Simulation
 from chainsim.identity import ZERO_ID
-from chainsim.overlay import KIND_DATA, Vertex
+from chainsim.overlay import KIND_DATA, SearchResult, Vertex
 from chainsim.simnet import ContextCounters
 from chainsim.storage import BlockInfo, new_block, new_transaction
 from conftest import make_cfg
@@ -24,6 +25,8 @@ def live_counters() -> int:
     BlockInfo(ZERO_ID, ZERO_ID, 0, ()),
     MetricRecord("tx", "00", 0, 0, 0, 0, 0, 0, 0, 0),
     ContextCounters(),
+    SearchResult(ZERO_ID, 0, 0, [0]),
+    ValidationTicket(1, 1, [0, 1]),
 ], ids=lambda obj: type(obj).__name__)
 def test_per_entity_objects_have_no_dict(instance):
     assert not hasattr(instance, "__dict__")

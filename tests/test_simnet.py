@@ -3,6 +3,7 @@ import heapq
 import statistics
 
 import pytest
+from hypothesis import given, strategies as st
 
 from chainsim.rng import substream
 from chainsim.simnet import (
@@ -28,10 +29,13 @@ class MiniClock:
         self._seq += 1
         heapq.heappush(self._heap, (fire_time, self._seq, fn))
 
+    def step(self):
+        self.now, _, fn = heapq.heappop(self._heap)
+        fn()
+
     def run(self):
         while self._heap:
-            self.now, _, fn = heapq.heappop(self._heap)
-            fn()
+            self.step()
 
 
 def fixed_network(n: int, latency_ms: int) -> tuple[Network, MiniClock]:
@@ -132,13 +136,14 @@ def test_send_is_a_one_hop_send_path(src, dst, error, with_context):
         clock.run()
         outcomes.append((raised, seen, net.total_messages, net.total_bytes,
                          net.contexted_messages, net.uncontexted_messages,
-                         net.delivered_messages, ctx))
+                         net.last_arrival, ctx))
     assert outcomes[0] == outcomes[1]
     raised, seen, *counters, ctx = outcomes[0]
     assert raised is error
     if error is None:
-        assert seen == [100 + matrix.latency(src, dst)]
-        assert counters == [1, 9, int(with_context), int(not with_context), 1]
+        arrival = 100 + matrix.latency(src, dst)
+        assert seen == [arrival]
+        assert counters == [1, 9, int(with_context), int(not with_context), arrival]
         assert ctx == (ContextCounters(messages=1, bytes=9) if with_context else None)
     else:
         assert seen == [] and counters == [0, 0, 0, 0, 0]
@@ -168,8 +173,56 @@ def test_context_counts_track_hops_and_reply():
     clock.run()
     assert counters.messages == 4 + 1
     assert counters.bytes == 4 * 72 + 41
-    assert net.delivered_messages == 5
+    # 4 route hops and the reply, 10 ms each
+    assert net.last_arrival == clock.now == 50
     net.check_accounting()
+
+
+ORACLE_NODES = 5
+
+
+@st.composite
+def oracle_sends(draw):
+    """Sends at random start times: one-hop or routed, with or without a handler."""
+    sends = []
+    for _ in range(draw(st.integers(1, 12))):
+        hops = draw(st.integers(1, 4))
+        path = [draw(st.integers(0, ORACLE_NODES - 1))]
+        for _ in range(hops):
+            path.append(draw(st.integers(0, ORACLE_NODES - 1).filter(
+                lambda node, last=path[-1]: node != last)))
+        sends.append((draw(st.integers(0, 400)), path, draw(st.booleans())))
+    return sends
+
+
+@given(latency_seed=st.integers(0, 2**16), sends=oracle_sends())
+def test_last_arrival_tracks_messages_in_flight(latency_seed, sends):
+    matrix = build_latency_matrix(ORACLE_NODES, seed=latency_seed,
+                                  samples=[5.0, 17.0, 40.0, 41.0, 300.0])
+    clock = MiniClock()
+    net = Network(matrix, clock=lambda: clock.now, schedule_at=clock.schedule_at)
+    arrivals = {}   # send index -> arrival, summed here, for every send made so far
+    fired = []      # (send index, time) of every handler that ran
+
+    def start(index, path, with_handler):
+        arrivals[index] = clock.now + sum(
+            matrix.latency(a, b) for a, b in zip(path, path[1:]))
+        handler = (lambda: fired.append((index, clock.now))) if with_handler else None
+        if len(path) == 2:
+            net.send(path[0], path[1], "tag", 9, None, handler)
+        else:
+            net.send_path(path, "tag", 9, None, handler)
+
+    for index, (at, path, with_handler) in enumerate(sends):
+        clock.schedule_at(at, lambda i=index, p=path, h=with_handler: start(i, p, h))
+    while clock._heap:
+        clock.step()
+        in_flight = any(a > clock.now for a in arrivals.values())
+        assert (net.last_arrival > clock.now) == in_flight
+    assert sorted(fired) == sorted((i, arrivals[i]) for i, (_, _, with_handler)
+                                   in enumerate(sends) if with_handler)
+    assert net.last_arrival == max(arrivals.values()) == clock.now
+    assert net.total_messages == sum(len(path) - 1 for _, path, _ in sends)
 
 
 @pytest.mark.parametrize("hops, error", [
