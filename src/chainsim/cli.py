@@ -80,6 +80,9 @@ def print_summary(report) -> None:
     print(f"  finalized transactions : {report.finalized_tx_count}")
     print(f"  finalized blocks       : {report.finalized_block_count}"
           f" (chain: {report.chain_block_count})")
+    print(f"  fork waste             : {report.fork_waste:.1%}")
+    print(f"  chain reorgs           : {report.reorgs}")
+    print(f"  tx / block retries     : {report.tx_retries} / {report.block_retries}")
     print(f"  avg tx time            : {report.avg_tx_time_ms:.1f} ms")
     print(f"  avg block time         : {report.avg_block_time_ms:.1f} ms")
     print(f"  avg block size         : {report.avg_block_size:.2f}")

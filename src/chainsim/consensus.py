@@ -122,6 +122,10 @@ def _validate_block(view, blk: Block, cfg: SimulationConfig) -> bool:
         return False
     if blk.height != parent.height + 1:
         return False
+    # only a block taller than the tail surely becomes the tail if it
+    # finalizes; its parent is then the tail or a same-height sibling of it
+    if blk.height <= view.tail().height:
+        return False
     if len(set(blk.tx_ids)) != len(blk.tx_ids):
         return False
     if len(blk.tx_ids) < cfg.block_size_min and not (blk.drain and view.drain_allowed()):

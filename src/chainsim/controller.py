@@ -2,8 +2,11 @@
 
 Handlers never block; every wait is a scheduled future event on the
 engine timeline.  A node pools only its own finalized transactions, so
-two nodes can never race the same transaction into different blocks;
-parent contention between blocks is resolved by the fork rule.
+two nodes can never race the same transaction into different blocks.
+Validators approve only blocks taller than the current tail, so blocks
+contend only for the tail's height; the fork rule picks among the ones
+that finalize, and an owner whose block is turned away retries on the new
+tail.
 """
 from __future__ import annotations
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from heapq import heappop, heappush, heappushpop
 from typing import Callable
 
@@ -85,6 +86,11 @@ class SimulationReport:
     negative_balance_events: int
     per_node_stored: list[int]
     wall_clock_s: float
+    # finalized blocks that are not on the chain, as a share of all finalized blocks
+    fork_waste: float
+    reorgs: int          # tail moves of the registry chain that cut blocks
+    tx_retries: int
+    block_retries: int
 
 
 def write_csv(records: list[MetricRecord]) -> str:
@@ -112,7 +118,9 @@ def summarize(records: list[MetricRecord], *, total_messages: int = 0,
               negative_balance_events: int = 0,
               chain_block_count: int = 0,
               per_node_stored: list[int] | None = None,
-              wall_clock_s: float = 0.0) -> SimulationReport:
+              wall_clock_s: float = 0.0,
+              reorgs: int = 0, tx_retries: int = 0,
+              block_retries: int = 0) -> SimulationReport:
     tx_rows = [r for r in records if r.event_type == "tx"]
     block_rows = [r for r in records if r.event_type == "block"]
 
@@ -126,12 +134,16 @@ def summarize(records: list[MetricRecord], *, total_messages: int = 0,
         finalized_tx_count=len(tx_rows),
         finalized_block_count=len(block_rows),
         chain_block_count=chain_block_count,
+        fork_waste=(1 - chain_block_count / len(block_rows)) if block_rows else 0.0,
         total_messages=total_messages,
         total_bytes=total_bytes,
         total_minted=total_minted,
         negative_balance_events=negative_balance_events,
         per_node_stored=per_node_stored or [],
         wall_clock_s=wall_clock_s,
+        reorgs=reorgs,
+        tx_retries=tx_retries,
+        block_retries=block_retries,
     )
 
 
@@ -139,7 +151,9 @@ class Registry:
     """Ground-truth finality: all finalized entities and the canonical chain.
 
     Doubles as the chain view validators consult; per-validator knowledge
-    propagation is not modeled below the notification layer.
+    propagation is not modeled below the notification layer.  Its `tail`
+    backs the rule that a validator approves only blocks taller than the
+    tail.
     """
 
     def __init__(self, genesis: BlockInfo):
@@ -161,6 +175,9 @@ class Registry:
 
     def block(self, block_id: Identifier) -> BlockInfo | None:
         return self.tracker.blocks.get(block_id)
+
+    def tail(self) -> BlockInfo:
+        return self.tracker.tail
 
     def tx_finalized(self, tx_id: Identifier) -> bool:
         return tx_id in self.finalized_txs
@@ -202,14 +219,14 @@ class ValidationRound:
         self.request_bytes = wire_size(self.entity)
         for ticket in self.tickets:
             sim.net.send_path(ticket.path, TAG_ROUTE, ROUTE_MSG_BYTES, self.context,
-                              lambda t=ticket: self._resolved(t))
+                              partial(self._resolved, ticket))
 
     def _resolved(self, ticket: ValidationTicket) -> None:
         sim = self.sim
         owner, validator = self.entity.owner, ticket.validator
         sim.net.send(
             owner, validator, TAG_VALIDATE_REQUEST, self.request_bytes, self.context,
-            handler=lambda t=ticket: self._at_validator(t),
+            handler=partial(self._at_validator, ticket),
         )
         # the validator replies on arrival, so its reply lands one round trip from now
         self.last_reply_at = max(self.last_reply_at,
@@ -228,7 +245,7 @@ class ValidationRound:
         sim.net.send(
             ticket.validator, self.entity.owner, TAG_VALIDATE_REPLY,
             REPLY_MSG_BYTES, self.context,
-            handler=lambda t=ticket, d=decision: self._reply(t, d),
+            handler=partial(self._reply, ticket, decision),
         )
 
     def _reply(self, ticket: ValidationTicket, decision: str) -> None:
@@ -278,8 +295,7 @@ class Simulation:
         self._stall_window = (STALL_TIMEOUTS * self.validation_timeout_ms
                               + cfg.inter_tx_delay_s * 1000)
         self._stall_deadline = self._stall_window
-        self.net = Network(self.matrix, clock=lambda: self.now,
-                           schedule_at=self.schedule_at)
+        self.net = Network(self.matrix, clock=self)
 
         expected_entities = n + n * cfg.transactions_per_node * 2 + 64
         self.overlay = SkipGraph(max_vertices=expected_entities)
@@ -307,6 +323,8 @@ class Simulation:
         self._wall_clock_s = 0.0
         self._last_check = 0
         self._drain_tick_pending = False
+        self.tx_retries = 0
+        self.block_retries = 0
 
     # -- scheduling -----------------------------------------------------
 
@@ -339,6 +357,8 @@ class Simulation:
         """Validate one attempt of a tx slot; `context` spans the slot's attempts."""
         if tx.attempt == 0:
             self._note_progress()
+        else:
+            self.tx_retries += 1
         round_ = ValidationRound(
             self, tx, context,
             on_result=lambda tickets: controller.on_tx_result(
@@ -349,6 +369,8 @@ class Simulation:
     def begin_block_validation(self, state: NodeState, block: Block,
                                retries: int) -> None:
         """Validate one try of the node's open block attempt."""
+        if retries:
+            self.block_retries += 1
         round_ = ValidationRound(
             self, block, state.block_context,
             on_result=lambda tickets: controller.on_block_result(
@@ -550,6 +572,9 @@ class Simulation:
             chain_block_count=len(self.registry.tracker.chain_ids()) - 1,
             per_node_stored=[len(s.store) for s in self.nodes],
             wall_clock_s=self._wall_clock_s,
+            reorgs=self.registry.tracker.reorgs,
+            tx_retries=self.tx_retries,
+            block_retries=self.block_retries,
         )
 
 

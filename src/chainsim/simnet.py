@@ -143,14 +143,18 @@ def _arrived() -> None:
 
 
 class Network:
-    """Delivery queue facade over the engine's scheduler."""
+    """Delivery queue facade over the engine's scheduler.
 
-    def __init__(self, matrix: LatencyMatrix, clock: Callable[[], int],
-                 schedule_at: Callable[[int, Callable[[], None]], None]):
+    `clock` is the engine (or any object with the same two members): the
+    network reads its `now` at each send and binds its `schedule_at` once,
+    here, so a scheduler patched before construction sees every message.
+    """
+
+    def __init__(self, matrix: LatencyMatrix, clock):
         self._latency = matrix.values
         self._n = matrix.n
         self._clock = clock
-        self._schedule_at = schedule_at
+        self._schedule_at = clock.schedule_at
         self.total_messages = 0
         self.total_bytes = 0
         self.uncontexted_messages = 0
@@ -178,7 +182,7 @@ class Network:
             raise UnknownAddress(dst)
         if dst == src:
             raise ValueError("self-sends are disallowed")
-        self._post(self._clock() + self._latency[src * n + dst], 1, size, context, handler)
+        self._post(self._clock.now + self._latency[src * n + dst], 1, size, context, handler)
 
     def send_path(self, path: Sequence[int], tag: str, size: int,
                   context: ContextCounters | None,
@@ -192,13 +196,13 @@ class Network:
         """
         if len(path) < 2:
             if on_done is not None:
-                self._schedule_at(self._clock(), on_done)
+                self._schedule_at(self._clock.now, on_done)
             return
         latency, n = self._latency, self._n
         src = path[0]
         if not 0 <= src < n:
             raise UnknownAddress(src)
-        arrival = self._clock()
+        arrival = self._clock.now
         for dst in path[1:]:
             if not 0 <= dst < n:
                 raise UnknownAddress(dst)

@@ -139,7 +139,8 @@ class ChainTracker:
     it.  A tracker with an `owner` indexes only that owner's blocks, which
     is all a node's pool asks about, and tells its `listener` (the owner's
     state) which of those txs enter and leave `chain_txs`.  A reorg walks
-    back only to the common ancestor of the old and the new tail.  Every
+    back only to the common ancestor of the old and the new tail, and
+    `reorgs` counts the tail moves that cut blocks off the chain.  Every
     block's height is its parent's height plus one.
     """
 
@@ -151,6 +152,7 @@ class ChainTracker:
         self.tail: BlockInfo = genesis
         self.chain: list[BlockInfo] = [genesis]
         self.chain_txs: dict[Identifier, int] = {}
+        self.reorgs = 0
         self._index(genesis)
         self._orphans: dict[Identifier, list[BlockInfo]] = {}
 
@@ -189,7 +191,9 @@ class ChainTracker:
             branch.append(cur)
             cur = self.blocks[cur.parent]
         cut = self.chain[cur.height + 1:]
-        del self.chain[cur.height + 1:]
+        if cut:
+            self.reorgs += 1
+            del self.chain[cur.height + 1:]
         chain_txs = self.chain_txs
         for info in cut:
             if self._indexes(info):

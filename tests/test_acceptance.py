@@ -19,8 +19,8 @@ from chainsim.overlay import KIND_CONTROLLER, SkipGraph
 from conftest import SAMPLE_CONFIG_TEXT
 
 DESK_SEED = 7
-DESK_SEED_7_CSV_SHA256 = "518a10118bf7afafffdd5b104c7a7458d7e69461b928c279d69f61981e305a59"
-DESK_SEED_8_CSV_SHA256 = "cf480ce70acd2ccd23b7728671950229563aa94a55f647676f08e799a6ca6730"
+DESK_SEED_7_CSV_SHA256 = "25db0b6322edb97a4cc250683a2cc6a1f10349552e53ec8c9f3294c6b805ea80"
+DESK_SEED_8_CSV_SHA256 = "4cced8c9c4f517b1dbc89fec955524b927d288b4aeabf2b29b1d7032e92f2021"
 
 
 def desk_cfg(malicious=0.16) -> SimulationConfig:

@@ -40,7 +40,10 @@ def test_happy_path_writes_csv(config_file, tmp_path, capsys):
     assert code == cli.EXIT_OK
     text = out.read_text()
     assert text.startswith("event_type,entity_id,owner,")
-    assert "simulation summary" in capsys.readouterr().out
+    printed = capsys.readouterr().out
+    assert "simulation summary" in printed
+    for label in ("fork waste", "chain reorgs", "tx / block retries"):
+        assert label in printed
 
 
 def test_missing_config_flag_is_usage_error(capsys):

@@ -36,6 +36,9 @@ class FakeView:
     def block(self, block_id):
         return self.tracker.blocks.get(block_id)
 
+    def tail(self):
+        return self.tracker.tail
+
     def tx_finalized(self, tx_id):
         return tx_id in self.finalized
 
@@ -186,6 +189,42 @@ def test_block_rejections():
     assert not validate_entity(view, new_block(1, GENESIS.id, 1, txs[:4], 0), cfg)
     unknown = [Identifier(b"\x21" * 32)]
     assert not validate_entity(view, new_block(1, GENESIS.id, 1, txs[:4] + unknown, 0), cfg)
+
+
+def _forked_view():
+    """genesis <- a1 <- {tail, sibling}: the two height-2 blocks tie, the tail has the smaller id."""
+    view = FakeView(GENESIS)
+    a1 = BlockInfo(Identifier(b"\xa1" * 32), GENESIS.id, 1, ())
+    tail = BlockInfo(Identifier(b"\xb0" * 32), a1.id, 2, ())
+    sibling = BlockInfo(Identifier(b"\xb1" * 32), a1.id, 2, ())
+    for info in (a1, tail, sibling):
+        view.tracker.add(info)
+    assert view.tail() == tail
+    return view, a1, tail, sibling
+
+
+@pytest.mark.parametrize("parent_label", ["tail", "sibling"])
+def test_block_taller_than_the_tail_approved(parent_label):
+    view, _, tail, sibling = _forked_view()
+    parent = {"tail": tail, "sibling": sibling}[parent_label]
+    blk = new_block(1, parent.id, 3, _finalized_txs(view, 2), created_at=0)
+    valid = validate_entity(view, blk, make_cfg(block_size_min=2))
+    assert valid
+    assert decide(valid, malicious=False) == "approve"
+    assert decide(valid, malicious=True) == "reject"
+
+
+def test_block_below_the_tail_rejected():
+    view, a1, _, _ = _forked_view()
+    cfg = make_cfg(block_size_min=2)
+    blk = new_block(1, a1.id, 2, _finalized_txs(view, 2), created_at=0)
+    valid = validate_entity(view, blk, cfg)
+    assert not valid
+    assert decide(valid, malicious=False) == "reject"
+    assert decide(valid, malicious=True) == "approve"
+    # every other check passes: with the tail a level lower it is approved
+    view.tail = lambda: a1
+    assert validate_entity(view, blk, cfg)
 
 
 def test_block_repeating_ancestor_tx_rejected():

@@ -126,6 +126,15 @@ def test_report_totals_passed_through():
     assert report.total_minted == 3
     assert report.chain_block_count == 2
     assert report.per_node_stored == [1, 2]
+    assert report.fork_waste == 0.0   # no finalized blocks, no waste
+
+
+def test_report_fork_waste_and_counters():
+    records = [_record("block", f"{i:02x}", i, height=1, size=5) for i in range(4)]
+    report = summarize(records, chain_block_count=1, reorgs=2, tx_retries=3,
+                       block_retries=4)
+    assert report.fork_waste == 0.75
+    assert (report.reorgs, report.tx_retries, report.block_retries) == (2, 3, 4)
 
 
 def test_validation_timeout_leaves_silent_validators_unsigned():

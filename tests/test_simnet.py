@@ -41,7 +41,7 @@ class MiniClock:
 def fixed_network(n: int, latency_ms: int) -> tuple[Network, MiniClock]:
     clock = MiniClock()
     matrix = build_latency_matrix(n, seed=0, samples=[float(latency_ms)])
-    net = Network(matrix, clock=lambda: clock.now, schedule_at=clock.schedule_at)
+    net = Network(matrix, clock)
     return net, clock
 
 
@@ -125,7 +125,7 @@ def test_send_is_a_one_hop_send_path(src, dst, error, with_context):
                     lambda net, ctx, done: net.send_path([src, dst], "tag", 9, ctx, done)):
         clock = MiniClock()
         clock.now = 100
-        net = Network(matrix, clock=lambda: clock.now, schedule_at=clock.schedule_at)
+        net = Network(matrix, clock)
         ctx = ContextCounters() if with_context else None
         seen = []
         raised = None
@@ -200,7 +200,7 @@ def test_last_arrival_tracks_messages_in_flight(latency_seed, sends):
     matrix = build_latency_matrix(ORACLE_NODES, seed=latency_seed,
                                   samples=[5.0, 17.0, 40.0, 41.0, 300.0])
     clock = MiniClock()
-    net = Network(matrix, clock=lambda: clock.now, schedule_at=clock.schedule_at)
+    net = Network(matrix, clock)
     arrivals = {}   # send index -> arrival, summed here, for every send made so far
     fired = []      # (send index, time) of every handler that ran
 
