@@ -83,6 +83,7 @@ def print_summary(report) -> None:
     print(f"  fork waste             : {report.fork_waste:.1%}")
     print(f"  chain reorgs           : {report.reorgs}")
     print(f"  tx / block retries     : {report.tx_retries} / {report.block_retries}")
+    print(f"  abandoned block rounds : {report.abandoned_rounds}")
     print(f"  avg tx time            : {report.avg_tx_time_ms:.1f} ms")
     print(f"  avg block time         : {report.avg_block_time_ms:.1f} ms")
     print(f"  avg block size         : {report.avg_block_size:.2f}")
@@ -91,6 +92,10 @@ def print_summary(report) -> None:
     print(f"  minted total           : {report.total_minted}")
     print(f"  negative balance events: {report.negative_balance_events}")
     print(f"  max per-node stored    : {max(report.per_node_stored)}")
+    print(f"  max per-node tracked   : {report.max_node_tracked_blocks} blocks")
+    print("  traffic by tag         : messages / bytes")
+    for tag, messages in report.messages_by_tag.items():
+        print(f"    {tag:<21}: {messages} / {report.bytes_by_tag[tag]}")
     print(f"  wall clock             : {report.wall_clock_s:.2f} s")
 
 

@@ -6,13 +6,17 @@ two nodes can never race the same transaction into different blocks.
 Validators approve only blocks taller than the current tail, so blocks
 contend only for the tail's height; the fork rule picks among the ones
 that finalize, and an owner whose block is turned away retries on the new
-tail.
+tail.  An owner does not wait for a round whose block the tail has
+already reached: when a notify brings its own tail up to the height of
+the block under validation, every honest validator yet to vote would turn
+it away, so the owner abandons the round and retries at once.
 """
 from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
 from random import Random
+from typing import TYPE_CHECKING
 
 from .config import SimulationConfig
 from .identity import Identifier, hash_bytes
@@ -28,6 +32,9 @@ from .storage import (
     new_block,
     new_transaction,
 )
+
+if TYPE_CHECKING:
+    from .engine import ValidationRound
 
 CORRUPTION_PROBABILITY = 0.5
 RETRY_DELAY_MS = 200
@@ -54,6 +61,8 @@ class NodeState:
     block_ctx_counter: int = 0
     # counters of the block attempt under validation, None between attempts
     block_context: ContextCounters | None = None
+    # the attempt's validation round while it runs
+    block_round: ValidationRound | None = None
 
     def __post_init__(self):
         # the owner-scoped tracker reports the node's txs entering and
@@ -188,12 +197,19 @@ def start_block_attempt(sim, state: NodeState, drain: bool) -> None:
 
 
 def on_block_result(sim, state: NodeState, block: Block, tickets, retries: int) -> None:
+    state.block_round = None
     block.signatures = signatures_of(tickets)
     if approvals_of(tickets) >= sim.cfg.signature_threshold:
         state.tracker.add(sim.finalize_block(state, block, tickets))
         state.release(block.tx_ids)
         _close_block_attempt(sim, state)
         return
+    _retry_block(sim, state, block, retries)
+
+
+def _retry_block(sim, state: NodeState, block: Block, retries: int) -> None:
+    """End a try that put `block` nowhere: rebuild on the current tail, or
+    close the attempt after MAX_BLOCK_RETRIES retries."""
     state.release(block.tx_ids)
     if retries >= MAX_BLOCK_RETRIES:
         _close_block_attempt(sim, state)
@@ -219,5 +235,14 @@ def _close_block_attempt(sim, state: NodeState) -> None:
 
 def on_block_notify(sim, state: NodeState, info: BlockInfo) -> None:
     state.tracker.add(info)
+    round_ = state.block_round
+    if round_ is not None and state.tracker.tail.height >= round_.entity.height:
+        # the registry tail is at least as tall, so every honest validator
+        # yet to vote rejects the block: stop waiting for the round
+        round_.done = True
+        state.block_round = None
+        sim.abandoned_rounds += 1
+        # a block's attempt number is its retry count
+        _retry_block(sim, state, round_.entity, round_.entity.attempt)
     maybe_schedule_block(sim, state)
     sim.poke_drain()

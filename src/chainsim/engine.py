@@ -38,7 +38,15 @@ from .simnet import (
     TAG_VALIDATE_REQUEST,
     build_latency_matrix,
 )
-from .storage import Block, BlockInfo, ChainTracker, Entity, Transaction, wire_size
+from .storage import (
+    DECISION_APPROVE,
+    Block,
+    BlockInfo,
+    ChainTracker,
+    Entity,
+    Transaction,
+    wire_size,
+)
 
 REPLICATION_FACTOR = 3
 ROUTE_MSG_BYTES = 72
@@ -91,6 +99,13 @@ class SimulationReport:
     reorgs: int          # tail moves of the registry chain that cut blocks
     tx_retries: int
     block_retries: int
+    # block rounds the owner gave up once its chain tail reached their height
+    abandoned_rounds: int
+    # the most blocks any one node's chain tracker holds
+    max_node_tracked_blocks: int
+    # messages and bytes sent, by message tag
+    messages_by_tag: dict[str, int]
+    bytes_by_tag: dict[str, int]
 
 
 def write_csv(records: list[MetricRecord]) -> str:
@@ -120,7 +135,10 @@ def summarize(records: list[MetricRecord], *, total_messages: int = 0,
               per_node_stored: list[int] | None = None,
               wall_clock_s: float = 0.0,
               reorgs: int = 0, tx_retries: int = 0,
-              block_retries: int = 0) -> SimulationReport:
+              block_retries: int = 0, abandoned_rounds: int = 0,
+              max_node_tracked_blocks: int = 0,
+              messages_by_tag: dict[str, int] | None = None,
+              bytes_by_tag: dict[str, int] | None = None) -> SimulationReport:
     tx_rows = [r for r in records if r.event_type == "tx"]
     block_rows = [r for r in records if r.event_type == "block"]
 
@@ -144,6 +162,10 @@ def summarize(records: list[MetricRecord], *, total_messages: int = 0,
         reorgs=reorgs,
         tx_retries=tx_retries,
         block_retries=block_retries,
+        abandoned_rounds=abandoned_rounds,
+        max_node_tracked_blocks=max_node_tracked_blocks,
+        messages_by_tag=messages_by_tag or {},
+        bytes_by_tag=bytes_by_tag or {},
     )
 
 
@@ -193,7 +215,15 @@ class Registry:
 
 
 class ValidationRound:
-    """One entity's validator resolution, request fan-out, and collection."""
+    """One entity's validator resolution, request fan-out, and collection.
+
+    The round is decided at its `signature_threshold`-th approving reply,
+    at its last reply, or at its timeout, whichever comes first, and then
+    hands its tickets to `on_result` once.  A ticket whose reply has not
+    landed by then stays silent: it has no signature and earns no
+    validation fee.  Setting `done` from outside abandons the round: it
+    then sends no more requests and reports nothing.
+    """
 
     def __init__(self, sim: "Simulation", entity: Entity, context: ContextCounters,
                  on_result: Callable[[list[ValidationTicket]], None]):
@@ -204,6 +234,7 @@ class ValidationRound:
         self.tickets: list[ValidationTicket] = []
         self.unresolved = 0
         self.pending_replies = 0
+        self.approvals_missing = sim.cfg.signature_threshold
         self.request_bytes = 0
         # when the latest reply of a resolved ticket lands back at the owner
         self.last_reply_at = 0
@@ -222,6 +253,8 @@ class ValidationRound:
                               partial(self._resolved, ticket))
 
     def _resolved(self, ticket: ValidationTicket) -> None:
+        if self.done:   # decided or abandoned: a request would change nothing
+            return
         sim = self.sim
         owner, validator = self.entity.owner, ticket.validator
         sim.net.send(
@@ -253,7 +286,9 @@ class ValidationRound:
             return
         ticket.decision = decision
         self.pending_replies -= 1
-        if self.pending_replies == 0:
+        if decision == DECISION_APPROVE:
+            self.approvals_missing -= 1
+        if self.approvals_missing == 0 or self.pending_replies == 0:
             self._complete()
 
     def _timeout(self) -> None:
@@ -325,6 +360,7 @@ class Simulation:
         self._drain_tick_pending = False
         self.tx_retries = 0
         self.block_retries = 0
+        self.abandoned_rounds = 0
 
     # -- scheduling -----------------------------------------------------
 
@@ -368,15 +404,19 @@ class Simulation:
 
     def begin_block_validation(self, state: NodeState, block: Block,
                                retries: int) -> None:
-        """Validate one try of the node's open block attempt."""
+        """Validate one try of the node's open block attempt.
+
+        The round is kept in `state.block_round` until it ends, so that the
+        owner can abandon it when its chain tail passes the block.
+        """
         if retries:
             self.block_retries += 1
-        round_ = ValidationRound(
+        state.block_round = ValidationRound(
             self, block, state.block_context,
             on_result=lambda tickets: controller.on_block_result(
                 self, state, block, tickets, retries),
         )
-        round_.start()
+        state.block_round.start()
 
     # -- finalization ---------------------------------------------------
 
@@ -563,6 +603,7 @@ class Simulation:
         return write_csv(self.records)
 
     def report(self) -> SimulationReport:
+        traffic = sorted(self.net.traffic_by_tag.items())
         return summarize(
             self.records,
             total_messages=self.net.total_messages,
@@ -575,6 +616,10 @@ class Simulation:
             reorgs=self.registry.tracker.reorgs,
             tx_retries=self.tx_retries,
             block_retries=self.block_retries,
+            abandoned_rounds=self.abandoned_rounds,
+            max_node_tracked_blocks=max(len(s.tracker.blocks) for s in self.nodes),
+            messages_by_tag={tag: m for tag, (m, _) in traffic},
+            bytes_by_tag={tag: b for tag, (_, b) in traffic},
         )
 
 

@@ -4,11 +4,11 @@ Latency is drawn once per unordered node pair and fixed for the run, so
 delivery is FIFO per ordered pair.  The latencies sit in one flat,
 row-major n x n table and a node's address is its index, so a message's
 latency is a single list index.
-Every send increments the global counters and, when it carries one, the
-counters of the operation it serves; nothing is ever lost.  A message is
-one scheduled event: its handler, called when it lands.  The network keeps
-only the latest arrival of any message sent so far, so "traffic is still in
-flight" is `last_arrival > now`.
+Every send increments the global counters, the counters of its tag and,
+when it carries one, the counters of the operation it serves; nothing is
+ever lost.  A message is one scheduled event: its handler, called when it
+lands.  The network keeps only the latest arrival of any message sent so
+far, so "traffic is still in flight" is `last_arrival > now`.
 """
 from __future__ import annotations
 
@@ -159,6 +159,8 @@ class Network:
         self.total_bytes = 0
         self.uncontexted_messages = 0
         self.contexted_messages = 0
+        # tag -> [messages, bytes] sent with that tag
+        self.traffic_by_tag: dict[str, list[int]] = {}
         # when the last message sent so far lands
         self.last_arrival = 0
 
@@ -182,7 +184,8 @@ class Network:
             raise UnknownAddress(dst)
         if dst == src:
             raise ValueError("self-sends are disallowed")
-        self._post(self._clock.now + self._latency[src * n + dst], 1, size, context, handler)
+        self._post(self._clock.now + self._latency[src * n + dst], tag, 1, size,
+                   context, handler)
 
     def send_path(self, path: Sequence[int], tag: str, size: int,
                   context: ContextCounters | None,
@@ -210,14 +213,20 @@ class Network:
                 raise ValueError("self-sends are disallowed")
             arrival += latency[src * n + dst]
             src = dst
-        self._post(arrival, len(path) - 1, size, context, on_done)
+        self._post(arrival, tag, len(path) - 1, size, context, on_done)
 
-    def _post(self, arrival: int, hops: int, size: int,
+    def _post(self, arrival: int, tag: str, hops: int, size: int,
               context: ContextCounters | None,
               handler: Callable[[], None] | None) -> None:
         """Account `hops` messages of `size` bytes and schedule their landing."""
         self.total_messages += hops
         self.total_bytes += size * hops
+        traffic = self.traffic_by_tag.get(tag)
+        if traffic is None:
+            self.traffic_by_tag[tag] = [hops, size * hops]
+        else:
+            traffic[0] += hops
+            traffic[1] += size * hops
         if context is None:
             self.uncontexted_messages += hops
         else:

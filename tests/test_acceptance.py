@@ -19,8 +19,8 @@ from chainsim.overlay import KIND_CONTROLLER, SkipGraph
 from conftest import SAMPLE_CONFIG_TEXT
 
 DESK_SEED = 7
-DESK_SEED_7_CSV_SHA256 = "25db0b6322edb97a4cc250683a2cc6a1f10349552e53ec8c9f3294c6b805ea80"
-DESK_SEED_8_CSV_SHA256 = "4cced8c9c4f517b1dbc89fec955524b927d288b4aeabf2b29b1d7032e92f2021"
+DESK_SEED_7_CSV_SHA256 = "ffd1454e5788f4c76cea3431c02c8af88fae2db479485c7fe880444706f782e1"
+DESK_SEED_8_CSV_SHA256 = "b561bf239f3d9c63a4fdd35d3d54d7fffb330247f49ab55f62bc3c1a3974739e"
 
 
 def desk_cfg(malicious=0.16) -> SimulationConfig:

@@ -42,7 +42,9 @@ def test_happy_path_writes_csv(config_file, tmp_path, capsys):
     assert text.startswith("event_type,entity_id,owner,")
     printed = capsys.readouterr().out
     assert "simulation summary" in printed
-    for label in ("fork waste", "chain reorgs", "tx / block retries"):
+    for label in ("fork waste", "chain reorgs", "tx / block retries",
+                  "abandoned block rounds", "max per-node tracked", "traffic by tag",
+                  "    validate-request     : "):
         assert label in printed
 
 

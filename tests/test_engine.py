@@ -13,6 +13,15 @@ from chainsim.engine import (
     summarize,
     write_csv,
 )
+from chainsim.simnet import (
+    TAG_ANNOUNCE,
+    TAG_NOTIFY,
+    TAG_ROUTE,
+    TAG_VALIDATE_REPLY,
+    TAG_VALIDATE_REQUEST,
+    Network,
+)
+from chainsim.storage import DECISION_SILENT, Block
 from conftest import make_cfg
 
 
@@ -137,33 +146,47 @@ def test_report_fork_waste_and_counters():
     assert (report.reorgs, report.tx_retries, report.block_retries) == (2, 3, 4)
 
 
-def test_validation_timeout_leaves_silent_validators_unsigned():
-    # one 300 ms sample in 250 puts the p99 latency at 5 ms, so the 50 ms
-    # validation timeout fires while slow replies are still in flight
-    cfg = make_cfg(nodes=32, transactions_per_node=5, block_size_min=5,
-                   validators_per_entity=12, signature_threshold=10)
-    sim = Simulation(cfg, seed=4, latency_samples=[5.0] * 249 + [300.0])
-    report = sim.run()
-    assert report.finalized_tx_count == 160
-    counts = chain_tx_multiset(sim)
-    assert len(counts) == 160 and set(counts.values()) == {1}
-    sim.ledger.check_conservation()
-    # with no malicious nodes only a timeout leaves a validator without a reply
-    assert any(r.approvals < r.validators_contacted
-               for r in sim.records if r.event_type == "tx")
-
-
-def record_timeouts(monkeypatch) -> list[bool]:
-    """Record, for each round timeout as it fires, whether its round was open."""
+def record_timeouts(monkeypatch) -> list[tuple[ValidationRound, bool]]:
+    """Record each round timeout as it fires: its round, and whether the
+    round was still open."""
     fired = []
     timeout = ValidationRound._timeout
 
     def recording(round_):
-        fired.append(not round_.done)
+        fired.append((round_, not round_.done))
         timeout(round_)
 
     monkeypatch.setattr(ValidationRound, "_timeout", recording)
     return fired
+
+
+def skewed_latency_run(malicious_fraction: float) -> Simulation:
+    # one 300 ms sample in 250 puts the p99 latency at 5 ms, so the 50 ms
+    # validation timeout fires while slow replies are still in flight; no
+    # reply lands exactly at a deadline
+    cfg = make_cfg(nodes=32, transactions_per_node=5, block_size_min=5,
+                   validators_per_entity=12, signature_threshold=10,
+                   malicious_fraction=malicious_fraction)
+    sim = Simulation(cfg, seed=4, latency_samples=[5.0] * 249 + [300.0])
+    sim.run()
+    return sim
+
+
+def test_validation_timeout_leaves_silent_validators_unsigned(monkeypatch):
+    # a round that reaches its threshold is decided at once, so only a round
+    # held short of it by malicious rejections is still open at its timeout
+    fired = record_timeouts(monkeypatch)
+    sim = skewed_latency_run(malicious_fraction=0.25)
+    assert len(sim.registry.finalized_txs) == 160
+    counts = chain_tx_multiset(sim)
+    assert len(counts) == 160 and set(counts.values()) == {1}
+    sim.ledger.check_conservation()
+    timed_out = [round_ for round_, was_open in fired if was_open]
+    assert timed_out
+    for round_ in timed_out:
+        silent = sum(1 for t in round_.tickets if t.decision == DECISION_SILENT)
+        assert silent > 0
+        assert round_.entity.signatures == len(round_.tickets) - silent
 
 
 @pytest.mark.parametrize("malicious_fraction", [0.0, 0.25])
@@ -177,13 +200,31 @@ def test_default_latency_schedules_no_round_timeout(monkeypatch, malicious_fract
     assert fired == [] and sim._heap == []
 
 
-def test_round_timeouts_fire_only_on_open_rounds(monkeypatch):
-    # the skewed latencies of the test above; no reply lands exactly at a deadline
+@pytest.mark.parametrize("malicious_fraction", [0.0, 0.25])
+def test_round_timeouts_fire_only_with_a_reply_out(monkeypatch, malicious_fraction):
+    # a timeout is scheduled only for a round with a reply still out when
+    # it fires.  The round may have ended early by then: decided at its
+    # threshold approval, or abandoned by its owner once the owner's chain
+    # tail reached the block's height.  An ended round's state is frozen,
+    # so it can be read after the run.
     fired = record_timeouts(monkeypatch)
-    cfg = make_cfg(nodes=32, transactions_per_node=5, block_size_min=5,
-                   validators_per_entity=12, signature_threshold=10)
-    Simulation(cfg, seed=4, latency_samples=[5.0] * 249 + [300.0]).run()
-    assert fired and all(fired)
+    sim = skewed_latency_run(malicious_fraction)
+    found = set()
+    for round_, was_open in fired:
+        assert round_.pending_replies > 0
+        if was_open:
+            found.add("open")
+        elif round_.approvals_missing == 0:
+            found.add("decided")
+        else:
+            block = round_.entity
+            assert isinstance(block, Block)
+            assert sim.nodes[block.owner].tracker.tail.height >= block.height
+            found.add("abandoned")
+    assert found
+    if malicious_fraction:
+        # rejections keep some rounds short of the threshold until the timeout
+        assert "open" in found
 
 
 def test_chain_indexes_match_the_chains_under_malice():
@@ -206,3 +247,33 @@ def test_chain_indexes_match_the_chains_under_malice():
                if sim.registry.finalized_txs[tx][0] == state.node_index}
         assert own
         assert set(tracker.chain_txs) == own
+
+
+def test_traffic_by_tag_sums_to_the_totals_and_matches_every_send(monkeypatch):
+    counted = Counter()   # (tag, "messages" or "bytes") as the callers send them
+    send, send_path = Network.send, Network.send_path
+
+    def counted_send(net, src, dst, tag, size, context, handler, payload=None):
+        counted[tag, "messages"] += 1
+        counted[tag, "bytes"] += size
+        send(net, src, dst, tag, size, context, handler, payload)
+
+    def counted_send_path(net, path, tag, size, context, on_done=None):
+        hops = max(0, len(path) - 1)
+        counted[tag, "messages"] += hops
+        counted[tag, "bytes"] += size * hops
+        send_path(net, path, tag, size, context, on_done)
+
+    monkeypatch.setattr(Network, "send", counted_send)
+    monkeypatch.setattr(Network, "send_path", counted_send_path)
+    sim = Simulation(make_cfg(nodes=16, transactions_per_node=10, block_size_min=5,
+                              malicious_fraction=0.25), seed=7)
+    report = sim.run()
+    assert sim.malicious_set
+    assert sum(report.messages_by_tag.values()) == report.total_messages
+    assert sum(report.bytes_by_tag.values()) == report.total_bytes
+    assert set(report.messages_by_tag) == set(report.bytes_by_tag) == {
+        TAG_ROUTE, TAG_ANNOUNCE, TAG_VALIDATE_REQUEST, TAG_VALIDATE_REPLY, TAG_NOTIFY}
+    for tag, messages in report.messages_by_tag.items():
+        assert messages == counted[tag, "messages"]
+        assert report.bytes_by_tag[tag] == counted[tag, "bytes"]

@@ -1,0 +1,150 @@
+"""When an owner stops waiting on a validation round.
+
+A round is decided at its threshold approval, and a block round is
+abandoned once the owner's chain tail reaches the block's height.
+"""
+from heapq import heappop
+
+from chainsim import controller
+from chainsim.consensus import EconomyLedger, apply_finalization_fees
+from chainsim.engine import Simulation, ValidationRound
+from chainsim.identity import hash_bytes
+from chainsim.overlay import KIND_CONTROLLER
+from chainsim.simnet import TAG_VALIDATE_REQUEST, ContextCounters, Network
+from chainsim.storage import (
+    DECISION_APPROVE,
+    DECISION_REJECT,
+    DECISION_SILENT,
+    BlockInfo,
+    new_transaction,
+)
+from conftest import make_cfg
+
+VALIDATORS, THRESHOLD = 12, 10
+
+
+def bare_simulation(seed=1, **overrides) -> Simulation:
+    """A simulation whose overlay knows every node and whose queue is empty."""
+    cfg = make_cfg(nodes=32, validators_per_entity=VALIDATORS,
+                   signature_threshold=THRESHOLD, **overrides)
+    sim = Simulation(cfg, seed=seed)
+    for i, identifier in enumerate(sim.identifiers):
+        sim.overlay.announce(identifier, i, KIND_CONTROLLER)
+    return sim
+
+
+def step(sim: Simulation) -> None:
+    """Run the next queued event."""
+    sim.now, _, fn = heappop(sim._heap)
+    fn()
+
+
+def run_round(sim: Simulation, tx) -> tuple[ValidationRound, list]:
+    """Start a round for `tx` and run until it is decided; also return the
+    ticket decisions of each result it reports."""
+    results = []
+    round_ = ValidationRound(sim, tx, ContextCounters(),
+                             on_result=lambda t: results.append([x.decision for x in t]))
+    round_.start()
+    while not results:
+        step(sim)
+    return round_, results
+
+
+def test_round_is_decided_at_the_threshold_approval(monkeypatch):
+    late = []   # replies that land after the round is decided
+    reply = ValidationRound._reply
+
+    def watched(round_, ticket, decision):
+        if round_.done:
+            late.append(ticket)
+        reply(round_, ticket, decision)
+
+    monkeypatch.setattr(ValidationRound, "_reply", watched)
+    sim = bare_simulation()
+    tx = new_transaction(0, 1, 1, sim.genesis.id, seq=0, created_at=0)
+    round_, results = run_round(sim, tx)
+    decided = results[0]
+    assert decided.count(DECISION_APPROVE) == THRESHOLD
+    assert decided.count(DECISION_SILENT) == VALIDATORS - THRESHOLD
+    # the rest of the replies land, and a timeout fires: nothing changes
+    while sim._heap:
+        step(sim)
+    round_._timeout()
+    assert late
+    assert all(t.decision == DECISION_SILENT for t in late)
+    assert results == [decided]
+    assert [t.decision for t in round_.tickets] == decided
+    # only the approvers that replied in time earn a validation fee
+    cfg = sim.cfg
+    ledger = EconomyLedger.create(cfg.nodes, cfg.initial_balance)
+    apply_finalization_fees(ledger, tx.owner, round_.tickets, cfg, is_block=False)
+    for ticket in round_.tickets:
+        routed = sum(cfg.routing_fee for t in round_.tickets if t.terminal == ticket.validator)
+        earned = ledger.balances[ticket.validator] - cfg.initial_balance - routed
+        assert earned == (cfg.validation_fee if ticket.decision == DECISION_APPROVE else 0)
+
+
+def test_round_short_of_the_threshold_waits_for_every_reply():
+    sim = bare_simulation()
+    # an amount other than 1 is invalid, so every honest validator rejects
+    tx = new_transaction(0, 1, 2, sim.genesis.id, seq=0, created_at=0)
+    round_, results = run_round(sim, tx)
+    assert results == [[DECISION_REJECT] * VALIDATORS]
+    assert round_.pending_replies == 0
+
+
+def test_owner_abandons_a_block_round_the_tail_has_passed(monkeypatch):
+    sim = bare_simulation(block_size_min=2)
+    owner = sim.nodes[0]
+    for seq in range(2):
+        tx = new_transaction(0, 1, 1, sim.genesis.id, seq=seq, created_at=0)
+        sim.registry.add_tx(tx.id, 0, seq, 0)
+        owner.add_finalized(tx.id, 0)
+
+    requests = []   # the round of every validate-request, in send order
+    send = Network.send
+
+    def watched_send(net, src, dst, tag, size, context, handler, payload=None):
+        if tag == TAG_VALIDATE_REQUEST:
+            requests.append(handler.func.__self__)
+        send(net, src, dst, tag, size, context, handler, payload)
+
+    results = []
+    on_block_result = controller.on_block_result
+
+    def watched_result(sim_, state, block, tickets, retries):
+        results.append(block)
+        on_block_result(sim_, state, block, tickets, retries)
+
+    monkeypatch.setattr(Network, "send", watched_send)
+    monkeypatch.setattr(controller, "on_block_result", watched_result)
+
+    owner.block_attempt_open = True
+    controller.start_block_attempt(sim, owner, drain=False)
+    first = owner.block_round
+    assert first.entity.height == 1
+    # run until some of the round's validators are found, not all
+    while not 0 < first.unresolved < VALIDATORS:
+        step(sim)
+    assert requests and not first.done
+
+    # another owner's block takes height 1 first, and its notify lands
+    rival = BlockInfo(hash_bytes(b"rival"), sim.genesis.id, 1, (), owner=1)
+    sim.registry.add_block(rival)
+    sent_before = len(requests)
+    controller.on_block_notify(sim, owner, rival)
+
+    assert first.done
+    retry = owner.block_round
+    assert retry is not first
+    assert (retry.entity.prev_block_id, retry.entity.height) == (rival.id, 2)
+    assert retry.entity.tx_ids == first.entity.tx_ids
+    assert (sim.abandoned_rounds, sim.block_retries) == (1, 1)
+    while sim._heap:
+        step(sim)
+    # no request after the notify, and no late reply reaches the owner
+    assert first not in requests[sent_before:]
+    assert first.entity not in results
+    assert results == [retry.entity]
+    assert owner.block_round is None and owner.tracker.tail.id == retry.entity.id

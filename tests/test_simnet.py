@@ -240,7 +240,8 @@ def test_bad_path_raises_before_any_accounting(hops, error):
 
     def state():
         return (net.total_messages, net.total_bytes, net.uncontexted_messages,
-                ctx.messages, ctx.bytes, len(clock._heap))
+                ctx.messages, ctx.bytes, len(clock._heap),
+                {tag: list(counts) for tag, counts in net.traffic_by_tag.items()})
 
     before = state()
     for context in (ctx, None):
@@ -265,10 +266,12 @@ def test_accounting_totals_split_by_context():
     c1 = ContextCounters()
     net.send(0, 1, "a", 5, c1, None)
     net.send(1, 2, "b", 7, None, None)
+    net.send_path([0, 1, 2], "a", 3, None)
     clock.run()
-    assert net.total_messages == 2
-    assert net.uncontexted_messages == 1
+    assert net.total_messages == 4
+    assert net.uncontexted_messages == 3
     assert c1.bytes == 5
+    assert net.traffic_by_tag == {"a": [3, 11], "b": [1, 7]}
     net.check_accounting()
 
 
