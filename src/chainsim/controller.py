@@ -3,13 +3,16 @@
 Handlers never block; every wait is a scheduled future event on the
 engine timeline.  A node pools only its own finalized transactions, so
 two nodes can never race the same transaction into different blocks.
-Validators approve only blocks taller than the current tail, so blocks
-contend only for the tail's height; the fork rule picks among the ones
-that finalize, and an owner whose block is turned away retries on the new
-tail.  An owner does not wait for a round whose block the tail has
-already reached: when a notify brings its own tail up to the height of
-the block under validation, every honest validator yet to vote would turn
-it away, so the owner abandons the round and retries at once.
+`BLK_SIZE` is a minimum: once the pool holds that many, the node's next
+block takes the whole pool, oldest first, so one won height carries the
+node's whole backlog.  Validators approve only blocks taller than the
+current tail, so blocks contend only for the tail's height; the fork rule
+picks among the ones that finalize, and an owner whose block is turned
+away retries on the new tail.  An owner does not wait for a round whose
+block the tail has already reached: when a notify brings its own tail up
+to the height of the block under validation, every honest validator yet
+to vote would turn it away, so the owner abandons the round and retries
+at once.
 """
 from __future__ import annotations
 
@@ -169,12 +172,11 @@ def maybe_schedule_block(sim, state: NodeState) -> None:
 
 
 def _take_for_block(sim, state: NodeState, drain: bool) -> list[Identifier] | None:
-    """Take the oldest pooled txs for a block, or None when the pool cannot
-    fill one; a drain block takes whatever is left."""
-    size = sim.cfg.block_size_min
-    if len(state.pool) < size and not (drain and state.pool):
+    """Take the whole pool, oldest first, for a block, or None when the pool
+    holds fewer than BLK_SIZE txs; a drain block takes any non-empty pool."""
+    if len(state.pool) < sim.cfg.block_size_min and not (drain and state.pool):
         return None
-    tx_ids = [tx_id for _, tx_id in pending_pool(state)[:size]]
+    tx_ids = [tx_id for _, tx_id in pending_pool(state)]
     state.take(tx_ids)
     return tx_ids
 

@@ -219,10 +219,11 @@ class ValidationRound:
 
     The round is decided at its `signature_threshold`-th approving reply,
     at its last reply, or at its timeout, whichever comes first, and then
-    hands its tickets to `on_result` once.  A ticket whose reply has not
-    landed by then stays silent: it has no signature and earns no
-    validation fee.  Setting `done` from outside abandons the round: it
-    then sends no more requests and reports nothing.
+    hands its tickets to `on_result` once.  A tx round is also decided, as
+    failed, at the rejection that leaves it unable to reach the threshold.
+    A ticket whose reply has not landed by then stays silent: it has no
+    signature and earns no validation fee.  Setting `done` from outside
+    abandons the round: it then sends no more requests and reports nothing.
     """
 
     def __init__(self, sim: "Simulation", entity: Entity, context: ContextCounters,
@@ -288,7 +289,12 @@ class ValidationRound:
         self.pending_replies -= 1
         if decision == DECISION_APPROVE:
             self.approvals_missing -= 1
-        if self.approvals_missing == 0 or self.pending_replies == 0:
+        # a tx round fails once the replies still out cannot make up the
+        # approvals it lacks; a block round waits for every reply, since
+        # failing it early only hastens futile block retries
+        if (self.approvals_missing == 0 or self.pending_replies == 0
+                or (self.approvals_missing > self.pending_replies
+                    and isinstance(self.entity, Transaction))):
             self._complete()
 
     def _timeout(self) -> None:

@@ -2,6 +2,8 @@
 import pytest
 
 from chainsim.config import SimulationConfig
+from chainsim.engine import Simulation
+from chainsim.overlay import KIND_CONTROLLER
 
 # Full sample configuration file, preserving the published whitespace
 # quirks (trailing space on the DELAY line, double spaces before two of
@@ -58,6 +60,22 @@ def make_cfg(**overrides) -> SimulationConfig:
     if "signature_threshold" not in overrides:
         values["signature_threshold"] = min(3, values["validators_per_entity"])
     return SimulationConfig(**values)
+
+
+# validators per entity and signature threshold of bare_simulation
+BARE_VALIDATORS, BARE_THRESHOLD = 12, 10
+
+
+def bare_simulation(seed=1, **overrides) -> Simulation:
+    """A 32-node simulation (BARE_VALIDATORS validators, BARE_THRESHOLD
+    threshold) whose overlay knows every node and whose queue is empty."""
+    values = dict(nodes=32, validators_per_entity=BARE_VALIDATORS,
+                  signature_threshold=BARE_THRESHOLD)
+    values.update(overrides)
+    sim = Simulation(make_cfg(**values), seed=seed)
+    for i, identifier in enumerate(sim.identifiers):
+        sim.overlay.announce(identifier, i, KIND_CONTROLLER)
+    return sim
 
 
 @pytest.fixture

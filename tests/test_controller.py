@@ -3,11 +3,12 @@ import random
 
 import pytest
 
+from chainsim import controller
 from chainsim.controller import NodeState, pending_pool
 from chainsim.engine import Simulation
-from chainsim.identity import Identifier, ZERO_ID
-from chainsim.storage import BlockInfo, ChainTracker
-from conftest import make_cfg
+from chainsim.identity import Identifier, ZERO_ID, hash_bytes
+from chainsim.storage import BlockInfo, ChainTracker, new_transaction
+from conftest import bare_simulation, make_cfg
 
 GENESIS = BlockInfo(ZERO_ID, ZERO_ID, 0, ())
 
@@ -41,6 +42,65 @@ def test_pool_excludes_chained_and_in_flight():
     assert [tx for _, tx in pending_pool(state)] == [c]
 
 
+def pool_txs(sim: Simulation, state: NodeState, count: int, first_seq=0) -> list:
+    """Finalize and pool `count` new txs of `state`, finalized in an order
+    other than their seqs; returns their ids, oldest first."""
+    finalized = []
+    for seq in range(first_seq, first_seq + count):
+        tx = new_transaction(state.node_index, 1, 1, sim.genesis.id, seq, created_at=0)
+        finalized_at = 1000 * first_seq + (7 * seq) % count
+        sim.registry.add_tx(tx.id, state.node_index, seq, finalized_at)
+        state.add_finalized(tx.id, finalized_at)
+        finalized.append((finalized_at, tx.id))
+    return [tx_id for _, tx_id in sorted(finalized)]
+
+
+def test_block_takes_the_whole_pool_once_it_reaches_blk_size():
+    sim = bare_simulation(block_size_min=10)
+    owner = sim.nodes[0]
+    oldest_first = pool_txs(sim, owner, 13)
+    controller.maybe_schedule_block(sim, owner)
+    assert owner.block_attempt_open and sim._heap
+    controller.start_block_attempt(sim, owner, drain=False)
+    block = owner.block_round.entity
+    assert block.tx_ids == oldest_first
+    assert not block.drain
+    assert not owner.pool and owner.in_flight_txs == set(oldest_first)
+
+
+def test_pool_below_blk_size_gives_no_block():
+    sim = bare_simulation(block_size_min=10)
+    owner = sim.nodes[0]
+    pool_txs(sim, owner, 9)
+    controller.maybe_schedule_block(sim, owner)
+    assert not owner.block_attempt_open and not sim._heap
+    # an attempt started anyway takes nothing and closes
+    owner.block_attempt_open = True
+    controller.start_block_attempt(sim, owner, drain=False)
+    assert owner.block_round is None and not owner.block_attempt_open
+    assert len(owner.pool) == 9 and not owner.in_flight_txs
+
+
+def test_retry_after_an_abandoned_round_takes_the_txs_pooled_since():
+    sim = bare_simulation(block_size_min=10)
+    owner = sim.nodes[0]
+    first_ten = pool_txs(sim, owner, 10)
+    owner.block_attempt_open = True
+    controller.start_block_attempt(sim, owner, drain=False)
+    first = owner.block_round
+    assert first.entity.tx_ids == first_ten
+    pooled_since = pool_txs(sim, owner, 3, first_seq=10)
+    # another owner's block takes height 1 first, and its notify lands
+    rival = BlockInfo(hash_bytes(b"rival"), sim.genesis.id, 1, (), owner=1)
+    sim.registry.add_block(rival)
+    controller.on_block_notify(sim, owner, rival)
+    assert first.done
+    retry = owner.block_round.entity
+    assert (retry.prev_block_id, retry.height) == (rival.id, 2)
+    assert retry.tx_ids == first_ten + pooled_since
+    assert not owner.pool
+
+
 def oracle_pool(state: NodeState) -> list:
     """The pool built from scratch: own finalized, minus chained, minus in flight."""
     return sorted(
@@ -51,10 +111,11 @@ def oracle_pool(state: NodeState) -> list:
 
 # configs where a reorg still cuts an own block while one of its txs sits
 # in a newer attempt, which validators that approve only blocks taller
-# than the tail, and owners that abandon rounds the tail has passed, make rare
+# than the tail, owners that abandon rounds the tail has passed, and
+# blocks that take the whole pool make rare
 @pytest.mark.parametrize("overrides, seed", [
     (dict(nodes=5, transactions_per_node=7, block_size_min=3), 1),
-    (dict(nodes=7, transactions_per_node=5, block_size_min=2, malicious_fraction=0.25), 3),
+    (dict(nodes=10, transactions_per_node=6, block_size_min=2, malicious_fraction=0.2), 3),
 ])
 def test_pool_matches_from_scratch_oracle_after_every_event(monkeypatch, overrides, seed):
     schedule_at = Simulation.schedule_at

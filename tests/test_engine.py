@@ -21,7 +21,7 @@ from chainsim.simnet import (
     TAG_VALIDATE_REQUEST,
     Network,
 )
-from chainsim.storage import DECISION_SILENT, Block
+from chainsim.storage import DECISION_SILENT, Block, Transaction
 from conftest import make_cfg
 
 
@@ -204,7 +204,8 @@ def test_default_latency_schedules_no_round_timeout(monkeypatch, malicious_fract
 def test_round_timeouts_fire_only_with_a_reply_out(monkeypatch, malicious_fraction):
     # a timeout is scheduled only for a round with a reply still out when
     # it fires.  The round may have ended early by then: decided at its
-    # threshold approval, or abandoned by its owner once the owner's chain
+    # threshold approval or, for a tx, at the rejection that leaves it short
+    # of the threshold, or abandoned by its owner once the owner's chain
     # tail reached the block's height.  An ended round's state is frozen,
     # so it can be read after the run.
     fired = record_timeouts(monkeypatch)
@@ -214,7 +215,9 @@ def test_round_timeouts_fire_only_with_a_reply_out(monkeypatch, malicious_fracti
         assert round_.pending_replies > 0
         if was_open:
             found.add("open")
-        elif round_.approvals_missing == 0:
+        elif round_.approvals_missing == 0 or (
+                isinstance(round_.entity, Transaction)
+                and round_.approvals_missing > round_.pending_replies):
             found.add("decided")
         else:
             block = round_.entity

@@ -6,14 +6,14 @@ import hashlib
 
 import pytest
 
-from chainsim.engine import Simulation, run_simulation
+from chainsim.engine import Simulation, ValidationRound, run_simulation
 from conftest import make_cfg
 
 GOLDEN = [
-    ({}, 7, "352e17dde99820267a8dfe508f8588f8b46b8f9a45aebbbbe00b6234885bfa9c"),
-    ({}, 8, "a65c2c3a467cb6b6d36043f2c85d989774906caedbb2cf0832e50ec6d4594d03"),
+    ({}, 7, "2b9129787e92f656403a5a97c564dde5a907e583c6cd114af79ea1c7be400656"),
+    ({}, 8, "2c60e3b17073f57c3064208242acf89c94294f6dd9af52934b3323ef6a129649"),
     ({"malicious_fraction": 0.25}, 7,
-     "c0af18673b3bd00b2cc22d56e394fec2743f128aa24ae98f9f2cfea01001a0fd"),
+     "4a37b66fbb536448d540e7f397d37d8d06af62e09f8a202855ceaffeba9e9352"),
 ]
 
 
@@ -30,25 +30,36 @@ def test_golden_run_ends_at_a_pinned_event_and_time():
     # every message is one event, whether or not a handler waits for it
     sim = Simulation(make_cfg(nodes=16, transactions_per_node=10, block_size_min=5), seed=7)
     sim.run()
-    assert (sim.events_processed, sim.now) == (6233, 19726)
+    assert (sim.events_processed, sim.now) == (4925, 20730)
 
 
-def test_csv_digest_is_pinned_when_timeouts_fire():
+def test_csv_digest_is_pinned_when_timeouts_fire(monkeypatch):
     # one 300 ms sample in 250 makes the validation timeout (10 x p99 = 50 ms)
-    # shorter than the slowest round trips; with honest validators each
-    # timeout that fires finds its round already decided at the threshold
+    # shorter than the slowest round trips, and malicious rejections hold
+    # some rounds short of the threshold until their timeout ends them
+    ended_by_timeout = []
+    timeout = ValidationRound._timeout
+
+    def watched(round_):
+        if not round_.done:
+            ended_by_timeout.append(round_)
+        timeout(round_)
+
+    monkeypatch.setattr(ValidationRound, "_timeout", watched)
     cfg = make_cfg(nodes=32, transactions_per_node=5, block_size_min=5,
-                   validators_per_entity=12, signature_threshold=10)
+                   validators_per_entity=12, signature_threshold=10,
+                   malicious_fraction=0.25)
     csv_text, _ = run_simulation(cfg, seed=4, latency_samples=[5.0] * 249 + [300.0])
+    assert ended_by_timeout
     assert hashlib.sha256(csv_text.encode()).hexdigest() == (
-        "61e080549ece47dec03e935282fce2af5036545f8b477a5b5c505232be66da38")
+        "ef1e51dc025d25b250789ca162ed56210b35df47d32e44664539978e51bcce1f")
 
 
 @pytest.mark.parametrize("overrides, counters", [
     # finalized blocks, chain blocks, reorgs, tx retries, block retries,
     # abandoned block rounds, most blocks in one node's tracker
-    ({}, (59, 32, 18, 0, 170, 198, 60)),
-    ({"malicious_fraction": 0.25}, (49, 32, 14, 78, 175, 198, 50)),
+    ({}, (37, 29, 8, 0, 96, 115, 38)),
+    ({"malicious_fraction": 0.25}, (41, 29, 11, 84, 104, 111, 42)),
 ], ids=["seed7", "malicious-seed7"])
 def test_report_counters_are_pinned(overrides, counters):
     cfg = make_cfg(nodes=16, transactions_per_node=10, block_size_min=5, **overrides)

@@ -1,6 +1,7 @@
 """When an owner stops waiting on a validation round.
 
-A round is decided at its threshold approval, and a block round is
+A round is decided at its threshold approval, a tx round also at the
+rejection that leaves it short of the threshold, and a block round is
 abandoned once the owner's chain tail reaches the block's height.
 """
 from heapq import heappop
@@ -9,28 +10,16 @@ from chainsim import controller
 from chainsim.consensus import EconomyLedger, apply_finalization_fees
 from chainsim.engine import Simulation, ValidationRound
 from chainsim.identity import hash_bytes
-from chainsim.overlay import KIND_CONTROLLER
 from chainsim.simnet import TAG_VALIDATE_REQUEST, ContextCounters, Network
 from chainsim.storage import (
     DECISION_APPROVE,
     DECISION_REJECT,
     DECISION_SILENT,
     BlockInfo,
+    new_block,
     new_transaction,
 )
-from conftest import make_cfg
-
-VALIDATORS, THRESHOLD = 12, 10
-
-
-def bare_simulation(seed=1, **overrides) -> Simulation:
-    """A simulation whose overlay knows every node and whose queue is empty."""
-    cfg = make_cfg(nodes=32, validators_per_entity=VALIDATORS,
-                   signature_threshold=THRESHOLD, **overrides)
-    sim = Simulation(cfg, seed=seed)
-    for i, identifier in enumerate(sim.identifiers):
-        sim.overlay.announce(identifier, i, KIND_CONTROLLER)
-    return sim
+from conftest import BARE_THRESHOLD, BARE_VALIDATORS, bare_simulation
 
 
 def step(sim: Simulation) -> None:
@@ -65,8 +54,8 @@ def test_round_is_decided_at_the_threshold_approval(monkeypatch):
     tx = new_transaction(0, 1, 1, sim.genesis.id, seq=0, created_at=0)
     round_, results = run_round(sim, tx)
     decided = results[0]
-    assert decided.count(DECISION_APPROVE) == THRESHOLD
-    assert decided.count(DECISION_SILENT) == VALIDATORS - THRESHOLD
+    assert decided.count(DECISION_APPROVE) == BARE_THRESHOLD
+    assert decided.count(DECISION_SILENT) == BARE_VALIDATORS - BARE_THRESHOLD
     # the rest of the replies land, and a timeout fires: nothing changes
     while sim._heap:
         step(sim)
@@ -85,12 +74,49 @@ def test_round_is_decided_at_the_threshold_approval(monkeypatch):
         assert earned == (cfg.validation_fee if ticket.decision == DECISION_APPROVE else 0)
 
 
-def test_round_short_of_the_threshold_waits_for_every_reply():
+def watch_requests(monkeypatch) -> list:
+    """Record the round of every validate-request, in send order."""
+    requests = []
+    send = Network.send
+
+    def watched_send(net, src, dst, tag, size, context, handler, payload=None):
+        if tag == TAG_VALIDATE_REQUEST:
+            requests.append(handler.func.__self__)
+        send(net, src, dst, tag, size, context, handler, payload)
+
+    monkeypatch.setattr(Network, "send", watched_send)
+    return requests
+
+
+def test_failed_tx_round_is_decided_at_the_rejection_that_dooms_it(monkeypatch):
+    requests = watch_requests(monkeypatch)
     sim = bare_simulation()
     # an amount other than 1 is invalid, so every honest validator rejects
     tx = new_transaction(0, 1, 2, sim.genesis.id, seq=0, created_at=0)
     round_, results = run_round(sim, tx)
-    assert results == [[DECISION_REJECT] * VALIDATORS]
+    # 12 validators and a threshold of 10: the third rejection decides it
+    rejections = BARE_VALIDATORS - BARE_THRESHOLD + 1
+    decided = results[0]
+    assert decided.count(DECISION_REJECT) == rejections
+    assert decided.count(DECISION_SILENT) == BARE_VALIDATORS - rejections
+    # some validators are found only after the decision, and get no request
+    found_after = round_.unresolved
+    assert found_after > 0
+    sent_before = len(requests)
+    while sim._heap:
+        step(sim)
+    round_._timeout()
+    assert requests.count(round_) == sent_before == BARE_VALIDATORS - found_after
+    assert results == [decided]
+
+
+def test_block_round_short_of_the_threshold_waits_for_every_reply():
+    sim = bare_simulation()
+    # a block two above its parent is invalid, so every honest validator rejects
+    tx_ids = [hash_bytes(b"tx", bytes([i])) for i in range(sim.cfg.block_size_min)]
+    block = new_block(0, sim.genesis.id, 2, tx_ids, created_at=0)
+    round_, results = run_round(sim, block)
+    assert results == [[DECISION_REJECT] * BARE_VALIDATORS]
     assert round_.pending_replies == 0
 
 
@@ -102,14 +128,7 @@ def test_owner_abandons_a_block_round_the_tail_has_passed(monkeypatch):
         sim.registry.add_tx(tx.id, 0, seq, 0)
         owner.add_finalized(tx.id, 0)
 
-    requests = []   # the round of every validate-request, in send order
-    send = Network.send
-
-    def watched_send(net, src, dst, tag, size, context, handler, payload=None):
-        if tag == TAG_VALIDATE_REQUEST:
-            requests.append(handler.func.__self__)
-        send(net, src, dst, tag, size, context, handler, payload)
-
+    requests = watch_requests(monkeypatch)
     results = []
     on_block_result = controller.on_block_result
 
@@ -117,7 +136,6 @@ def test_owner_abandons_a_block_round_the_tail_has_passed(monkeypatch):
         results.append(block)
         on_block_result(sim_, state, block, tickets, retries)
 
-    monkeypatch.setattr(Network, "send", watched_send)
     monkeypatch.setattr(controller, "on_block_result", watched_result)
 
     owner.block_attempt_open = True
@@ -125,7 +143,7 @@ def test_owner_abandons_a_block_round_the_tail_has_passed(monkeypatch):
     first = owner.block_round
     assert first.entity.height == 1
     # run until some of the round's validators are found, not all
-    while not 0 < first.unresolved < VALIDATORS:
+    while not 0 < first.unresolved < BARE_VALIDATORS:
         step(sim)
     assert requests and not first.done
 
