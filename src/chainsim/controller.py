@@ -12,7 +12,8 @@ away retries on the new tail.  An owner does not wait for a round whose
 block the tail has already reached: when a notify brings its own tail up
 to the height of the block under validation, every honest validator yet
 to vote would turn it away, so the owner abandons the round and retries
-at once.
+at once.  An attempt's only record is its current try's validation round;
+`start_block_attempt` builds every try, the first and each retry.
 """
 from __future__ import annotations
 
@@ -62,9 +63,8 @@ class NodeState:
     pool: dict[Identifier, int] = field(default_factory=dict)
     block_attempt_open: bool = False
     block_ctx_counter: int = 0
-    # counters of the block attempt under validation, None between attempts
-    block_context: ContextCounters | None = None
-    # the attempt's validation round while it runs
+    # the open attempt's record: its current try's round, whose counters
+    # span all of its tries; None between attempts and during the backoff
     block_round: ValidationRound | None = None
 
     def __post_init__(self):
@@ -181,57 +181,54 @@ def _take_for_block(sim, state: NodeState, drain: bool) -> list[Identifier] | No
     return tx_ids
 
 
-def start_block_attempt(sim, state: NodeState, drain: bool) -> None:
+def start_block_attempt(sim, state: NodeState, drain: bool,
+                        failed: Block | None = None) -> None:
+    """Build and validate a try of the node's open attempt from its pool:
+    the first, or an honest rebuild of `failed` on the current tail.
+    Closes the attempt if the pool gives no block."""
     tx_ids = _take_for_block(sim, state, drain)
     if tx_ids is None:
-        state.block_attempt_open = False
+        _close_block_attempt(sim, state)
         return
-    drain_flag = drain and len(tx_ids) < sim.cfg.block_size_min
-    state.block_ctx_counter += 1
-    state.block_context = ContextCounters()
-    prev = state.tracker.tail.id
-    height = state.tracker.tail.height + 1
-    if state.malicious and state.rng_corrupt.random() < CORRUPTION_PROBABILITY:
-        prev = _bogus_block_id(state, state.block_ctx_counter, attempt=0)
-    block = new_block(state.node_index, prev, height, tx_ids,
-                      created_at=sim.now, drain=drain_flag)
-    sim.begin_block_validation(state, block, retries=0)
+    tail = state.tracker.tail
+    prev = tail.id
+    if failed is None:
+        state.block_ctx_counter += 1
+        if state.malicious and state.rng_corrupt.random() < CORRUPTION_PROBABILITY:
+            prev = _bogus_block_id(state, state.block_ctx_counter, attempt=0)
+        created_at, attempt = sim.now, 0
+    else:
+        created_at, attempt = failed.created_at, failed.attempt + 1
+    block = new_block(state.node_index, prev, tail.height + 1, tx_ids,
+                      created_at=created_at, attempt=attempt,
+                      drain=drain and len(tx_ids) < sim.cfg.block_size_min)
+    # a block's attempt number is its retry count
+    sim.begin_block_validation(state, block, retries=attempt)
 
 
-def on_block_result(sim, state: NodeState, block: Block, tickets, retries: int) -> None:
-    state.block_round = None
+def on_block_result(sim, state: NodeState, block: Block, tickets) -> None:
     block.signatures = signatures_of(tickets)
     if approvals_of(tickets) >= sim.cfg.signature_threshold:
         state.tracker.add(sim.finalize_block(state, block, tickets))
         state.release(block.tx_ids)
         _close_block_attempt(sim, state)
         return
-    _retry_block(sim, state, block, retries)
+    _retry_block(sim, state, block)
 
 
-def _retry_block(sim, state: NodeState, block: Block, retries: int) -> None:
-    """End a try that put `block` nowhere: rebuild on the current tail, or
-    close the attempt after MAX_BLOCK_RETRIES retries."""
+def _retry_block(sim, state: NodeState, block: Block) -> None:
+    """End a try that put `block` nowhere: rebuild it on the current tail,
+    or close the attempt after MAX_BLOCK_RETRIES retries."""
     state.release(block.tx_ids)
-    if retries >= MAX_BLOCK_RETRIES:
+    if block.attempt >= MAX_BLOCK_RETRIES:
         _close_block_attempt(sim, state)
         return
-    # refresh the tail and re-assemble honestly from the current pool
-    tx_ids = _take_for_block(sim, state, block.drain)
-    if tx_ids is None:
-        _close_block_attempt(sim, state)
-        return
-    drain_flag = block.drain and len(tx_ids) < sim.cfg.block_size_min
-    rebuilt = new_block(state.node_index, state.tracker.tail.id,
-                        state.tracker.tail.height + 1, tx_ids,
-                        created_at=block.created_at, attempt=block.attempt + 1,
-                        drain=drain_flag)
-    sim.begin_block_validation(state, rebuilt, retries=retries + 1)
+    start_block_attempt(sim, state, block.drain, failed=block)
 
 
 def _close_block_attempt(sim, state: NodeState) -> None:
     state.block_attempt_open = False
-    state.block_context = None
+    state.block_round = None
     maybe_schedule_block(sim, state)
 
 
@@ -242,9 +239,7 @@ def on_block_notify(sim, state: NodeState, info: BlockInfo) -> None:
         # the registry tail is at least as tall, so every honest validator
         # yet to vote rejects the block: stop waiting for the round
         round_.done = True
-        state.block_round = None
         sim.abandoned_rounds += 1
-        # a block's attempt number is its retry count
-        _retry_block(sim, state, round_.entity, round_.entity.attempt)
+        _retry_block(sim, state, round_.entity)
     maybe_schedule_block(sim, state)
     sim.poke_drain()

@@ -7,7 +7,7 @@ run, down to the output CSV bytes.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush, heappushpop
 from typing import Callable
@@ -82,30 +82,30 @@ class MetricRecord:
 
 @dataclass(frozen=True)
 class SimulationReport:
-    avg_tx_time_ms: float
-    avg_block_time_ms: float
-    avg_block_size: float
-    finalized_tx_count: int
-    finalized_block_count: int
-    chain_block_count: int
-    total_messages: int
-    total_bytes: int
-    total_minted: int
-    negative_balance_events: int
-    per_node_stored: list[int]
-    wall_clock_s: float
+    avg_tx_time_ms: float = 0.0
+    avg_block_time_ms: float = 0.0
+    avg_block_size: float = 0.0
+    finalized_tx_count: int = 0
+    finalized_block_count: int = 0
+    chain_block_count: int = 0
+    total_messages: int = 0
+    total_bytes: int = 0
+    total_minted: int = 0
+    negative_balance_events: int = 0
+    per_node_stored: list[int] = field(default_factory=list)
+    wall_clock_s: float = 0.0
     # finalized blocks that are not on the chain, as a share of all finalized blocks
-    fork_waste: float
-    reorgs: int          # tail moves of the registry chain that cut blocks
-    tx_retries: int
-    block_retries: int
+    fork_waste: float = 0.0
+    reorgs: int = 0      # tail moves of the registry chain that cut blocks
+    tx_retries: int = 0
+    block_retries: int = 0
     # block rounds the owner gave up once its chain tail reached their height
-    abandoned_rounds: int
+    abandoned_rounds: int = 0
     # the most blocks any one node's chain tracker holds
-    max_node_tracked_blocks: int
+    max_node_tracked_blocks: int = 0
     # messages and bytes sent, by message tag
-    messages_by_tag: dict[str, int]
-    bytes_by_tag: dict[str, int]
+    messages_by_tag: dict[str, int] = field(default_factory=dict)
+    bytes_by_tag: dict[str, int] = field(default_factory=dict)
 
 
 def write_csv(records: list[MetricRecord]) -> str:
@@ -128,44 +128,24 @@ def write_csv(records: list[MetricRecord]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def summarize(records: list[MetricRecord], *, total_messages: int = 0,
-              total_bytes: int = 0, total_minted: int = 0,
-              negative_balance_events: int = 0,
-              chain_block_count: int = 0,
-              per_node_stored: list[int] | None = None,
-              wall_clock_s: float = 0.0,
-              reorgs: int = 0, tx_retries: int = 0,
-              block_retries: int = 0, abandoned_rounds: int = 0,
-              max_node_tracked_blocks: int = 0,
-              messages_by_tag: dict[str, int] | None = None,
-              bytes_by_tag: dict[str, int] | None = None) -> SimulationReport:
+def summarize(records: list[MetricRecord], **counts) -> SimulationReport:
+    """The report of `records`, with the run-wide `counts` passed through
+    as the report fields they name."""
     tx_rows = [r for r in records if r.event_type == "tx"]
     block_rows = [r for r in records if r.event_type == "block"]
 
     def mean(values):
         return sum(values) / len(values) if values else 0.0
 
+    chain_block_count = counts.get("chain_block_count", 0)
     return SimulationReport(
         avg_tx_time_ms=mean([r.finalized_at - r.created_at for r in tx_rows]),
         avg_block_time_ms=mean([r.finalized_at - r.created_at for r in block_rows]),
         avg_block_size=mean([r.size for r in block_rows]),
         finalized_tx_count=len(tx_rows),
         finalized_block_count=len(block_rows),
-        chain_block_count=chain_block_count,
         fork_waste=(1 - chain_block_count / len(block_rows)) if block_rows else 0.0,
-        total_messages=total_messages,
-        total_bytes=total_bytes,
-        total_minted=total_minted,
-        negative_balance_events=negative_balance_events,
-        per_node_stored=per_node_stored or [],
-        wall_clock_s=wall_clock_s,
-        reorgs=reorgs,
-        tx_retries=tx_retries,
-        block_retries=block_retries,
-        abandoned_rounds=abandoned_rounds,
-        max_node_tracked_blocks=max_node_tracked_blocks,
-        messages_by_tag=messages_by_tag or {},
-        bytes_by_tag=bytes_by_tag or {},
+        **counts,
     )
 
 
@@ -180,12 +160,12 @@ class Registry:
 
     def __init__(self, genesis: BlockInfo):
         self.tracker = ChainTracker(genesis)
-        self.finalized_txs: dict[Identifier, tuple[int, int, int]] = {}
+        self.finalized_txs: set[Identifier] = set()
         self._finalized_seqs: set[tuple[int, int]] = set()
         self.drain_mode = False
 
-    def add_tx(self, tx_id: Identifier, owner: int, seq: int, now: int) -> None:
-        self.finalized_txs[tx_id] = (owner, seq, now)
+    def add_tx(self, tx_id: Identifier, owner: int, seq: int) -> None:
+        self.finalized_txs.add(tx_id)
         self._finalized_seqs.add((owner, seq))
 
     def add_block(self, info: BlockInfo) -> None:
@@ -222,8 +202,10 @@ class ValidationRound:
     hands its tickets to `on_result` once.  A tx round is also decided, as
     failed, at the rejection that leaves it unable to reach the threshold.
     A ticket whose reply has not landed by then stays silent: it has no
-    signature and earns no validation fee.  Setting `done` from outside
-    abandons the round: it then sends no more requests and reports nothing.
+    signature and earns no validation fee.  `done` marks a decided round;
+    setting it from outside abandons the round: it then sends no more
+    requests and reports nothing.  A block round outlives its decision as
+    its attempt's record until the next try replaces it or the attempt ends.
     """
 
     def __init__(self, sim: "Simulation", entity: Entity, context: ContextCounters,
@@ -412,15 +394,20 @@ class Simulation:
                                retries: int) -> None:
         """Validate one try of the node's open block attempt.
 
-        The round is kept in `state.block_round` until it ends, so that the
-        owner can abandon it when its chain tail passes the block.
+        The round is the attempt's only record, kept in `state.block_round`
+        until the next try or the attempt's end: the owner abandons it when
+        its chain tail passes the block, and finalization reads its counters,
+        fresh on a first try and taken over from the predecessor on a retry.
         """
         if retries:
             self.block_retries += 1
+            context = state.block_round.context
+        else:
+            context = ContextCounters()
         state.block_round = ValidationRound(
-            self, block, state.block_context,
+            self, block, context,
             on_result=lambda tickets: controller.on_block_result(
-                self, state, block, tickets, retries),
+                self, state, block, tickets),
         )
         state.block_round.start()
 
@@ -475,7 +462,7 @@ class Simulation:
         self._note_progress()
         apply_finalization_fees(self.ledger, tx.owner, tickets, self.cfg,
                                 is_block=False)
-        self.registry.add_tx(tx.id, tx.owner, tx.seq, self.now)
+        self.registry.add_tx(tx.id, tx.owner, tx.seq)
         self._announce_and_replicate(state, tx, context)
         self._record(tx, context, tickets)
 
@@ -483,7 +470,7 @@ class Simulation:
                        tickets: list[ValidationTicket]) -> BlockInfo:
         """Finalize the node's open block attempt; returns the block's one `BlockInfo`."""
         self._note_progress()
-        context = state.block_context
+        context = state.block_round.context
         apply_finalization_fees(self.ledger, block.owner, tickets, self.cfg,
                                 is_block=True)
         info = BlockInfo(block.id, block.prev_block_id, block.height,
@@ -527,8 +514,12 @@ class Simulation:
                 break
         # every tx slot is finalized by now, so only block attempts and
         # pools can still hold work
-        if any(s.block_context is not None or s.pool for s in self.nodes):
+        if self._blocks_pending():
             self._schedule_drain_tick(DRAIN_TICK_MS)
+
+    def _blocks_pending(self) -> bool:
+        """Some block round or pool still holds work."""
+        return any(s.block_round is not None or s.pool for s in self.nodes)
 
     def _all_txs_finalized(self) -> bool:
         # each tx slot finalizes once, so this is "all generated, none open"
@@ -541,7 +532,7 @@ class Simulation:
         # lands later: replication or notify traffic is still in flight
         if self.net.last_arrival > self.now:
             return False
-        if any(s.block_context is not None or s.pool for s in self.nodes):
+        if self._blocks_pending():
             return False
         chain_txs = self.registry.tracker.chain_txs
         return all(tx_id in chain_txs for tx_id in self.registry.finalized_txs)

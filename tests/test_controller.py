@@ -49,7 +49,7 @@ def pool_txs(sim: Simulation, state: NodeState, count: int, first_seq=0) -> list
     for seq in range(first_seq, first_seq + count):
         tx = new_transaction(state.node_index, 1, 1, sim.genesis.id, seq, created_at=0)
         finalized_at = 1000 * first_seq + (7 * seq) % count
-        sim.registry.add_tx(tx.id, state.node_index, seq, finalized_at)
+        sim.registry.add_tx(tx.id, state.node_index, seq)
         state.add_finalized(tx.id, finalized_at)
         finalized.append((finalized_at, tx.id))
     return [tx_id for _, tx_id in sorted(finalized)]
@@ -95,6 +95,8 @@ def test_retry_after_an_abandoned_round_takes_the_txs_pooled_since():
     sim.registry.add_block(rival)
     controller.on_block_notify(sim, owner, rival)
     assert first.done
+    # the attempt's counters span all of its tries
+    assert owner.block_round.context is first.context
     retry = owner.block_round.entity
     assert (retry.prev_block_id, retry.height) == (rival.id, 2)
     assert retry.tx_ids == first_ten + pooled_since
@@ -125,6 +127,11 @@ def test_pool_matches_from_scratch_oracle_after_every_event(monkeypatch, overrid
             fn()
             for state in sim.nodes:
                 assert pending_pool(state) == oracle_pool(state)
+                # the round is the open attempt's only record
+                round_ = state.block_round
+                assert round_ is None or (
+                    not round_.done and state.block_attempt_open
+                    and set(round_.entity.tx_ids) == state.in_flight_txs)
         schedule_at(sim, fire_time, checked)
 
     cut_in_flight = []

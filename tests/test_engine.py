@@ -246,8 +246,7 @@ def test_chain_indexes_match_the_chains_under_malice():
         while cur.id != sim.genesis.id:
             on_chain.update(cur.tx_ids)
             cur = tracker.blocks[cur.parent]
-        own = {tx for tx in on_chain
-               if sim.registry.finalized_txs[tx][0] == state.node_index}
+        own = {tx for tx in on_chain if tx in state.own_finalized}
         assert own
         assert set(tracker.chain_txs) == own
 

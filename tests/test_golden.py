@@ -69,3 +69,22 @@ def test_report_counters_are_pinned(overrides, counters):
             report.tx_retries, report.block_retries, report.abandoned_rounds,
             report.max_node_tracked_blocks) == counters
     assert report.fork_waste == pytest.approx((finalized - chain) / finalized)
+
+
+def test_drain_only_run_is_pinned():
+    # BLK_SIZE 100 over 3 tx per node: no pool ever reaches BLK_SIZE, so
+    # every try, first or retry, is a drain block built after the last tx
+    # finalizes, and malicious rejections and contended heights retry them
+    sim = Simulation(make_cfg(nodes=32, transactions_per_node=3, block_size_min=100,
+                              validators_per_entity=12, signature_threshold=10,
+                              malicious_fraction=0.16), seed=7)
+    report = sim.run()
+    assert hashlib.sha256(sim.csv_text().encode()).hexdigest() == (
+        "e0e74bac064149cce9ccea91b0c20fcc7fbb1c11315562d5784f52399b2c1ed5")
+    assert (sim.events_processed, sim.now) == (8286, 39855)
+    assert (report.finalized_block_count, report.chain_block_count, report.reorgs,
+            report.tx_retries, report.block_retries, report.abandoned_rounds,
+            report.max_node_tracked_blocks) == (33, 32, 1, 37, 26, 19, 34)
+    finalized = [info for info in sim.registry.tracker.blocks.values()
+                 if info.id != sim.genesis.id]
+    assert len(finalized) == 33 and all(info.drain for info in finalized)

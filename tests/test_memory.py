@@ -3,7 +3,7 @@ import gc
 
 import pytest
 
-from chainsim import controller
+from chainsim import controller, engine
 from chainsim.consensus import ValidationTicket
 from chainsim.engine import ROUTE_MSG_BYTES, MetricRecord, Simulation
 from chainsim.identity import ZERO_ID
@@ -57,7 +57,9 @@ def test_every_message_counted_once_against_an_operation_or_uncontexted(monkeypa
         made.append(ContextCounters())
         return made[-1]
 
+    # tx slots get their counters in the controller, block attempts in the engine
     monkeypatch.setattr(controller, "ContextCounters", recording_counters)
+    monkeypatch.setattr(engine, "ContextCounters", recording_counters)
     sim = Simulation(make_cfg(nodes=8, transactions_per_node=6, malicious_fraction=0.25),
                      seed=3)
     report = sim.run()

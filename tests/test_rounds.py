@@ -125,16 +125,16 @@ def test_owner_abandons_a_block_round_the_tail_has_passed(monkeypatch):
     owner = sim.nodes[0]
     for seq in range(2):
         tx = new_transaction(0, 1, 1, sim.genesis.id, seq=seq, created_at=0)
-        sim.registry.add_tx(tx.id, 0, seq, 0)
+        sim.registry.add_tx(tx.id, 0, seq)
         owner.add_finalized(tx.id, 0)
 
     requests = watch_requests(monkeypatch)
     results = []
     on_block_result = controller.on_block_result
 
-    def watched_result(sim_, state, block, tickets, retries):
+    def watched_result(sim_, state, block, tickets):
         results.append(block)
-        on_block_result(sim_, state, block, tickets, retries)
+        on_block_result(sim_, state, block, tickets)
 
     monkeypatch.setattr(controller, "on_block_result", watched_result)
 
@@ -156,6 +156,8 @@ def test_owner_abandons_a_block_round_the_tail_has_passed(monkeypatch):
     assert first.done
     retry = owner.block_round
     assert retry is not first
+    # the attempt's counters span all of its tries
+    assert retry.context is first.context
     assert (retry.entity.prev_block_id, retry.entity.height) == (rival.id, 2)
     assert retry.entity.tx_ids == first.entity.tx_ids
     assert (sim.abandoned_rounds, sim.block_retries) == (1, 1)
