@@ -128,7 +128,10 @@ def _validate_block(view, blk: Block, cfg: SimulationConfig) -> bool:
         return False
     if len(set(blk.tx_ids)) != len(blk.tx_ids):
         return False
-    if len(blk.tx_ids) < cfg.block_size_min and not (blk.drain and view.drain_allowed()):
+    # a drain block, of any size, may only sweep pools that are final
+    if blk.drain and not view.drain_allowed():
+        return False
+    if len(blk.tx_ids) < cfg.block_size_min and not blk.drain:
         return False
     if not all(view.tx_finalized(tx_id) for tx_id in blk.tx_ids):
         return False

@@ -1,19 +1,25 @@
 """Per-node behavior: transaction generation, pooling, and block assembly.
 
 Handlers never block; every wait is a scheduled future event on the
-engine timeline.  A node pools only its own finalized transactions, so
-two nodes can never race the same transaction into different blocks.
+engine timeline.  A node pools only its own finalized transactions.
 `BLK_SIZE` is a minimum: once the pool holds that many, the node's next
 block takes the whole pool, oldest first, so one won height carries the
-node's whole backlog.  Validators approve only blocks taller than the
-current tail, so blocks contend only for the tail's height; the fork rule
-picks among the ones that finalize, and an owner whose block is turned
-away retries on the new tail.  An owner does not wait for a round whose
-block the tail has already reached: when a notify brings its own tail up
-to the height of the block under validation, every honest validator yet
-to vote would turn it away, so the owner abandons the round and retries
-at once.  An attempt's only record is its current try's validation round;
-`start_block_attempt` builds every try, the first and each retry.
+node's whole backlog.  Once every transaction has finalized (drain mode)
+every pool is final, and a drain block sweeps every node's pool at once,
+so the leftovers cost one chain height rather than one per node.  Every
+part a block takes goes through its owner's `take`, so each swept tx is
+in flight at its owner until the owner learns where it went, and no
+owner's own attempt can take it: a drain block never races an owner's
+own attempt for the same transaction.  Validators approve only blocks
+taller than the current tail, so blocks contend only for the tail's
+height; the fork rule picks among the ones that finalize, and an owner
+whose block is turned away retries on the new tail.  An owner does not
+wait for a round whose block the tail has already reached: when a notify
+brings its own tail up to the height of the block under validation,
+every honest validator yet to vote would turn it away, so the owner
+abandons the round and retries at once.  An attempt's only record is its
+current try's validation round; `start_block_attempt` builds every try,
+the first and each retry.
 """
 from __future__ import annotations
 
@@ -81,6 +87,11 @@ class NodeState:
         self.in_flight_txs.update(tx_ids)
         for tx_id in tx_ids:
             del self.pool[tx_id]
+
+    def part_of(self, tx_ids) -> list[Identifier]:
+        """This node's part of a block: the txs of `tx_ids` in flight here."""
+        in_flight = self.in_flight_txs
+        return [tx_id for tx_id in tx_ids if tx_id in in_flight]
 
     def release(self, tx_ids) -> None:
         """End the attempt holding `tx_ids`; those not on the chain go back to the pool."""
@@ -172,20 +183,32 @@ def maybe_schedule_block(sim, state: NodeState) -> None:
 
 
 def _take_for_block(sim, state: NodeState, drain: bool) -> list[Identifier] | None:
-    """Take the whole pool, oldest first, for a block, or None when the pool
-    holds fewer than BLK_SIZE txs; a drain block takes any non-empty pool."""
-    if len(state.pool) < sim.cfg.block_size_min and not (drain and state.pool):
+    """Take the txs of a block, or None when there are none to take.
+
+    A node's own block takes its whole pool, oldest first, once the pool
+    holds BLK_SIZE txs.  A drain block takes every node's whole pool, in
+    node order, each part oldest first and through its owner's `take`.
+    """
+    if drain:
+        owners = sim.nodes
+    elif len(state.pool) >= sim.cfg.block_size_min:
+        owners = (state,)
+    else:
         return None
-    tx_ids = [tx_id for _, tx_id in pending_pool(state)]
-    state.take(tx_ids)
-    return tx_ids
+    tx_ids = []
+    for owner in owners:
+        if owner.pool:
+            part = [tx_id for _, tx_id in pending_pool(owner)]
+            owner.take(part)
+            tx_ids += part
+    return tx_ids or None
 
 
 def start_block_attempt(sim, state: NodeState, drain: bool,
                         failed: Block | None = None) -> None:
-    """Build and validate a try of the node's open attempt from its pool:
-    the first, or an honest rebuild of `failed` on the current tail.
-    Closes the attempt if the pool gives no block."""
+    """Build and validate a try of the node's open attempt: the first, or
+    an honest rebuild of `failed` on the current tail.  Closes the attempt
+    if the pools give no block."""
     tx_ids = _take_for_block(sim, state, drain)
     if tx_ids is None:
         _close_block_attempt(sim, state)
@@ -201,7 +224,7 @@ def start_block_attempt(sim, state: NodeState, drain: bool,
         created_at, attempt = failed.created_at, failed.attempt + 1
     block = new_block(state.node_index, prev, tail.height + 1, tx_ids,
                       created_at=created_at, attempt=attempt,
-                      drain=drain and len(tx_ids) < sim.cfg.block_size_min)
+                      drain=drain)
     # a block's attempt number is its retry count
     sim.begin_block_validation(state, block, retries=attempt)
 
@@ -210,16 +233,19 @@ def on_block_result(sim, state: NodeState, block: Block, tickets) -> None:
     block.signatures = signatures_of(tickets)
     if approvals_of(tickets) >= sim.cfg.signature_threshold:
         state.tracker.add(sim.finalize_block(state, block, tickets))
-        state.release(block.tx_ids)
+        # the other owners of a drain block end their parts at its notify
+        state.release(state.part_of(block.tx_ids))
         _close_block_attempt(sim, state)
         return
     _retry_block(sim, state, block)
 
 
 def _retry_block(sim, state: NodeState, block: Block) -> None:
-    """End a try that put `block` nowhere: rebuild it on the current tail,
-    or close the attempt after MAX_BLOCK_RETRIES retries."""
-    state.release(block.tx_ids)
+    """End a try that put `block` nowhere, handing each owner its part
+    back: rebuild it on the current tail, or close the attempt after
+    MAX_BLOCK_RETRIES retries."""
+    for owner in (sim.nodes if block.drain else (state,)):
+        owner.release(owner.part_of(block.tx_ids))
     if block.attempt >= MAX_BLOCK_RETRIES:
         _close_block_attempt(sim, state)
         return
@@ -234,6 +260,9 @@ def _close_block_attempt(sim, state: NodeState) -> None:
 
 def on_block_notify(sim, state: NodeState, info: BlockInfo) -> None:
     state.tracker.add(info)
+    if info.drain:
+        # the node now knows where its part of the drain block went
+        state.release(state.part_of(info.tx_ids))
     round_ = state.block_round
     if round_ is not None and state.tracker.tail.height >= round_.entity.height:
         # the registry tail is at least as tall, so every honest validator

@@ -501,17 +501,24 @@ class Simulation:
         self.schedule_in(delay, self._drain_tick)
 
     def poke_drain(self) -> None:
-        """Re-arm draining after a late chain update refills a pool."""
+        """Re-arm draining after a chain update may have refilled a pool: a
+        notify that hands a node back its part of a drain block that lost
+        its height, or a reorg that cuts a node's block."""
         if self.registry.drain_mode:
             self._schedule_drain_tick(0)
 
     def _drain_tick(self) -> None:
+        """Start a drain try at the first node with no open attempt, unless
+        one is open or every pool is empty; the builder need not hold a pool."""
         self._drain_tick_pending = False
-        for state in self.nodes:
-            if not state.block_attempt_open and state.pool:
-                state.block_attempt_open = True
-                controller.start_block_attempt(self, state, drain=True)
-                break
+        if (not any(s.block_round is not None and s.block_round.entity.drain
+                    for s in self.nodes)
+                and any(s.pool for s in self.nodes)):
+            for state in self.nodes:
+                if not state.block_attempt_open:
+                    state.block_attempt_open = True
+                    controller.start_block_attempt(self, state, drain=True)
+                    break
         # every tx slot is finalized by now, so only block attempts and
         # pools can still hold work
         if self._blocks_pending():

@@ -136,9 +136,11 @@ class ChainTracker:
     Tail = greatest height, ties broken by smaller numeric id.  `chain`
     holds the canonical blocks by height (genesis at 0), and `chain_txs`
     maps each transaction on it to the lowest height of a block holding
-    it.  A tracker with an `owner` indexes only that owner's blocks, which
-    is all a node's pool asks about, and tells its `listener` (the owner's
-    state) which of those txs enter and leave `chain_txs`.  A reorg walks
+    it.  A tracker with an `owner` indexes only that owner's txs, which is
+    all a node's pool asks about, and tells its `listener` (the owner's
+    state) which of them enter and leave `chain_txs`: every tx of the
+    owner's own blocks, and of a drain block, which holds every owner's
+    leftovers, the ones in the listener's `own_finalized`.  A reorg walks
     back only to the common ancestor of the old and the new tail, and
     `reorgs` counts the tail moves that cut blocks off the chain.  Every
     block's height is its parent's height plus one.
@@ -196,28 +198,34 @@ class ChainTracker:
             del self.chain[cur.height + 1:]
         chain_txs = self.chain_txs
         for info in cut:
-            if self._indexes(info):
-                removed = []
-                for tx_id in info.tx_ids:
-                    if chain_txs.get(tx_id) == info.height:
-                        del chain_txs[tx_id]
-                        removed.append(tx_id)
-                if self.listener is not None:
-                    self.listener.unchained(removed)
+            removed = []
+            for tx_id in self._indexed_txs(info):
+                if chain_txs.get(tx_id) == info.height:
+                    del chain_txs[tx_id]
+                    removed.append(tx_id)
+            if removed and self.listener is not None:
+                self.listener.unchained(removed)
         for info in reversed(branch):
             self.chain.append(info)
             self._index(info)
         self.tail = new_tail
 
-    def _indexes(self, info: BlockInfo) -> bool:
-        return self.owner is None or info.owner == self.owner
+    def _indexed_txs(self, info: BlockInfo):
+        """The txs of `info` this tracker indexes: all of them, or only its
+        owner's, which a drain block mixes with every other owner's."""
+        if self.owner is None:
+            return info.tx_ids
+        if info.drain:
+            own = self.listener.own_finalized
+            return [tx_id for tx_id in info.tx_ids if tx_id in own]
+        return info.tx_ids if info.owner == self.owner else ()
 
     def _index(self, info: BlockInfo) -> None:
-        if self._indexes(info):
-            for tx_id in info.tx_ids:
-                self.chain_txs.setdefault(tx_id, info.height)
-            if self.listener is not None:
-                self.listener.chained(info.tx_ids)
+        tx_ids = self._indexed_txs(info)
+        for tx_id in tx_ids:
+            self.chain_txs.setdefault(tx_id, info.height)
+        if tx_ids and self.listener is not None:
+            self.listener.chained(tx_ids)
 
     def ancestry_holds_any(self, block_id: Identifier, tx_ids) -> bool:
         """True when `block_id` or one of its ancestors holds a tx in `tx_ids`."""

@@ -19,8 +19,8 @@ from chainsim.overlay import KIND_CONTROLLER, SkipGraph
 from conftest import SAMPLE_CONFIG_TEXT
 
 DESK_SEED = 7
-DESK_SEED_7_CSV_SHA256 = "7e5ecfa84895cb269de7acf6a96b1e7b5bf3b1ffcbdcc9453756d16df175a4cc"
-DESK_SEED_8_CSV_SHA256 = "779b332844e62a1b79c0130ee3ae78faf7a0cebe717b7d126191d02b00303d37"
+DESK_SEED_7_CSV_SHA256 = "e54051249fe2ce72f9f1de535be4335bccb8eba5e5620dd6313eedd7239c774b"
+DESK_SEED_8_CSV_SHA256 = "b157590de602d004eb914d27c69262fc49b89404fb343fd3d4f44be0f1249060"
 
 
 def desk_cfg(malicious=0.16) -> SimulationConfig:

@@ -278,6 +278,23 @@ def test_drain_block_needs_drain_mode():
     assert validate_entity(view, short, cfg)
 
 
+def test_full_drain_block_needs_drain_mode():
+    # a drain block may sweep any number of txs, but only once pools are final
+    view = FakeView(GENESIS)
+    cfg = make_cfg(block_size_min=10)
+    txs = []
+    for owner in (1, 3):
+        for seq in range(6):
+            tx = new_transaction(owner, 2, 1, GENESIS.id, seq=seq, created_at=0)
+            view.finalized.add(tx.id)
+            txs.append(tx.id)
+    full = new_block(1, GENESIS.id, 1, txs, 0, drain=True)
+    assert len(full.tx_ids) >= cfg.block_size_min
+    assert not validate_entity(view, full, cfg)
+    view.drain = True
+    assert validate_entity(view, full, cfg)
+
+
 # -- economy --------------------------------------------------------------
 
 

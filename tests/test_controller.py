@@ -103,6 +103,29 @@ def test_retry_after_an_abandoned_round_takes_the_txs_pooled_since():
     assert not owner.pool
 
 
+def test_drain_try_sweeps_every_pool_and_no_second_one_starts_while_it_is_open():
+    sim = bare_simulation(block_size_min=10)
+    sim.registry.drain_mode = True
+    small = pool_txs(sim, sim.nodes[1], 3)
+    big = pool_txs(sim, sim.nodes[2], 12)   # BLK_SIZE or more, swept all the same
+    sim._drain_tick()
+    # the first node with no open attempt builds it, holding no pool itself
+    builder = sim.nodes[0]
+    first = builder.block_round.entity
+    assert first.drain and first.tx_ids == small + big
+    assert sim.nodes[1].in_flight_txs == set(small) and not sim.nodes[1].pool
+    assert sim.nodes[2].in_flight_txs == set(big) and not sim.nodes[2].pool
+    late = pool_txs(sim, sim.nodes[3], 2)
+    sim._drain_tick()
+    assert all(state.block_round is None for state in sim.nodes[1:])
+    # a rejected try hands every owner its part back, and the retry sweeps again
+    controller.on_block_result(sim, builder, first, tickets=[])
+    retry = builder.block_round.entity
+    assert retry.drain and retry.attempt == 1
+    assert retry.tx_ids == small + big + late
+    assert sim.nodes[3].in_flight_txs == set(late) and not sim.nodes[3].pool
+
+
 def oracle_pool(state: NodeState) -> list:
     """The pool built from scratch: own finalized, minus chained, minus in flight."""
     return sorted(
@@ -111,28 +134,66 @@ def oracle_pool(state: NodeState) -> list:
     )
 
 
+# a drain-heavy run: 3 txs per node never reach BLK_SIZE 5 before drain mode
+DRAIN_RETRY_CONFIG = dict(nodes=8, transactions_per_node=3, block_size_min=5,
+                          malicious_fraction=0.25)
+DRAIN_RETRY_SEED = 1
+
+
 # configs where a reorg still cuts an own block while one of its txs sits
 # in a newer attempt, which validators that approve only blocks taller
 # than the tail, owners that abandon rounds the tail has passed, and
-# blocks that take the whole pool make rare
+# blocks that take the whole pool make rare; the last one's drain block
+# holds several owners' txs, and a drain try before it fails
 @pytest.mark.parametrize("overrides, seed", [
     (dict(nodes=5, transactions_per_node=7, block_size_min=3), 1),
-    (dict(nodes=10, transactions_per_node=6, block_size_min=2, malicious_fraction=0.2), 3),
+    (dict(nodes=7, transactions_per_node=4, block_size_min=4, malicious_fraction=0.2), 3),
+    (DRAIN_RETRY_CONFIG, DRAIN_RETRY_SEED),
 ])
 def test_pool_matches_from_scratch_oracle_after_every_event(monkeypatch, overrides, seed):
     schedule_at = Simulation.schedule_at
+    # node -> txs of finalized drain blocks whose notify has not reached it
+    unnotified: dict[int, dict[Identifier, set]] = {}
 
     def checked_schedule_at(sim, fire_time, fn):
         def checked():
             fn()
+            rounds = [s.block_round for s in sim.nodes if s.block_round is not None]
+            drain_rounds = [r for r in rounds if r.entity.drain]
+            assert len(drain_rounds) <= 1
+            held = [tx_id for r in rounds for tx_id in r.entity.tx_ids]
+            assert len(held) == len(set(held))   # no tx in two open rounds
+            owner_of = {tx_id: s for s in sim.nodes for tx_id in s.own_finalized}
+            drain_held = {tx_id for r in drain_rounds for tx_id in r.entity.tx_ids}
+            assert all(tx_id in owner_of[tx_id].in_flight_txs for tx_id in drain_held)
             for state in sim.nodes:
                 assert pending_pool(state) == oracle_pool(state)
                 # the round is the open attempt's only record
                 round_ = state.block_round
-                assert round_ is None or (
-                    not round_.done and state.block_attempt_open
-                    and set(round_.entity.tx_ids) == state.in_flight_txs)
+                assert round_ is None or (not round_.done and state.block_attempt_open)
+                own_round = (set() if round_ is None or round_.entity.drain
+                             else set(round_.entity.tx_ids))
+                held_elsewhere = drain_held.union(
+                    *unnotified.get(state.node_index, {}).values())
+                assert own_round == state.in_flight_txs - held_elsewhere
         schedule_at(sim, fire_time, checked)
+
+    finalize_block = Simulation.finalize_block
+
+    def watched_finalize_block(sim, state, block, tickets):
+        info = finalize_block(sim, state, block, tickets)
+        if info.drain:
+            for other in sim.nodes:
+                if other is not state:
+                    unnotified.setdefault(other.node_index, {})[info.id] = {
+                        tx_id for tx_id in info.tx_ids if tx_id in other.own_finalized}
+        return info
+
+    on_block_notify = controller.on_block_notify
+
+    def watched_on_block_notify(sim, state, info):
+        unnotified.get(state.node_index, {}).pop(info.id, None)
+        on_block_notify(sim, state, info)
 
     cut_in_flight = []
     unchained = NodeState.unchained
@@ -141,15 +202,35 @@ def test_pool_matches_from_scratch_oracle_after_every_event(monkeypatch, overrid
         cut_in_flight.extend(tx_id for tx_id in tx_ids if tx_id in state.in_flight_txs)
         unchained(state, tx_ids)
 
+    failed_drain_tries = []
+    retry_block = controller._retry_block
+
+    def watched_retry_block(sim, state, block):
+        if block.drain:
+            failed_drain_tries.append(block)
+        retry_block(sim, state, block)
+
     monkeypatch.setattr(Simulation, "schedule_at", checked_schedule_at)
+    monkeypatch.setattr(Simulation, "finalize_block", watched_finalize_block)
+    monkeypatch.setattr(controller, "on_block_notify", watched_on_block_notify)
+    monkeypatch.setattr(controller, "_retry_block", watched_retry_block)
     monkeypatch.setattr(NodeState, "unchained", watched_unchained)
     sim = Simulation(make_cfg(**overrides), seed=seed)
     sim.run()
-    assert all(not state.pool for state in sim.nodes)
-    # the run covers undersized drain blocks and reorgs that cut an own
-    # block while one of its txs sits in a newer attempt
-    assert any(info.drain for info in sim.registry.tracker.blocks.values())
-    assert cut_in_flight
+    assert all(not state.pool and not state.in_flight_txs for state in sim.nodes)
+    assert not any(unnotified.values())
+    # the run covers drain blocks and reorgs that cut an own block while
+    # one of its txs sits in a newer attempt
+    drain_blocks = [info for info in sim.registry.tracker.blocks.values() if info.drain]
+    assert drain_blocks
+    if overrides is DRAIN_RETRY_CONFIG:
+        owner_of = {tx_id: s.node_index for s in sim.nodes for tx_id in s.own_finalized}
+        assert any(len({owner_of[tx_id] for tx_id in info.tx_ids}) > 1
+                   for info in drain_blocks)
+        # a drain try rejected or abandoned handed its parts back
+        assert failed_drain_tries
+    else:
+        assert cut_in_flight
     if overrides.get("malicious_fraction"):
         assert sim.malicious_set
 

@@ -1,13 +1,16 @@
 """End-to-end runs, metrics, and CSV output."""
 from collections import Counter
+from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chainsim.config import ValueOutOfRange
+from chainsim.config import ValueOutOfRange, malicious_count
 from chainsim.engine import (
     CSV_HEADER,
     MetricRecord,
     Simulation,
+    StalledSimulation,
     ValidationRound,
     run_simulation,
     summarize,
@@ -59,10 +62,52 @@ def test_drain_mode_flushes_small_pools():
     sim = Simulation(make_cfg(nodes=4, transactions_per_node=3, block_size_min=5), seed=4)
     report = sim.run()
     assert report.finalized_tx_count == 12
-    drain_blocks = [r for r in sim.records if r.event_type == "block" and r.size < 5]
-    assert drain_blocks
+    # the leftovers of several owners land in one drain block
+    owner_of = {tx_id: s.node_index for s in sim.nodes for tx_id in s.own_finalized}
+    tracker = sim.registry.tracker
+    drain_blocks = [tracker.blocks[b] for b in tracker.chain_ids() if tracker.blocks[b].drain]
+    assert any(len({owner_of[tx_id] for tx_id in info.tx_ids}) > 1 for info in drain_blocks)
     counts = chain_tx_multiset(sim)
     assert len(counts) == 12 and set(counts.values()) == {1}
+
+
+@st.composite
+def honest_majority_configs(draw):
+    """Small valid configs in which the honest validators of any entity
+    can reach SIG_THR on their own.
+
+    Left out, because of a known defect: a livelocked run takes up to
+    millions of events to end in StalledSimulation (the stall window is
+    STALL_TIMEOUTS validation timeouts), far past this test's budget with
+    the invariants checked after every event.  That covers MALICIOUS of
+    0.38 and more (0.24M-2.3M events to stall) and any config whose
+    malicious nodes outnumber VALID_THR - SIG_THR, such as 7 nodes with
+    VALID_THR = SIG_THR = 6 and one malicious node.  tests/test_cli.py
+    pins such a livelock.
+    """
+    nodes = draw(st.integers(3, 12))
+    base = make_cfg(nodes=nodes, transactions_per_node=draw(st.integers(1, 5)),
+                    block_size_min=draw(st.integers(1, 12)),
+                    malicious_fraction=draw(st.floats(0.0, 0.3)))
+    validators = draw(st.integers(malicious_count(base) + 1, nodes - 1))
+    threshold = draw(st.integers(1, validators - malicious_count(base)))
+    return replace(base, validators_per_entity=validators,
+                   signature_threshold=threshold).validate()
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(cfg=honest_majority_configs(), seed=st.integers(0, 2**16))
+def test_drain_leaves_every_finalized_tx_in_exactly_one_chain_block(cfg, seed):
+    sim = Simulation(cfg, seed=seed, check_invariants_every=1)
+    try:
+        report = sim.run()
+    except StalledSimulation:
+        return
+    assert report.finalized_tx_count == cfg.nodes * cfg.transactions_per_node
+    counts = chain_tx_multiset(sim)
+    assert set(counts) == sim.registry.finalized_txs
+    assert set(counts.values()) == {1}
+    assert all(not s.pool and not s.in_flight_txs for s in sim.nodes)
 
 
 def test_replica_holders_resolvable_through_overlay():
