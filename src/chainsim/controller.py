@@ -5,21 +5,23 @@ engine timeline.  A node pools only its own finalized transactions.
 `BLK_SIZE` is a minimum: once the pool holds that many, the node's next
 block takes the whole pool, oldest first, so one won height carries the
 node's whole backlog.  Once every transaction has finalized (drain mode)
-every pool is final, and a drain block sweeps every node's pool at once,
-so the leftovers cost one chain height rather than one per node.  Every
-part a block takes goes through its owner's `take`, so each swept tx is
-in flight at its owner until the owner learns where it went, and no
-owner's own attempt can take it: a drain block never races an owner's
-own attempt for the same transaction.  Validators approve only blocks
-taller than the current tail, so blocks contend only for the tail's
-height; the fork rule picks among the ones that finalize, and an owner
-whose block is turned away retries on the new tail.  An owner does not
-wait for a round whose block the tail has already reached: when a notify
-brings its own tail up to the height of the block under validation,
-every honest validator yet to vote would turn it away, so the owner
-abandons the round and retries at once.  An attempt's only record is its
-current try's validation round; `start_block_attempt` builds every try,
-the first and each retry.
+every pool is final, so any pool is due, and a drain block sweeps every
+node's pool at once: the leftovers cost one chain height rather than one
+per node.  Drain blocks go through the same scheduler as the rest, so
+the owner whose backoff ends first builds one, and no owner starts a
+drain try while another node's is open.  Every part a block takes goes
+through its owner's `take`, so each swept tx is in flight at its owner
+until the owner learns where it went, and no owner's own attempt can
+take it: a drain block never races an owner's own attempt for the same
+transaction.  Validators approve only blocks taller than the current
+tail, so blocks contend only for the tail's height; the fork rule picks
+among the ones that finalize, and an owner whose block is turned away
+retries on the new tail.  An owner does not wait for a round whose block
+the tail has already reached: when a notify brings its own tail up to
+the height of the block under validation, every honest validator yet to
+vote would turn it away, so the owner abandons the round and retries at
+once.  An attempt's only record is its current try's validation round;
+`start_block_attempt` builds every try, the first and each retry.
 """
 from __future__ import annotations
 
@@ -154,7 +156,8 @@ def on_tx_result(sim, state: NodeState, tx: Transaction, tickets,
     tx.signatures = signatures_of(tickets)
     if approvals_of(tickets) >= sim.cfg.signature_threshold:
         sim.finalize_transaction(state, tx, tickets, context)
-        on_own_tx_finalized(sim, state, tx)
+        state.add_finalized(tx.id, sim.now)
+        maybe_schedule_block(sim, state)
     else:
         # rebuild with honest fields against the current tail and retry
         retry = new_transaction(
@@ -164,22 +167,29 @@ def on_tx_result(sim, state: NodeState, tx: Transaction, tickets,
         sim.schedule_in(RETRY_DELAY_MS, lambda: sim.begin_tx_validation(state, retry, context))
 
 
-def on_own_tx_finalized(sim, state: NodeState, tx: Transaction) -> None:
-    state.add_finalized(tx.id, sim.now)
-    maybe_schedule_block(sim, state)
-
-
 # -- block lifecycle -----------------------------------------------------
 
 
+def _other_drain_try_open(sim, state: NodeState) -> bool:
+    """Whether a node other than `state` has a drain try open."""
+    return any(other.block_round is not None and other.block_round.entity.drain
+               for other in sim.nodes if other is not state)
+
+
 def maybe_schedule_block(sim, state: NodeState) -> None:
-    if state.block_attempt_open:
+    """Open an attempt, started after a random backoff, once the pool is
+    due: at BLK_SIZE txs, or in drain mode at any tx while no other node
+    has a drain try open."""
+    if state.block_attempt_open or not state.pool:
         return
-    if len(state.pool) < sim.cfg.block_size_min:
+    if sim.registry.drain_mode:
+        if _other_drain_try_open(sim, state):
+            return
+    elif len(state.pool) < sim.cfg.block_size_min:
         return
     state.block_attempt_open = True
     backoff = state.rng_backoff.randrange(BACKOFF_WINDOW_MS)
-    sim.schedule_in(backoff, lambda: start_block_attempt(sim, state, drain=False))
+    sim.schedule_in(backoff, lambda: start_block_attempt(sim, state))
 
 
 def _take_for_block(sim, state: NodeState, drain: bool) -> list[Identifier] | None:
@@ -187,9 +197,12 @@ def _take_for_block(sim, state: NodeState, drain: bool) -> list[Identifier] | No
 
     A node's own block takes its whole pool, oldest first, once the pool
     holds BLK_SIZE txs.  A drain block takes every node's whole pool, in
-    node order, each part oldest first and through its owner's `take`.
+    node order, each part oldest first and through its owner's `take`,
+    unless another node's drain try is open.
     """
     if drain:
+        if _other_drain_try_open(sim, state):
+            return None
         owners = sim.nodes
     elif len(state.pool) >= sim.cfg.block_size_min:
         owners = (state,)
@@ -204,11 +217,12 @@ def _take_for_block(sim, state: NodeState, drain: bool) -> list[Identifier] | No
     return tx_ids or None
 
 
-def start_block_attempt(sim, state: NodeState, drain: bool,
-                        failed: Block | None = None) -> None:
+def start_block_attempt(sim, state: NodeState, failed: Block | None = None) -> None:
     """Build and validate a try of the node's open attempt: the first, or
-    an honest rebuild of `failed` on the current tail.  Closes the attempt
-    if the pools give no block."""
+    an honest rebuild of `failed` on the current tail.  A first try in
+    drain mode is a drain try; a rebuild keeps the kind of `failed`.
+    Closes the attempt if the pools give no block."""
+    drain = sim.registry.drain_mode if failed is None else failed.drain
     tx_ids = _take_for_block(sim, state, drain)
     if tx_ids is None:
         _close_block_attempt(sim, state)
@@ -243,13 +257,18 @@ def on_block_result(sim, state: NodeState, block: Block, tickets) -> None:
 def _retry_block(sim, state: NodeState, block: Block) -> None:
     """End a try that put `block` nowhere, handing each owner its part
     back: rebuild it on the current tail, or close the attempt after
-    MAX_BLOCK_RETRIES retries."""
-    for owner in (sim.nodes if block.drain else (state,)):
+    MAX_BLOCK_RETRIES retries.  Then each of those owners, every node for
+    a drain block, schedules its pool, so a closed drain try leaves no
+    pool waiting."""
+    owners = sim.nodes if block.drain else (state,)
+    for owner in owners:
         owner.release(owner.part_of(block.tx_ids))
     if block.attempt >= MAX_BLOCK_RETRIES:
         _close_block_attempt(sim, state)
-        return
-    start_block_attempt(sim, state, block.drain, failed=block)
+    else:
+        start_block_attempt(sim, state, failed=block)
+    for owner in owners:
+        maybe_schedule_block(sim, owner)
 
 
 def _close_block_attempt(sim, state: NodeState) -> None:
@@ -271,4 +290,3 @@ def on_block_notify(sim, state: NodeState, info: BlockInfo) -> None:
         sim.abandoned_rounds += 1
         _retry_block(sim, state, round_.entity)
     maybe_schedule_block(sim, state)
-    sim.poke_drain()

@@ -51,7 +51,6 @@ from .storage import (
 REPLICATION_FACTOR = 3
 ROUTE_MSG_BYTES = 72
 REPLY_MSG_BYTES = 41
-DRAIN_TICK_MS = 1000
 # a run that neither generates nor finalizes anything for this many
 # validation timeouts (plus one tx interval) is livelocked
 STALL_TIMEOUTS = 1000
@@ -345,7 +344,6 @@ class Simulation:
         self.records: list[MetricRecord] = []
         self._wall_clock_s = 0.0
         self._last_check = 0
-        self._drain_tick_pending = False
         self.tx_retries = 0
         self.block_retries = 0
         self.abandoned_rounds = 0
@@ -491,42 +489,11 @@ class Simulation:
     # -- drain and termination ------------------------------------------
 
     def _enter_drain_mode(self) -> None:
+        """Pools are final: every owner holding one schedules a drain try,
+        and the first whose backoff ends sweeps every pool."""
         self.registry.drain_mode = True
-        self._schedule_drain_tick(0)
-
-    def _schedule_drain_tick(self, delay: int) -> None:
-        if self._drain_tick_pending:
-            return
-        self._drain_tick_pending = True
-        self.schedule_in(delay, self._drain_tick)
-
-    def poke_drain(self) -> None:
-        """Re-arm draining after a chain update may have refilled a pool: a
-        notify that hands a node back its part of a drain block that lost
-        its height, or a reorg that cuts a node's block."""
-        if self.registry.drain_mode:
-            self._schedule_drain_tick(0)
-
-    def _drain_tick(self) -> None:
-        """Start a drain try at the first node with no open attempt, unless
-        one is open or every pool is empty; the builder need not hold a pool."""
-        self._drain_tick_pending = False
-        if (not any(s.block_round is not None and s.block_round.entity.drain
-                    for s in self.nodes)
-                and any(s.pool for s in self.nodes)):
-            for state in self.nodes:
-                if not state.block_attempt_open:
-                    state.block_attempt_open = True
-                    controller.start_block_attempt(self, state, drain=True)
-                    break
-        # every tx slot is finalized by now, so only block attempts and
-        # pools can still hold work
-        if self._blocks_pending():
-            self._schedule_drain_tick(DRAIN_TICK_MS)
-
-    def _blocks_pending(self) -> bool:
-        """Some block round or pool still holds work."""
-        return any(s.block_round is not None or s.pool for s in self.nodes)
+        for state in self.nodes:
+            controller.maybe_schedule_block(self, state)
 
     def _all_txs_finalized(self) -> bool:
         # each tx slot finalizes once, so this is "all generated, none open"
@@ -539,7 +506,9 @@ class Simulation:
         # lands later: replication or notify traffic is still in flight
         if self.net.last_arrival > self.now:
             return False
-        if self._blocks_pending():
+        # every tx slot is finalized, so only block rounds and pools can
+        # still hold work
+        if any(s.block_round is not None or s.pool for s in self.nodes):
             return False
         chain_txs = self.registry.tracker.chain_txs
         return all(tx_id in chain_txs for tx_id in self.registry.finalized_txs)
@@ -552,6 +521,13 @@ class Simulation:
     # -- main loop -------------------------------------------------------
 
     def run(self) -> SimulationReport:
+        n, m = self.cfg.nodes, len(self.malicious_set)
+        if m < n and n - 1 - m < self.cfg.signature_threshold:
+            # an honest owner's validators are drawn from the other n - 1
+            # nodes, and only the honest ones approve its valid entities
+            raise StalledSimulation(
+                f"an honest node has {n - 1 - m} honest validators "
+                f"(NODES={n}, {m} malicious), fewer than SIG_THR={self.cfg.signature_threshold}")
         start = time.perf_counter()
         self._bootstrap()
         heap = self._heap

@@ -19,8 +19,8 @@ from chainsim.overlay import KIND_CONTROLLER, SkipGraph
 from conftest import SAMPLE_CONFIG_TEXT
 
 DESK_SEED = 7
-DESK_SEED_7_CSV_SHA256 = "e54051249fe2ce72f9f1de535be4335bccb8eba5e5620dd6313eedd7239c774b"
-DESK_SEED_8_CSV_SHA256 = "b157590de602d004eb914d27c69262fc49b89404fb343fd3d4f44be0f1249060"
+DESK_SEED_7_CSV_SHA256 = "3c43ce4a8c6d787307221fcaf2787db86e6a0ebe120c03c6c7e077c9cafd0e29"
+DESK_SEED_8_CSV_SHA256 = "ec7b3a58e7a679333ff9c8b121601cc629a5fd6806221c9d2c80657c657bb50f"
 
 
 def desk_cfg(malicious=0.16) -> SimulationConfig:

@@ -168,7 +168,7 @@ def test_non_utf8_latency_samples_is_config_error(config_file, tmp_path, capsys)
 
 
 # The honest node's only validator is the malicious node, which rejects every
-# valid transaction, so the honest node retries forever.
+# valid transaction, so the honest node could never finalize one.
 LIVELOCKED_CONFIG = (
     "NODES = 2\n"
     "TRANSACTIONS = 3\n"
@@ -201,9 +201,10 @@ def test_livelocked_run_exits_stalled(tmp_path):
 
 
 def test_livelocked_run_stalls_at_a_pinned_point():
+    # too few honest validators for SIG_THR: the run fails before its first event
     sim = chainsim.Simulation(chainsim.parse_config(LIVELOCKED_CONFIG), seed=3)
-    message = "nothing generated or finalized since t=3472 (now t=1064477)"
+    message = "an honest node has 0 honest validators (NODES=2, 1 malicious), fewer than SIG_THR=1"
     with pytest.raises(chainsim.StalledSimulation) as exc:
         sim.run()
     assert str(exc.value) == message
-    assert sim.events_processed == 24660
+    assert sim.events_processed == 0

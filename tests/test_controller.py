@@ -61,7 +61,7 @@ def test_block_takes_the_whole_pool_once_it_reaches_blk_size():
     oldest_first = pool_txs(sim, owner, 13)
     controller.maybe_schedule_block(sim, owner)
     assert owner.block_attempt_open and sim._heap
-    controller.start_block_attempt(sim, owner, drain=False)
+    controller.start_block_attempt(sim, owner)
     block = owner.block_round.entity
     assert block.tx_ids == oldest_first
     assert not block.drain
@@ -76,7 +76,7 @@ def test_pool_below_blk_size_gives_no_block():
     assert not owner.block_attempt_open and not sim._heap
     # an attempt started anyway takes nothing and closes
     owner.block_attempt_open = True
-    controller.start_block_attempt(sim, owner, drain=False)
+    controller.start_block_attempt(sim, owner)
     assert owner.block_round is None and not owner.block_attempt_open
     assert len(owner.pool) == 9 and not owner.in_flight_txs
 
@@ -86,7 +86,7 @@ def test_retry_after_an_abandoned_round_takes_the_txs_pooled_since():
     owner = sim.nodes[0]
     first_ten = pool_txs(sim, owner, 10)
     owner.block_attempt_open = True
-    controller.start_block_attempt(sim, owner, drain=False)
+    controller.start_block_attempt(sim, owner)
     first = owner.block_round
     assert first.entity.tx_ids == first_ten
     pooled_since = pool_txs(sim, owner, 3, first_seq=10)
@@ -103,27 +103,76 @@ def test_retry_after_an_abandoned_round_takes_the_txs_pooled_since():
     assert not owner.pool
 
 
+def run_queued(sim: Simulation) -> None:
+    """Run the events queued now, in their order, but none that they queue."""
+    queued = sorted(sim._heap)
+    sim._heap.clear()
+    for fire_time, _, fn in queued:
+        sim.now = fire_time
+        fn()
+
+
+def drain_builder(sim: Simulation) -> NodeState:
+    """The one node with a block round open."""
+    (builder,) = [state for state in sim.nodes if state.block_round is not None]
+    return builder
+
+
 def test_drain_try_sweeps_every_pool_and_no_second_one_starts_while_it_is_open():
     sim = bare_simulation(block_size_min=10)
-    sim.registry.drain_mode = True
     small = pool_txs(sim, sim.nodes[1], 3)
     big = pool_txs(sim, sim.nodes[2], 12)   # BLK_SIZE or more, swept all the same
-    sim._drain_tick()
-    # the first node with no open attempt builds it, holding no pool itself
-    builder = sim.nodes[0]
+    sim._enter_drain_mode()
+    # node 0, holding no pool, builds nothing; each owner of a pool schedules a try
+    assert [state.block_attempt_open for state in sim.nodes[:3]] == [False, True, True]
+    run_queued(sim)
+    # the owner whose backoff ends first builds it, and the other finds it open
+    builder = drain_builder(sim)
+    assert builder in sim.nodes[1:3]
     first = builder.block_round.entity
     assert first.drain and first.tx_ids == small + big
     assert sim.nodes[1].in_flight_txs == set(small) and not sim.nodes[1].pool
     assert sim.nodes[2].in_flight_txs == set(big) and not sim.nodes[2].pool
-    late = pool_txs(sim, sim.nodes[3], 2)
-    sim._drain_tick()
-    assert all(state.block_round is None for state in sim.nodes[1:])
+    late_owner = sim.nodes[3]
+    late = pool_txs(sim, late_owner, 2)
+    controller.maybe_schedule_block(sim, late_owner)
+    assert not late_owner.block_attempt_open
+    # a first try started anyway takes nothing and closes
+    late_owner.block_attempt_open = True
+    controller.start_block_attempt(sim, late_owner)
+    assert not late_owner.block_attempt_open and late_owner.pool
+    assert all(state.block_round is None for state in sim.nodes if state is not builder)
     # a rejected try hands every owner its part back, and the retry sweeps again
     controller.on_block_result(sim, builder, first, tickets=[])
     retry = builder.block_round.entity
     assert retry.drain and retry.attempt == 1
     assert retry.tx_ids == small + big + late
-    assert sim.nodes[3].in_flight_txs == set(late) and not sim.nodes[3].pool
+    assert late_owner.in_flight_txs == set(late) and not late_owner.pool
+
+
+def test_drain_try_closed_at_max_retries_reschedules_every_pool():
+    sim = bare_simulation(block_size_min=10)
+    small = pool_txs(sim, sim.nodes[1], 3)
+    big = pool_txs(sim, sim.nodes[2], 12)
+    sim._enter_drain_mode()
+    run_queued(sim)
+    builder = drain_builder(sim)
+    for _ in range(controller.MAX_BLOCK_RETRIES):
+        controller.on_block_result(sim, builder, builder.block_round.entity, tickets=[])
+    last = builder.block_round.entity
+    assert last.drain and last.attempt == controller.MAX_BLOCK_RETRIES
+    # drop the rounds' messages, so only what the close schedules is queued
+    sim._heap.clear()
+    controller.on_block_result(sim, builder, last, tickets=[])
+    # every owner holds its part again and has scheduled a try; node 0 has none
+    assert all(state.block_round is None for state in sim.nodes)
+    assert [tx for _, tx in pending_pool(sim.nodes[1])] == small
+    assert [tx for _, tx in pending_pool(sim.nodes[2])] == big
+    assert [state.block_attempt_open for state in sim.nodes[:3]] == [False, True, True]
+    run_queued(sim)
+    second = drain_builder(sim).block_round.entity
+    assert second.drain and second.attempt == 0
+    assert second.tx_ids == small + big
 
 
 def oracle_pool(state: NodeState) -> list:
@@ -147,7 +196,7 @@ DRAIN_RETRY_SEED = 1
 # holds several owners' txs, and a drain try before it fails
 @pytest.mark.parametrize("overrides, seed", [
     (dict(nodes=5, transactions_per_node=7, block_size_min=3), 1),
-    (dict(nodes=7, transactions_per_node=4, block_size_min=4, malicious_fraction=0.2), 3),
+    (dict(nodes=9, transactions_per_node=4, block_size_min=2, malicious_fraction=0.15), 3),
     (DRAIN_RETRY_CONFIG, DRAIN_RETRY_SEED),
 ])
 def test_pool_matches_from_scratch_oracle_after_every_event(monkeypatch, overrides, seed):

@@ -81,9 +81,9 @@ def honest_majority_configs(draw):
     STALL_TIMEOUTS validation timeouts), far past this test's budget with
     the invariants checked after every event.  That covers MALICIOUS of
     0.38 and more (0.24M-2.3M events to stall) and any config whose
-    malicious nodes outnumber VALID_THR - SIG_THR, such as 7 nodes with
-    VALID_THR = SIG_THR = 6 and one malicious node.  tests/test_cli.py
-    pins such a livelock.
+    malicious nodes outnumber VALID_THR - SIG_THR.  Only the configs with
+    fewer honest validators than SIG_THR fail at once; one between the
+    two bounds is pinned below.
     """
     nodes = draw(st.integers(3, 12))
     base = make_cfg(nodes=nodes, transactions_per_node=draw(st.integers(1, 5)),
@@ -108,6 +108,22 @@ def test_drain_leaves_every_finalized_tx_in_exactly_one_chain_block(cfg, seed):
     assert set(counts) == sim.registry.finalized_txs
     assert set(counts.values()) == {1}
     assert all(not s.pool and not s.in_flight_txs for s in sim.nodes)
+
+
+def test_stall_window_ends_a_livelock_at_a_pinned_point():
+    # 5 of 11 nodes malicious leave an honest node exactly SIG_THR = 5 honest
+    # validators, so the run starts; a tx finalizes only on a try whose five
+    # validators are all honest and all reply within the 50 ms timeout, and
+    # the last two txs retry through a whole stall window without one
+    cfg = make_cfg(nodes=11, transactions_per_node=5, inter_tx_delay_s=0, block_size_min=3,
+                   malicious_fraction=0.447, validators_per_entity=5, signature_threshold=5)
+    assert malicious_count(cfg) == 5
+    sim = Simulation(cfg, seed=208041, latency_samples=[5.0] * 249 + [300.0])
+    with pytest.raises(StalledSimulation) as exc:
+        sim.run()
+    assert str(exc.value) == "nothing generated or finalized since t=207670 (now t=257700)"
+    assert sim.events_processed == 163613
+    assert len(sim.registry.finalized_txs) == 53
 
 
 def test_replica_holders_resolvable_through_overlay():

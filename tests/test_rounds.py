@@ -139,7 +139,7 @@ def test_owner_abandons_a_block_round_the_tail_has_passed(monkeypatch):
     monkeypatch.setattr(controller, "on_block_result", watched_result)
 
     owner.block_attempt_open = True
-    controller.start_block_attempt(sim, owner, drain=False)
+    controller.start_block_attempt(sim, owner)
     first = owner.block_round
     assert first.entity.height == 1
     # run until some of the round's validators are found, not all
