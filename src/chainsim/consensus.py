@@ -117,7 +117,7 @@ def _validate_transaction(view, tx: Transaction) -> bool:
 
 
 def _validate_block(view, blk: Block, cfg: SimulationConfig) -> bool:
-    parent = view.block(blk.prev_block_id)
+    parent = view.block(blk.parent)
     if parent is None:
         return False
     if blk.height != parent.height + 1:
@@ -135,7 +135,7 @@ def _validate_block(view, blk: Block, cfg: SimulationConfig) -> bool:
         return False
     if not all(view.tx_finalized(tx_id) for tx_id in blk.tx_ids):
         return False
-    if view.ancestry_holds_any(blk.prev_block_id, blk.tx_ids):
+    if view.ancestry_holds_any(blk.parent, blk.tx_ids):
         return False
     return True
 

@@ -37,7 +37,6 @@ from .storage import (
     DECISION_APPROVE,
     DECISION_SILENT,
     Block,
-    BlockInfo,
     ChainTracker,
     ReplicaStore,
     Transaction,
@@ -64,11 +63,11 @@ class NodeState:
     tracker: ChainTracker
     store: ReplicaStore = field(default_factory=ReplicaStore)
     tx_generated: int = 0   # also the seq of the node's next tx
-    own_finalized: dict[Identifier, int] = field(default_factory=dict)
+    own_finalized: dict[Identifier, int] = field(default_factory=dict)   # -> finalized_at
     in_flight_txs: set[Identifier] = field(default_factory=set)
-    # own finalized txs neither on the chain nor in flight -> finalized_at,
-    # kept as they change rather than rebuilt
-    pool: dict[Identifier, int] = field(default_factory=dict)
+    # own finalized txs neither on the chain nor in flight, kept as they
+    # change rather than rebuilt
+    pool: set[Identifier] = field(default_factory=set)
     block_attempt_open: bool = False
     block_ctx_counter: int = 0
     # the open attempt's record: its current try's round, whose counters
@@ -82,45 +81,37 @@ class NodeState:
 
     def add_finalized(self, tx_id: Identifier, finalized_at: int) -> None:
         self.own_finalized[tx_id] = finalized_at
-        self.pool[tx_id] = finalized_at
+        self.pool.add(tx_id)
 
     def take(self, tx_ids) -> None:
         """Move pooled txs into the block attempt under validation."""
         self.in_flight_txs.update(tx_ids)
-        for tx_id in tx_ids:
-            del self.pool[tx_id]
-
-    def part_of(self, tx_ids) -> list[Identifier]:
-        """This node's part of a block: the txs of `tx_ids` in flight here."""
-        in_flight = self.in_flight_txs
-        return [tx_id for tx_id in tx_ids if tx_id in in_flight]
+        self.pool.difference_update(tx_ids)
 
     def release(self, tx_ids) -> None:
-        """End the attempt holding `tx_ids`; those not on the chain go back to the pool."""
-        self.in_flight_txs.difference_update(tx_ids)
-        chain_txs = self.tracker.chain_txs
-        for tx_id in tx_ids:
-            if tx_id not in chain_txs:
-                self.pool[tx_id] = self.own_finalized[tx_id]
+        """End this node's part (its txs in flight) of the attempt holding
+        `tx_ids`; the ones not on the chain go back to the pool."""
+        part = self.in_flight_txs.intersection(tx_ids)
+        self.in_flight_txs -= part
+        self.pool |= part.difference(self.tracker.chain_txs)
 
     def chained(self, tx_ids) -> None:
-        for tx_id in tx_ids:
-            self.pool.pop(tx_id, None)
+        self.pool.difference_update(tx_ids)
 
     def unchained(self, tx_ids) -> None:
-        for tx_id in tx_ids:
-            if tx_id not in self.in_flight_txs:
-                self.pool[tx_id] = self.own_finalized[tx_id]
+        self.pool.update(set(tx_ids) - self.in_flight_txs)
 
 
 def pending_pool(state: NodeState) -> list[tuple[int, Identifier]]:
     """The node's pool as (finalized_at, tx id), oldest first (ties by id)."""
-    return sorted((finalized_at, tx_id) for tx_id, finalized_at in state.pool.items())
+    own = state.own_finalized
+    return sorted((own[tx_id], tx_id) for tx_id in state.pool)
 
 
-def _bogus_block_id(state: NodeState, seq: int, attempt: int) -> Identifier:
-    # deterministic garbage reference that resolves to no finalized block
-    return hash_bytes(b"bogus-parent", struct.pack(">QQQ", state.node_index, seq, attempt))
+def _bogus_block_id(state: NodeState, seq: int) -> Identifier:
+    # deterministic garbage reference that resolves to no finalized block;
+    # the zero third word keeps the pinned run digests
+    return hash_bytes(b"bogus-parent", struct.pack(">QQQ", state.node_index, seq, 0))
 
 
 def approvals_of(tickets) -> int:
@@ -144,7 +135,7 @@ def on_tx_timer(sim, state: NodeState) -> None:
     state.tx_generated += 1
     prev = state.tracker.tail.id
     if state.malicious and state.rng_corrupt.random() < CORRUPTION_PROBABILITY:
-        prev = _bogus_block_id(state, seq, attempt=0)
+        prev = _bogus_block_id(state, seq)
     tx = new_transaction(state.node_index, recipient, 1, prev, seq, created_at=sim.now)
     sim.begin_tx_validation(state, tx, ContextCounters())
     if state.tx_generated < cfg.transactions_per_node:
@@ -232,7 +223,7 @@ def start_block_attempt(sim, state: NodeState, failed: Block | None = None) -> N
     if failed is None:
         state.block_ctx_counter += 1
         if state.malicious and state.rng_corrupt.random() < CORRUPTION_PROBABILITY:
-            prev = _bogus_block_id(state, state.block_ctx_counter, attempt=0)
+            prev = _bogus_block_id(state, state.block_ctx_counter)
         created_at, attempt = sim.now, 0
     else:
         created_at, attempt = failed.created_at, failed.attempt + 1
@@ -246,9 +237,10 @@ def start_block_attempt(sim, state: NodeState, failed: Block | None = None) -> N
 def on_block_result(sim, state: NodeState, block: Block, tickets) -> None:
     block.signatures = signatures_of(tickets)
     if approvals_of(tickets) >= sim.cfg.signature_threshold:
-        state.tracker.add(sim.finalize_block(state, block, tickets))
+        sim.finalize_block(state, block, tickets)
+        state.tracker.add(block)
         # the other owners of a drain block end their parts at its notify
-        state.release(state.part_of(block.tx_ids))
+        state.release(block.tx_ids)
         _close_block_attempt(sim, state)
         return
     _retry_block(sim, state, block)
@@ -262,7 +254,7 @@ def _retry_block(sim, state: NodeState, block: Block) -> None:
     pool waiting."""
     owners = sim.nodes if block.drain else (state,)
     for owner in owners:
-        owner.release(owner.part_of(block.tx_ids))
+        owner.release(block.tx_ids)
     if block.attempt >= MAX_BLOCK_RETRIES:
         _close_block_attempt(sim, state)
     else:
@@ -277,11 +269,11 @@ def _close_block_attempt(sim, state: NodeState) -> None:
     maybe_schedule_block(sim, state)
 
 
-def on_block_notify(sim, state: NodeState, info: BlockInfo) -> None:
-    state.tracker.add(info)
-    if info.drain:
+def on_block_notify(sim, state: NodeState, block: Block) -> None:
+    state.tracker.add(block)
+    if block.drain:
         # the node now knows where its part of the drain block went
-        state.release(state.part_of(info.tx_ids))
+        state.release(block.tx_ids)
     round_ = state.block_round
     if round_ is not None and state.tracker.tail.height >= round_.entity.height:
         # the registry tail is at least as tall, so every honest validator

@@ -9,7 +9,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from functools import partial
-from heapq import heappop, heappush, heappushpop
+from heapq import heappop, heappush
 from typing import Callable
 
 from . import controller
@@ -25,7 +25,7 @@ from .consensus import (
 )
 # `pending_pool` is not called here; bench/tracing.py patches it in this module
 from .controller import NodeState, approvals_of, pending_pool
-from .identity import Identifier, ZERO_ID, derive_node_identifier, hash_bytes
+from .identity import ID_BYTES, Identifier, ZERO_ID, derive_node_identifier, hash_bytes
 from .overlay import KIND_CONTROLLER, KIND_DATA, SkipGraph
 from .rng import substream
 from .simnet import (
@@ -41,7 +41,6 @@ from .simnet import (
 from .storage import (
     DECISION_APPROVE,
     Block,
-    BlockInfo,
     ChainTracker,
     Entity,
     Transaction,
@@ -157,7 +156,7 @@ class Registry:
     tail.
     """
 
-    def __init__(self, genesis: BlockInfo):
+    def __init__(self, genesis: Block):
         self.tracker = ChainTracker(genesis)
         self.finalized_txs: set[Identifier] = set()
         self._finalized_seqs: set[tuple[int, int]] = set()
@@ -167,17 +166,17 @@ class Registry:
         self.finalized_txs.add(tx_id)
         self._finalized_seqs.add((owner, seq))
 
-    def add_block(self, info: BlockInfo) -> None:
-        self.tracker.add(info)
+    def add_block(self, block: Block) -> None:
+        self.tracker.add(block)
 
     # chain-view interface used by validate_entity
     def has_block(self, block_id: Identifier) -> bool:
         return block_id in self.tracker.blocks
 
-    def block(self, block_id: Identifier) -> BlockInfo | None:
+    def block(self, block_id: Identifier) -> Block | None:
         return self.tracker.blocks.get(block_id)
 
-    def tail(self) -> BlockInfo:
+    def tail(self) -> Block:
         return self.tracker.tail
 
     def tx_finalized(self, tx_id: Identifier) -> bool:
@@ -324,7 +323,7 @@ class Simulation:
         self.controllers = sorted(zip(self.identifiers, range(n)))
 
         genesis_id = hash_bytes(b"genesis", str(seed).encode())
-        self.genesis = BlockInfo(genesis_id, ZERO_ID, 0, ())
+        self.genesis = Block(genesis_id, 0, ZERO_ID, 0)
         self.registry = Registry(self.genesis)
         self.ledger = EconomyLedger.create(n, cfg.initial_balance)
 
@@ -465,26 +464,24 @@ class Simulation:
         self._record(tx, context, tickets)
 
     def finalize_block(self, state: NodeState, block: Block,
-                       tickets: list[ValidationTicket]) -> BlockInfo:
-        """Finalize the node's open block attempt; returns the block's one `BlockInfo`."""
+                       tickets: list[ValidationTicket]) -> None:
+        """Finalize the node's open block attempt; each notify hands over `block` itself."""
         self._note_progress()
         context = state.block_round.context
         apply_finalization_fees(self.ledger, block.owner, tickets, self.cfg,
                                 is_block=True)
-        info = BlockInfo(block.id, block.prev_block_id, block.height,
-                         tuple(block.tx_ids), block.drain, block.owner)
-        self.registry.add_block(info)
+        self.registry.add_block(block)
         self._announce_and_replicate(state, block, context)
-        notify_size = 73 + 32 * len(block.tx_ids)
+        # the id, the parent, an 8-byte height, a drain flag, then the tx ids
+        notify_size = 2 * ID_BYTES + 8 + 1 + ID_BYTES * len(block.tx_ids)
         for other in self.nodes:
             if other.node_index == state.node_index:
                 continue
             self.net.send(
                 state.node_index, other.node_index, TAG_NOTIFY, notify_size, context,
-                handler=lambda o=other: controller.on_block_notify(self, o, info),
+                handler=lambda o=other: controller.on_block_notify(self, o, block),
             )
         self._record(block, context, tickets)
-        return info
 
     # -- drain and termination ------------------------------------------
 
@@ -532,31 +529,20 @@ class Simulation:
         self._bootstrap()
         heap = self._heap
         processed = self.events_processed
-        # An instant ends when an event of a later one comes off the queue.
-        # That event is held over the quiescent point, and goes back on the
-        # queue if the run ends there or the point schedules work before it.
-        event = heappop(heap) if heap else None
         while True:
-            if event is None:
+            if not heap:
                 raise StalledSimulation(
                     f"event queue empty at t={self.now} before termination")
-            current_time, _, fn = event
-            self.now = current_time
-            while True:
-                fn()
+            # run every event of the next instant, then its quiescent point;
+            # an event the point schedules for this instant gets an instant
+            # and a quiescent point of its own
+            current_time = self.now = heap[0][0]
+            while heap and heap[0][0] == current_time:
+                heappop(heap)[2]()
                 processed += 1
-                if not heap:
-                    event = None
-                    break
-                event = heappop(heap)
-                if event[0] != current_time:
-                    break
-                fn = event[2]
             self.events_processed = processed
             # quiescent point
             if current_time > self._stall_deadline:
-                if event is not None:
-                    heappush(heap, event)
                 last = self._stall_deadline - self._stall_window
                 raise StalledSimulation(
                     f"nothing generated or finalized since t={last} (now t={current_time})")
@@ -569,13 +555,7 @@ class Simulation:
                 # final, so leftover (possibly undersized) blocks may drain
                 self._enter_drain_mode()
             if self._check_termination():
-                if event is not None:
-                    heappush(heap, event)
                 break
-            if event is None:
-                event = heappop(heap) if heap else None
-            elif heap:
-                event = heappushpop(heap, event)
         self._wall_clock_s = time.perf_counter() - start
         return self.report()
 

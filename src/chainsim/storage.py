@@ -1,8 +1,9 @@
-"""Ledger entities, canonical serialization, and per-node replica stores."""
+"""Ledger entities, canonical serialization, per-node replica stores, and
+the block tree, whose trackers hold the finalized `Block`s themselves."""
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .identity import ID_BYTES, Identifier, ZERO_ID, derive_object_identifier
 
@@ -39,9 +40,10 @@ class Transaction:
 class Block:
     id: Identifier
     owner: int
-    prev_block_id: Identifier
+    parent: Identifier
     height: int
-    tx_ids: list[Identifier] = field(default_factory=list)
+    # a tuple, so a block every tracker shares cannot change under them
+    tx_ids: tuple[Identifier, ...] = ()
     created_at: int = 0
     attempt: int = 0
     drain: bool = False
@@ -64,7 +66,7 @@ def canonical_bytes(entity: Entity) -> bytes:
         head = (
             b"B"
             + struct.pack(">Q", entity.owner)
-            + entity.prev_block_id
+            + entity.parent
             + struct.pack(">QQQB", entity.height, entity.created_at, entity.attempt, int(entity.drain))
             + struct.pack(">Q", len(entity.tx_ids))
         )
@@ -89,9 +91,9 @@ def new_transaction(owner: int, recipient: int, amount: int, prev_block_id: Iden
     return tx
 
 
-def new_block(owner: int, prev_block_id: Identifier, height: int, tx_ids: list[Identifier],
+def new_block(owner: int, parent: Identifier, height: int, tx_ids,
               created_at: int, attempt: int = 0, drain: bool = False) -> Block:
-    blk = Block(ZERO_ID, owner, prev_block_id, height, list(tx_ids), created_at, attempt, drain)
+    blk = Block(ZERO_ID, owner, parent, height, tuple(tx_ids), created_at, attempt, drain)
     blk.id = derive_object_identifier(canonical_bytes(blk))
     return blk
 
@@ -119,17 +121,6 @@ class ReplicaStore:
         return self._entities.get(identifier)
 
 
-@dataclass(frozen=True, slots=True)
-class BlockInfo:
-    """The slice of a block every node tracks for tail selection and pool eviction."""
-    id: Identifier
-    parent: Identifier
-    height: int
-    tx_ids: tuple[Identifier, ...]
-    drain: bool = False
-    owner: int | None = None
-
-
 class ChainTracker:
     """Block-tree bookkeeping with the deterministic fork rule.
 
@@ -146,46 +137,46 @@ class ChainTracker:
     block's height is its parent's height plus one.
     """
 
-    def __init__(self, genesis: BlockInfo, owner: int | None = None):
+    def __init__(self, genesis: Block, owner: int | None = None):
         self.genesis = genesis
         self.owner = owner
         self.listener = None
-        self.blocks: dict[Identifier, BlockInfo] = {genesis.id: genesis}
-        self.tail: BlockInfo = genesis
-        self.chain: list[BlockInfo] = [genesis]
+        self.blocks: dict[Identifier, Block] = {genesis.id: genesis}
+        self.tail: Block = genesis
+        self.chain: list[Block] = [genesis]
         self.chain_txs: dict[Identifier, int] = {}
         self.reorgs = 0
         self._index(genesis)
-        self._orphans: dict[Identifier, list[BlockInfo]] = {}
+        self._orphans: dict[Identifier, list[Block]] = {}
 
-    def add(self, info: BlockInfo) -> None:
-        if info.id in self.blocks:
+    def add(self, blk: Block) -> None:
+        if blk.id in self.blocks:
             return
-        if info.parent not in self.blocks:
+        if blk.parent not in self.blocks:
             # parent not yet known (notifications can arrive out of order)
-            self._orphans.setdefault(info.parent, []).append(info)
+            self._orphans.setdefault(blk.parent, []).append(blk)
             return
-        self._link(info)
-        stack = [info.id]
+        self._link(blk)
+        stack = [blk.id]
         while stack:
             parent_id = stack.pop()
             for child in self._orphans.pop(parent_id, []):
                 self._link(child)
                 stack.append(child.id)
 
-    def _link(self, info: BlockInfo) -> None:
-        self.blocks[info.id] = info
+    def _link(self, blk: Block) -> None:
+        self.blocks[blk.id] = blk
         tail = self.tail
-        if info.height > tail.height or (
-            info.height == tail.height and info.id < tail.id
+        if blk.height > tail.height or (
+            blk.height == tail.height and blk.id < tail.id
         ):
-            self._move_tail(info)
+            self._move_tail(blk)
 
-    def _on_chain(self, info: BlockInfo) -> bool:
+    def _on_chain(self, blk: Block) -> bool:
         chain = self.chain
-        return info.height < len(chain) and chain[info.height].id == info.id
+        return blk.height < len(chain) and chain[blk.height].id == blk.id
 
-    def _move_tail(self, new_tail: BlockInfo) -> None:
+    def _move_tail(self, new_tail: Block) -> None:
         """Cut `chain` back to the common ancestor, then append the new branch."""
         branch = []
         cur = new_tail
@@ -197,33 +188,33 @@ class ChainTracker:
             self.reorgs += 1
             del self.chain[cur.height + 1:]
         chain_txs = self.chain_txs
-        for info in cut:
+        for blk in cut:
             removed = []
-            for tx_id in self._indexed_txs(info):
-                if chain_txs.get(tx_id) == info.height:
+            for tx_id in self._indexed_txs(blk):
+                if chain_txs.get(tx_id) == blk.height:
                     del chain_txs[tx_id]
                     removed.append(tx_id)
             if removed and self.listener is not None:
                 self.listener.unchained(removed)
-        for info in reversed(branch):
-            self.chain.append(info)
-            self._index(info)
+        for blk in reversed(branch):
+            self.chain.append(blk)
+            self._index(blk)
         self.tail = new_tail
 
-    def _indexed_txs(self, info: BlockInfo):
-        """The txs of `info` this tracker indexes: all of them, or only its
+    def _indexed_txs(self, blk: Block):
+        """The txs of `blk` this tracker indexes: all of them, or only its
         owner's, which a drain block mixes with every other owner's."""
         if self.owner is None:
-            return info.tx_ids
-        if info.drain:
+            return blk.tx_ids
+        if blk.drain:
             own = self.listener.own_finalized
-            return [tx_id for tx_id in info.tx_ids if tx_id in own]
-        return info.tx_ids if info.owner == self.owner else ()
+            return [tx_id for tx_id in blk.tx_ids if tx_id in own]
+        return blk.tx_ids if blk.owner == self.owner else ()
 
-    def _index(self, info: BlockInfo) -> None:
-        tx_ids = self._indexed_txs(info)
+    def _index(self, blk: Block) -> None:
+        tx_ids = self._indexed_txs(blk)
         for tx_id in tx_ids:
-            self.chain_txs.setdefault(tx_id, info.height)
+            self.chain_txs.setdefault(tx_id, blk.height)
         if tx_ids and self.listener is not None:
             self.listener.chained(tx_ids)
 
@@ -242,4 +233,4 @@ class ChainTracker:
 
     def chain_ids(self) -> list[Identifier]:
         """Block ids from genesis to tail."""
-        return [info.id for info in self.chain]
+        return [blk.id for blk in self.chain]

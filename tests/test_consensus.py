@@ -17,14 +17,14 @@ from chainsim.consensus import (
 )
 from chainsim.identity import Identifier, ZERO_ID
 from chainsim.overlay import KIND_CONTROLLER, SkipGraph
-from chainsim.storage import BlockInfo, ChainTracker, new_block, new_transaction
+from chainsim.storage import Block, ChainTracker, new_block, new_transaction
 from conftest import make_cfg
 
 
 class FakeView:
     """Chain view backed by a plain tracker plus a finalized-tx set."""
 
-    def __init__(self, genesis: BlockInfo):
+    def __init__(self, genesis: Block):
         self.tracker = ChainTracker(genesis)
         self.finalized = set()
         self.seqs = set()
@@ -58,7 +58,7 @@ class FakeView:
             cur = self.tracker.blocks[cur.parent]
 
 
-GENESIS = BlockInfo(ZERO_ID, ZERO_ID, 0, ())
+GENESIS = Block(ZERO_ID, 0, ZERO_ID, 0)
 
 
 def build_population(n: int, seed: int):
@@ -194,11 +194,11 @@ def test_block_rejections():
 def _forked_view():
     """genesis <- a1 <- {tail, sibling}: the two height-2 blocks tie, the tail has the smaller id."""
     view = FakeView(GENESIS)
-    a1 = BlockInfo(Identifier(b"\xa1" * 32), GENESIS.id, 1, ())
-    tail = BlockInfo(Identifier(b"\xb0" * 32), a1.id, 2, ())
-    sibling = BlockInfo(Identifier(b"\xb1" * 32), a1.id, 2, ())
-    for info in (a1, tail, sibling):
-        view.tracker.add(info)
+    a1 = Block(Identifier(b"\xa1" * 32), 0, GENESIS.id, 1)
+    tail = Block(Identifier(b"\xb0" * 32), 0, a1.id, 2)
+    sibling = Block(Identifier(b"\xb1" * 32), 0, a1.id, 2)
+    for block in (a1, tail, sibling):
+        view.tracker.add(block)
     assert view.tail() == tail
     return view, a1, tail, sibling
 
@@ -232,7 +232,7 @@ def test_block_repeating_ancestor_tx_rejected():
     cfg = make_cfg(block_size_min=2)
     first = _finalized_txs(view, 2)
     parent = new_block(1, GENESIS.id, 1, first, created_at=0)
-    view.tracker.add(BlockInfo(parent.id, GENESIS.id, 1, tuple(first)))
+    view.tracker.add(parent)
     again = new_block(1, parent.id, 2, [first[0]] + _finalized_txs(view, 1, start=10), 0)
     assert not validate_entity(view, again, cfg)
 
@@ -242,10 +242,10 @@ def test_ancestry_query_matches_naive_walk():
     tx = {label: Identifier(bytes([k + 1]) * 32) for k, label in enumerate("abcdefgu")}
 
     def add(parent, txs):
-        info = BlockInfo(Identifier(bytes([0xF0 + len(view.tracker.blocks)]) * 32),
-                         parent.id, parent.height + 1, tuple(tx[t] for t in txs))
-        view.tracker.add(info)
-        return info
+        block = Block(Identifier(bytes([0xF0 + len(view.tracker.blocks)]) * 32), 0,
+                      parent.id, parent.height + 1, tuple(tx[t] for t in txs))
+        view.tracker.add(block)
+        return block
 
     a1 = add(GENESIS, "a")
     a2 = add(a1, "b")

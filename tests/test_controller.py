@@ -7,10 +7,10 @@ from chainsim import controller
 from chainsim.controller import NodeState, pending_pool
 from chainsim.engine import Simulation
 from chainsim.identity import Identifier, ZERO_ID, hash_bytes
-from chainsim.storage import BlockInfo, ChainTracker, new_transaction
+from chainsim.storage import Block, ChainTracker, new_transaction
 from conftest import bare_simulation, make_cfg
 
-GENESIS = BlockInfo(ZERO_ID, ZERO_ID, 0, ())
+GENESIS = Block(ZERO_ID, 0, ZERO_ID, 0)
 
 
 def make_state(index=0) -> NodeState:
@@ -34,7 +34,7 @@ def test_pool_excludes_chained_and_in_flight():
     a, b, c = (Identifier(bytes([v]) * 32) for v in (1, 2, 3))
     for tx_id, finalized_at in ((a, 10), (b, 20), (c, 30)):
         state.add_finalized(tx_id, finalized_at)
-    block = BlockInfo(Identifier(b"\x07" * 32), GENESIS.id, 1, (a,), owner=0)
+    block = Block(Identifier(b"\x07" * 32), 0, GENESIS.id, 1, (a,))
     state.tracker.add(block)
     assert state.tracker.chain_txs == {a: 1}
     state.take([b])
@@ -63,7 +63,7 @@ def test_block_takes_the_whole_pool_once_it_reaches_blk_size():
     assert owner.block_attempt_open and sim._heap
     controller.start_block_attempt(sim, owner)
     block = owner.block_round.entity
-    assert block.tx_ids == oldest_first
+    assert block.tx_ids == tuple(oldest_first)
     assert not block.drain
     assert not owner.pool and owner.in_flight_txs == set(oldest_first)
 
@@ -88,18 +88,18 @@ def test_retry_after_an_abandoned_round_takes_the_txs_pooled_since():
     owner.block_attempt_open = True
     controller.start_block_attempt(sim, owner)
     first = owner.block_round
-    assert first.entity.tx_ids == first_ten
+    assert first.entity.tx_ids == tuple(first_ten)
     pooled_since = pool_txs(sim, owner, 3, first_seq=10)
     # another owner's block takes height 1 first, and its notify lands
-    rival = BlockInfo(hash_bytes(b"rival"), sim.genesis.id, 1, (), owner=1)
+    rival = Block(hash_bytes(b"rival"), 1, sim.genesis.id, 1)
     sim.registry.add_block(rival)
     controller.on_block_notify(sim, owner, rival)
     assert first.done
     # the attempt's counters span all of its tries
     assert owner.block_round.context is first.context
     retry = owner.block_round.entity
-    assert (retry.prev_block_id, retry.height) == (rival.id, 2)
-    assert retry.tx_ids == first_ten + pooled_since
+    assert (retry.parent, retry.height) == (rival.id, 2)
+    assert retry.tx_ids == tuple(first_ten + pooled_since)
     assert not owner.pool
 
 
@@ -130,7 +130,7 @@ def test_drain_try_sweeps_every_pool_and_no_second_one_starts_while_it_is_open()
     builder = drain_builder(sim)
     assert builder in sim.nodes[1:3]
     first = builder.block_round.entity
-    assert first.drain and first.tx_ids == small + big
+    assert first.drain and first.tx_ids == tuple(small + big)
     assert sim.nodes[1].in_flight_txs == set(small) and not sim.nodes[1].pool
     assert sim.nodes[2].in_flight_txs == set(big) and not sim.nodes[2].pool
     late_owner = sim.nodes[3]
@@ -146,7 +146,7 @@ def test_drain_try_sweeps_every_pool_and_no_second_one_starts_while_it_is_open()
     controller.on_block_result(sim, builder, first, tickets=[])
     retry = builder.block_round.entity
     assert retry.drain and retry.attempt == 1
-    assert retry.tx_ids == small + big + late
+    assert retry.tx_ids == tuple(small + big + late)
     assert late_owner.in_flight_txs == set(late) and not late_owner.pool
 
 
@@ -172,7 +172,7 @@ def test_drain_try_closed_at_max_retries_reschedules_every_pool():
     run_queued(sim)
     second = drain_builder(sim).block_round.entity
     assert second.drain and second.attempt == 0
-    assert second.tx_ids == small + big
+    assert second.tx_ids == tuple(small + big)
 
 
 def oracle_pool(state: NodeState) -> list:
@@ -230,19 +230,18 @@ def test_pool_matches_from_scratch_oracle_after_every_event(monkeypatch, overrid
     finalize_block = Simulation.finalize_block
 
     def watched_finalize_block(sim, state, block, tickets):
-        info = finalize_block(sim, state, block, tickets)
-        if info.drain:
+        finalize_block(sim, state, block, tickets)
+        if block.drain:
             for other in sim.nodes:
                 if other is not state:
-                    unnotified.setdefault(other.node_index, {})[info.id] = {
-                        tx_id for tx_id in info.tx_ids if tx_id in other.own_finalized}
-        return info
+                    unnotified.setdefault(other.node_index, {})[block.id] = {
+                        tx_id for tx_id in block.tx_ids if tx_id in other.own_finalized}
 
     on_block_notify = controller.on_block_notify
 
-    def watched_on_block_notify(sim, state, info):
-        unnotified.get(state.node_index, {}).pop(info.id, None)
-        on_block_notify(sim, state, info)
+    def watched_on_block_notify(sim, state, block):
+        unnotified.get(state.node_index, {}).pop(block.id, None)
+        on_block_notify(sim, state, block)
 
     cut_in_flight = []
     unchained = NodeState.unchained
@@ -270,12 +269,12 @@ def test_pool_matches_from_scratch_oracle_after_every_event(monkeypatch, overrid
     assert not any(unnotified.values())
     # the run covers drain blocks and reorgs that cut an own block while
     # one of its txs sits in a newer attempt
-    drain_blocks = [info for info in sim.registry.tracker.blocks.values() if info.drain]
+    drain_blocks = [block for block in sim.registry.tracker.blocks.values() if block.drain]
     assert drain_blocks
     if overrides is DRAIN_RETRY_CONFIG:
         owner_of = {tx_id: s.node_index for s in sim.nodes for tx_id in s.own_finalized}
-        assert any(len({owner_of[tx_id] for tx_id in info.tx_ids}) > 1
-                   for info in drain_blocks)
+        assert any(len({owner_of[tx_id] for tx_id in block.tx_ids}) > 1
+                   for block in drain_blocks)
         # a drain try rejected or abandoned handed its parts back
         assert failed_drain_tries
     else:

@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chainsim.config import ValueOutOfRange, malicious_count
+from chainsim.consensus import replica_holders
 from chainsim.engine import (
     CSV_HEADER,
+    REPLICATION_FACTOR,
     MetricRecord,
     Simulation,
     StalledSimulation,
@@ -25,7 +27,7 @@ from chainsim.simnet import (
     Network,
 )
 from chainsim.storage import DECISION_SILENT, Block, Transaction
-from conftest import make_cfg
+from conftest import bare_simulation, make_cfg
 
 
 def chain_tx_multiset(sim: Simulation) -> Counter:
@@ -139,6 +141,38 @@ def test_replica_holders_resolvable_through_overlay():
         storing = {s.node_index for s in sim.nodes if s.store.fetch(ident) is not None}
         assert holder_indexes == storing
         assert len(holder_indexes) == 3
+
+
+def test_every_view_of_a_finalized_block_is_the_one_block():
+    sim = Simulation(make_cfg(nodes=8, transactions_per_node=4, block_size_min=3), seed=5)
+    sim.run()
+    blocks = [b for b in sim.registry.tracker.blocks.values() if b is not sim.genesis]
+    assert len(blocks) == sum(1 for r in sim.records if r.event_type == "block")
+    for block in blocks:
+        assert isinstance(block, Block) and isinstance(block.tx_ids, tuple)
+        assert all(state.tracker.blocks[block.id] is block for state in sim.nodes)
+        holders = replica_holders(block.id, block.owner, sim.controllers, REPLICATION_FACTOR)
+        assert all(sim.nodes[h].store.fetch(block.id) is block for h in holders)
+
+
+def test_work_a_quiescent_point_queues_for_now_runs_in_an_instant_of_its_own():
+    sim = bare_simulation()
+    sim._bootstrap = lambda: None   # no tx timers: only the events queued here
+    log = []
+    sim.schedule_at(10, lambda: log.append(("first", sim.now)))
+    sim.schedule_at(20, lambda: log.append(("later", sim.now)))
+
+    def quiescent_point():
+        log.append(("point", sim.now))
+        if len(log) == 2:
+            sim.schedule_in(0, lambda: log.append(("queued by the point", sim.now)))
+        return sim.now == 20   # the run ends at the last event's point
+
+    sim._check_termination = quiescent_point
+    sim.run()
+    assert log == [("first", 10), ("point", 10), ("queued by the point", 10), ("point", 10),
+                   ("later", 20), ("point", 20)]
+    assert sim.events_processed == 3 and sim._heap == []
 
 
 def test_seed_changes_latency_matrix():

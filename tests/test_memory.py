@@ -9,7 +9,7 @@ from chainsim.engine import ROUTE_MSG_BYTES, MetricRecord, Simulation
 from chainsim.identity import ZERO_ID
 from chainsim.overlay import KIND_DATA, SearchResult, Vertex
 from chainsim.simnet import ContextCounters
-from chainsim.storage import BlockInfo, new_block, new_transaction
+from chainsim.storage import new_block, new_transaction
 from conftest import make_cfg
 
 
@@ -22,7 +22,6 @@ def live_counters() -> int:
     Vertex(ZERO_ID, 0, KIND_DATA, levels=3),
     new_transaction(0, 1, 1, ZERO_ID, seq=0, created_at=0),
     new_block(0, ZERO_ID, 1, [bytes(32)], created_at=0),
-    BlockInfo(ZERO_ID, ZERO_ID, 0, ()),
     MetricRecord("tx", "00", 0, 0, 0, 0, 0, 0, 0, 0),
     ContextCounters(),
     SearchResult(ZERO_ID, 0, 0, [0]),

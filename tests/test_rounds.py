@@ -15,7 +15,7 @@ from chainsim.storage import (
     DECISION_APPROVE,
     DECISION_REJECT,
     DECISION_SILENT,
-    BlockInfo,
+    Block,
     new_block,
     new_transaction,
 )
@@ -148,7 +148,7 @@ def test_owner_abandons_a_block_round_the_tail_has_passed(monkeypatch):
     assert requests and not first.done
 
     # another owner's block takes height 1 first, and its notify lands
-    rival = BlockInfo(hash_bytes(b"rival"), sim.genesis.id, 1, (), owner=1)
+    rival = Block(hash_bytes(b"rival"), 1, sim.genesis.id, 1)
     sim.registry.add_block(rival)
     sent_before = len(requests)
     controller.on_block_notify(sim, owner, rival)
@@ -158,7 +158,7 @@ def test_owner_abandons_a_block_round_the_tail_has_passed(monkeypatch):
     assert retry is not first
     # the attempt's counters span all of its tries
     assert retry.context is first.context
-    assert (retry.entity.prev_block_id, retry.entity.height) == (rival.id, 2)
+    assert (retry.entity.parent, retry.entity.height) == (rival.id, 2)
     assert retry.entity.tx_ids == first.entity.tx_ids
     assert (sim.abandoned_rounds, sim.block_retries) == (1, 1)
     while sim._heap:

@@ -10,7 +10,6 @@ from hypothesis import given, strategies as st
 from chainsim.identity import Identifier, ZERO_ID
 from chainsim.storage import (
     Block,
-    BlockInfo,
     ChainTracker,
     IdMismatch,
     ReplicaStore,
@@ -39,7 +38,7 @@ transactions = st.builds(
 
 blocks = st.builds(
     new_block,
-    owner=st.integers(0, 2**32), prev_block_id=identifiers,
+    owner=st.integers(0, 2**32), parent=identifiers,
     height=st.integers(0, 2**32), tx_ids=st.lists(identifiers, max_size=8),
     created_at=st.integers(0, 2**40), attempt=st.integers(0, 5),
     drain=st.booleans(),
@@ -74,7 +73,7 @@ def test_transaction_bytes_match_golden_file():
 
 def test_sample_block_digest_frozen():
     tx = _sample_tx()
-    blk = new_block(owner=2, prev_block_id=Identifier(bytes(range(32))), height=4,
+    blk = new_block(owner=2, parent=Identifier(bytes(range(32))), height=4,
                     tx_ids=[tx.id, Identifier(b"\xff" * 32)], created_at=999)
     assert hashlib.sha256(canonical_bytes(blk)).hexdigest() == SAMPLE_BLOCK_DIGEST
     assert blk.id.hex() == SAMPLE_BLOCK_DIGEST
@@ -134,19 +133,19 @@ def test_fetch_after_store():
 # -- chain tracking -------------------------------------------------------
 
 
-def _info(label: str, parent: BlockInfo, tx_labels=()) -> BlockInfo:
+def _block(label: str, parent: Block, tx_labels=()) -> Block:
     ident = Identifier(hashlib.sha256(label.encode()).digest())
     txs = tuple(Identifier(hashlib.sha256(t.encode()).digest()) for t in tx_labels)
-    return BlockInfo(ident, parent.id, parent.height + 1, txs)
+    return Block(ident, 0, parent.id, parent.height + 1, txs)
 
 
-GENESIS = BlockInfo(ZERO_ID, ZERO_ID, 0, ())
+GENESIS = Block(ZERO_ID, 0, ZERO_ID, 0)
 
 
 def test_tail_follows_height():
     tracker = ChainTracker(GENESIS)
-    a = _info("a", GENESIS, ["t1"])
-    b = _info("b", a, ["t2"])
+    a = _block("a", GENESIS, ["t1"])
+    b = _block("b", a, ["t2"])
     tracker.add(a)
     tracker.add(b)
     assert tracker.tail == b
@@ -154,22 +153,22 @@ def test_tail_follows_height():
 
 
 def test_height_tie_breaks_by_smaller_id():
-    siblings = [_info(label, GENESIS) for label in ("x", "y", "z")]
+    siblings = [_block(label, GENESIS) for label in ("x", "y", "z")]
     winner = min(siblings, key=lambda i: int.from_bytes(i.id, "big"))
     # the winner must not depend on arrival order
     for ordering in (siblings, list(reversed(siblings))):
         tracker = ChainTracker(GENESIS)
-        for info in ordering:
-            tracker.add(info)
+        for block in ordering:
+            tracker.add(block)
         assert tracker.tail == winner
 
 
 def test_reorg_rebuilds_chain_txs():
     tracker = ChainTracker(GENESIS)
-    a = _info("a", GENESIS, ["t1"])
+    a = _block("a", GENESIS, ["t1"])
     tracker.add(a)
-    b = _info("b", GENESIS, ["t2"])
-    c = _info("c", b, ["t3"])
+    b = _block("b", GENESIS, ["t2"])
+    c = _block("c", b, ["t3"])
     tracker.add(b)
     tracker.add(c)
     assert tracker.tail == c
@@ -179,9 +178,9 @@ def test_reorg_rebuilds_chain_txs():
 
 def test_out_of_order_delivery_links_orphans():
     tracker = ChainTracker(GENESIS)
-    a = _info("a", GENESIS)
-    b = _info("b", a)
-    c = _info("c", b)
+    a = _block("a", GENESIS)
+    b = _block("b", a)
+    c = _block("c", b)
     tracker.add(c)
     tracker.add(b)
     assert tracker.tail == GENESIS   # ancestors still unknown
@@ -192,7 +191,7 @@ def test_out_of_order_delivery_links_orphans():
 
 def test_duplicate_add_is_ignored():
     tracker = ChainTracker(GENESIS)
-    a = _info("a", GENESIS, ["t1"])
+    a = _block("a", GENESIS, ["t1"])
     tracker.add(a)
     tracker.add(a)
     assert len(tracker.blocks) == 2
@@ -213,32 +212,31 @@ def block_arrivals(draw):
     count = draw(st.integers(1, 12))
     # the id order decides height ties, so let it vary independently of shape
     ranks = draw(st.permutations(range(count)))
-    infos: list[BlockInfo] = []
+    blocks: list[Block] = []
     for i in range(count):
-        parent = draw(st.sampled_from([GENESIS] + infos))
+        parent = draw(st.sampled_from([GENESIS] + blocks))
         tx_ids = draw(st.lists(st.sampled_from(TX_POOL), max_size=3))
         owner = draw(st.sampled_from(OWNERS))
         ident = bytes([ranks[i] + 1]) + _tx_id(f"block-{i}")[1:]
-        infos.append(BlockInfo(ident, parent.id, parent.height + 1, tuple(tx_ids),
-                               owner=owner))
-    repeats = draw(st.lists(st.sampled_from(infos), max_size=3))
-    return draw(st.permutations(infos + repeats))
+        blocks.append(Block(ident, owner, parent.id, parent.height + 1, tuple(tx_ids)))
+    repeats = draw(st.lists(st.sampled_from(blocks), max_size=3))
+    return draw(st.permutations(blocks + repeats))
 
 
-def _oracle_chain(added: list[BlockInfo]) -> list[BlockInfo]:
+def _oracle_chain(added: list[Block]) -> list[Block]:
     """Genesis to tail, from scratch: the best block reachable from genesis
     (greatest height, then smaller numeric id), walked back to genesis."""
-    by_id = {GENESIS.id: GENESIS, **{info.id: info for info in added}}
+    by_id = {GENESIS.id: GENESIS, **{block.id: block for block in added}}
 
-    def linked(info):
-        while info.id != GENESIS.id:
-            if info.parent not in by_id:
+    def linked(block):
+        while block.id != GENESIS.id:
+            if block.parent not in by_id:
                 return False
-            info = by_id[info.parent]
+            block = by_id[block.parent]
         return True
 
-    tail = min((info for info in by_id.values() if linked(info)),
-               key=lambda info: (-info.height, int.from_bytes(info.id, "big")))
+    tail = min((block for block in by_id.values() if linked(block)),
+               key=lambda block: (-block.height, int.from_bytes(block.id, "big")))
     chain = [tail]
     while chain[-1].id != GENESIS.id:
         chain.append(by_id[chain[-1].parent])
@@ -246,12 +244,12 @@ def _oracle_chain(added: list[BlockInfo]) -> list[BlockInfo]:
     return chain
 
 
-def _oracle_txs(chain: list[BlockInfo], owner=None) -> dict:
+def _oracle_txs(chain: list[Block], owner=None) -> dict:
     txs = {}
-    for info in chain:
-        if owner is None or info.owner == owner:
-            for tx_id in info.tx_ids:
-                txs.setdefault(tx_id, info.height)
+    for block in chain:
+        if owner is None or block.owner == owner:
+            for tx_id in block.tx_ids:
+                txs.setdefault(tx_id, block.height)
     return txs
 
 
@@ -269,9 +267,9 @@ def _naive_ancestry(tracker: ChainTracker, block_id: Identifier) -> set:
 def test_incremental_index_matches_from_scratch_oracle(arrivals):
     full = ChainTracker(GENESIS)
     scoped = {owner: ChainTracker(GENESIS, owner=owner) for owner in OWNERS}
-    for step, info in enumerate(arrivals):
+    for step, block in enumerate(arrivals):
         for tracker in (full, *scoped.values()):
-            tracker.add(info)
+            tracker.add(block)
         chain = _oracle_chain(arrivals[:step + 1])
         assert full.tail == chain[-1]
         assert full.chain_ids() == [b.id for b in chain]
@@ -295,12 +293,12 @@ def test_ancestry_query_refused_by_owner_scoped_tracker():
 def test_reorg_keeps_tx_shared_with_common_prefix():
     # t1 sits in both a (height 1, kept) and b (height 2, cut by the reorg)
     tracker = ChainTracker(GENESIS)
-    a = _info("a", GENESIS, ["t1"])
-    b = _info("b", a, ["t1", "t2"])
+    a = _block("a", GENESIS, ["t1"])
+    b = _block("b", a, ["t1", "t2"])
     tracker.add(a)
     tracker.add(b)
-    rival = _info("rival-b", a, ["t3"])
-    longer = _info("rival-c", rival, ["t4"])
+    rival = _block("rival-b", a, ["t3"])
+    longer = _block("rival-c", rival, ["t4"])
     tracker.add(rival)
     tracker.add(longer)
     assert tracker.chain_ids() == [GENESIS.id, a.id, rival.id, longer.id]
