@@ -86,23 +86,19 @@ class SimulationConfig:
         return self
 
 
-def _parse_int(raw: str) -> int:
-    return int(raw, 10)
-
-
 # file key -> (config field, value parser)
 KEYS = {
-    "NODES": ("nodes", _parse_int),
-    "TRANSACTIONS": ("transactions_per_node", _parse_int),
-    "DELAY": ("inter_tx_delay_s", _parse_int),
-    "BLK_SIZE": ("block_size_min", _parse_int),
-    "INIT_BALANCE": ("initial_balance", _parse_int),
+    "NODES": ("nodes", int),
+    "TRANSACTIONS": ("transactions_per_node", int),
+    "DELAY": ("inter_tx_delay_s", int),
+    "BLK_SIZE": ("block_size_min", int),
+    "INIT_BALANCE": ("initial_balance", int),
     "MALICIOUS": ("malicious_fraction", float),
-    "VALID_THR": ("validators_per_entity", _parse_int),
-    "SIG_THR": ("signature_threshold", _parse_int),
-    "VALID_FEE": ("validation_fee", _parse_int),
-    "ROUTE_FEE": ("routing_fee", _parse_int),
-    "REWARD": ("block_reward", _parse_int),
+    "VALID_THR": ("validators_per_entity", int),
+    "SIG_THR": ("signature_threshold", int),
+    "VALID_FEE": ("validation_fee", int),
+    "ROUTE_FEE": ("routing_fee", int),
+    "REWARD": ("block_reward", int),
 }
 
 _FIELD_TO_KEY = {field: key for key, (field, _) in KEYS.items()}

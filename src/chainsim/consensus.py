@@ -32,7 +32,6 @@ class InsufficientDistinctValidators(Exception):
 @dataclass(slots=True)
 class ValidationTicket:
     validator: int
-    terminal: int
     path: list[int]
     decision: str = DECISION_SILENT
 
@@ -67,7 +66,8 @@ def select_validators(entity_id: Identifier, owner: int,
             target = hash_bytes(target)
         chosen.add(validator)
         result = overlay.search_num_id(owner, identifier)
-        tickets.append(ValidationTicket(validator, result.terminal, result.path))
+        # an exact search for an existing identifier ends at its owner
+        tickets.append(ValidationTicket(validator, result.path))
     return tickets
 
 
@@ -180,6 +180,6 @@ def apply_finalization_fees(ledger: EconomyLedger, owner: int,
     for ticket in tickets:
         if ticket.decision == DECISION_APPROVE:
             ledger.transfer(owner, ticket.validator, cfg.validation_fee)
-        ledger.transfer(owner, ticket.terminal, cfg.routing_fee)
+        ledger.transfer(owner, ticket.validator, cfg.routing_fee)
     if is_block:
         ledger.mint(owner, cfg.block_reward)

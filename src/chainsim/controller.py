@@ -34,8 +34,6 @@ from .config import SimulationConfig
 from .identity import Identifier, hash_bytes
 from .simnet import ContextCounters
 from .storage import (
-    DECISION_APPROVE,
-    DECISION_SILENT,
     Block,
     ChainTracker,
     ReplicaStore,
@@ -75,8 +73,8 @@ class NodeState:
     block_round: ValidationRound | None = None
 
     def __post_init__(self):
-        # the owner-scoped tracker reports the node's txs entering and
-        # leaving its chain through `chained` and `unchained`
+        # the tracker indexes only the node's own txs, and reports them
+        # entering and leaving its chain through `chained` and `unchained`
         self.tracker.listener = self
 
     def add_finalized(self, tx_id: Identifier, finalized_at: int) -> None:
@@ -114,15 +112,6 @@ def _bogus_block_id(state: NodeState, seq: int) -> Identifier:
     return hash_bytes(b"bogus-parent", struct.pack(">QQQ", state.node_index, seq, 0))
 
 
-def approvals_of(tickets) -> int:
-    return sum(1 for t in tickets if t.decision == DECISION_APPROVE)
-
-
-def signatures_of(tickets) -> int:
-    # a silent validator (no reply before the timeout) has no signature
-    return sum(1 for t in tickets if t.decision != DECISION_SILENT)
-
-
 # -- transaction lifecycle ----------------------------------------------
 
 
@@ -142,10 +131,9 @@ def on_tx_timer(sim, state: NodeState) -> None:
         sim.schedule_in(cfg.inter_tx_delay_s * 1000, lambda: on_tx_timer(sim, state))
 
 
-def on_tx_result(sim, state: NodeState, tx: Transaction, tickets,
+def on_tx_result(sim, state: NodeState, tx: Transaction, tickets, approved: bool,
                  context: ContextCounters) -> None:
-    tx.signatures = signatures_of(tickets)
-    if approvals_of(tickets) >= sim.cfg.signature_threshold:
+    if approved:
         sim.finalize_transaction(state, tx, tickets, context)
         state.add_finalized(tx.id, sim.now)
         maybe_schedule_block(sim, state)
@@ -234,9 +222,8 @@ def start_block_attempt(sim, state: NodeState, failed: Block | None = None) -> N
     sim.begin_block_validation(state, block, retries=attempt)
 
 
-def on_block_result(sim, state: NodeState, block: Block, tickets) -> None:
-    block.signatures = signatures_of(tickets)
-    if approvals_of(tickets) >= sim.cfg.signature_threshold:
+def on_block_result(sim, state: NodeState, block: Block, tickets, approved: bool) -> None:
+    if approved:
         sim.finalize_block(state, block, tickets)
         state.tracker.add(block)
         # the other owners of a drain block end their parts at its notify
@@ -271,9 +258,8 @@ def _close_block_attempt(sim, state: NodeState) -> None:
 
 def on_block_notify(sim, state: NodeState, block: Block) -> None:
     state.tracker.add(block)
-    if block.drain:
-        # the node now knows where its part of the drain block went
-        state.release(block.tx_ids)
+    # the node now knows where its part of the block, if any, went
+    state.release(block.tx_ids)
     round_ = state.block_round
     if round_ is not None and state.tracker.tail.height >= round_.entity.height:
         # the registry tail is at least as tall, so every honest validator

@@ -24,7 +24,7 @@ from .consensus import (
     validate_entity,
 )
 # `pending_pool` is not called here; bench/tracing.py patches it in this module
-from .controller import NodeState, approvals_of, pending_pool
+from .controller import NodeState, pending_pool
 from .identity import ID_BYTES, Identifier, ZERO_ID, derive_node_identifier, hash_bytes
 from .overlay import KIND_CONTROLLER, KIND_DATA, SkipGraph
 from .rng import substream
@@ -196,9 +196,11 @@ class ValidationRound:
     """One entity's validator resolution, request fan-out, and collection.
 
     The round is decided at its `signature_threshold`-th approving reply,
-    at its last reply, or at its timeout, whichever comes first, and then
-    hands its tickets to `on_result` once.  A tx round is also decided, as
-    failed, at the rejection that leaves it unable to reach the threshold.
+    at its last reply, or at its timeout, whichever comes first.  It then
+    sets the entity's signature count and hands its tickets, and whether
+    the threshold was reached, to `on_result` once; nothing else counts
+    its votes.  A tx round is also decided, as failed, at the rejection
+    that leaves it unable to reach the threshold.
     A ticket whose reply has not landed by then stays silent: it has no
     signature and earns no validation fee.  `done` marks a decided round;
     setting it from outside abandons the round: it then sends no more
@@ -207,7 +209,7 @@ class ValidationRound:
     """
 
     def __init__(self, sim: "Simulation", entity: Entity, context: ContextCounters,
-                 on_result: Callable[[list[ValidationTicket]], None]):
+                 on_result: Callable[[list[ValidationTicket], bool], None]):
         self.sim = sim
         self.entity = entity
         self.context = context
@@ -226,7 +228,6 @@ class ValidationRound:
         self.tickets = select_validators(
             self.entity.id, self.entity.owner, sim.controllers, sim.overlay, sim.cfg,
         )
-        self.context.validators += len(self.tickets)
         self.unresolved = self.pending_replies = len(self.tickets)
         self.request_bytes = wire_size(self.entity)
         for ticket in self.tickets:
@@ -283,7 +284,9 @@ class ValidationRound:
 
     def _complete(self) -> None:
         self.done = True
-        self.on_result(self.tickets)
+        # a silent validator (no reply before the decision) has no signature
+        self.entity.signatures = len(self.tickets) - self.pending_replies
+        self.on_result(self.tickets, self.approvals_missing == 0)
 
 
 class Simulation:
@@ -306,7 +309,7 @@ class Simulation:
 
         shuffled = list(range(n))
         substream(seed, "malice").shuffle(shuffled)
-        self.malicious_set = set(shuffled[:malicious_count(cfg)])
+        malicious = set(shuffled[:malicious_count(cfg)])
 
         self.matrix = build_latency_matrix(
             n, seed, samples=latency_samples,
@@ -330,16 +333,15 @@ class Simulation:
         self.nodes = [
             NodeState(
                 node_index=i,
-                malicious=i in self.malicious_set,
+                malicious=i in malicious,
                 rng_recipient=substream(seed, "recipient", i),
                 rng_corrupt=substream(seed, "corrupt", i),
                 rng_backoff=substream(seed, "backoff", i),
-                tracker=ChainTracker(self.genesis, owner=i),
+                tracker=ChainTracker(self.genesis),
             )
             for i in range(n)
         ]
 
-        self.slots_total = n * cfg.transactions_per_node
         self.records: list[MetricRecord] = []
         self._wall_clock_s = 0.0
         self._last_check = 0
@@ -382,8 +384,8 @@ class Simulation:
             self.tx_retries += 1
         round_ = ValidationRound(
             self, tx, context,
-            on_result=lambda tickets: controller.on_tx_result(
-                self, state, tx, tickets, context),
+            on_result=lambda tickets, approved: controller.on_tx_result(
+                self, state, tx, tickets, approved, context),
         )
         round_.start()
 
@@ -403,8 +405,8 @@ class Simulation:
             context = ContextCounters()
         state.block_round = ValidationRound(
             self, block, context,
-            on_result=lambda tickets: controller.on_block_result(
-                self, state, block, tickets),
+            on_result=lambda tickets, approved: controller.on_block_result(
+                self, state, block, tickets, approved),
         )
         state.block_round.start()
 
@@ -433,8 +435,9 @@ class Simulation:
         path = self.overlay.announce(entity.id, holder, KIND_DATA)
         self.net.send_path(path, TAG_ANNOUNCE, ROUTE_MSG_BYTES, context, None)
 
-    def _record(self, entity: Entity, context: ContextCounters,
-                tickets: list[ValidationTicket]) -> None:
+    def _record(self, entity: Entity, context: ContextCounters) -> None:
+        # every try contacts VALID_THR validators, and a round is decided at
+        # its SIG_THR-th approval, so a finalized entity has exactly SIG_THR
         common = dict(
             entity_id=entity.id.hex(),
             owner=entity.owner,
@@ -443,8 +446,8 @@ class Simulation:
             messages=context.messages,
             bytes=context.bytes,
             memory_bytes=wire_size(entity),
-            validators_contacted=context.validators,
-            approvals=approvals_of(tickets),
+            validators_contacted=self.cfg.validators_per_entity * (entity.attempt + 1),
+            approvals=self.cfg.signature_threshold,
         )
         if isinstance(entity, Transaction):
             self.records.append(MetricRecord(event_type="tx", **common))
@@ -461,7 +464,7 @@ class Simulation:
                                 is_block=False)
         self.registry.add_tx(tx.id, tx.owner, tx.seq)
         self._announce_and_replicate(state, tx, context)
-        self._record(tx, context, tickets)
+        self._record(tx, context)
 
     def finalize_block(self, state: NodeState, block: Block,
                        tickets: list[ValidationTicket]) -> None:
@@ -481,7 +484,7 @@ class Simulation:
                 state.node_index, other.node_index, TAG_NOTIFY, notify_size, context,
                 handler=lambda o=other: controller.on_block_notify(self, o, block),
             )
-        self._record(block, context, tickets)
+        self._record(block, context)
 
     # -- drain and termination ------------------------------------------
 
@@ -494,7 +497,7 @@ class Simulation:
 
     def _all_txs_finalized(self) -> bool:
         # each tx slot finalizes once, so this is "all generated, none open"
-        return len(self.registry.finalized_txs) == self.slots_total
+        return len(self.registry.finalized_txs) == self.cfg.nodes * self.cfg.transactions_per_node
 
     def _check_termination(self) -> bool:
         if not self._all_txs_finalized():
@@ -518,8 +521,12 @@ class Simulation:
     # -- main loop -------------------------------------------------------
 
     def run(self) -> SimulationReport:
-        n, m = self.cfg.nodes, len(self.malicious_set)
-        if m < n and n - 1 - m < self.cfg.signature_threshold:
+        n, m = self.cfg.nodes, malicious_count(self.cfg)
+        if m == n:
+            # malicious validators reject every valid entity
+            raise StalledSimulation(
+                f"every node is malicious (NODES={n}), so no block on a real parent can finalize")
+        if n - 1 - m < self.cfg.signature_threshold:
             # an honest owner's validators are drawn from the other n - 1
             # nodes, and only the honest ones approve its valid entities
             raise StalledSimulation(

@@ -127,7 +127,7 @@ def build_latency_matrix(n: int, seed: int, samples: list[float] | None = None,
 
 @dataclass(slots=True)
 class ContextCounters:
-    """Traffic and validators of one operation: a tx slot or a block attempt.
+    """Traffic of one operation: a tx slot or a block attempt.
 
     The operation owns this object and hands it to every send it makes;
     nothing else refers to it, so it is freed with the operation's last
@@ -135,7 +135,6 @@ class ContextCounters:
     """
     messages: int = 0
     bytes: int = 0
-    validators: int = 0
 
 
 def _arrived() -> None:

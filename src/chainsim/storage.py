@@ -127,19 +127,17 @@ class ChainTracker:
     Tail = greatest height, ties broken by smaller numeric id.  `chain`
     holds the canonical blocks by height (genesis at 0), and `chain_txs`
     maps each transaction on it to the lowest height of a block holding
-    it.  A tracker with an `owner` indexes only that owner's txs, which is
-    all a node's pool asks about, and tells its `listener` (the owner's
-    state) which of them enter and leave `chain_txs`: every tx of the
-    owner's own blocks, and of a drain block, which holds every owner's
-    leftovers, the ones in the listener's `own_finalized`.  A reorg walks
+    it.  A tracker with a `listener` (a node's state) indexes only the
+    listener's `own_finalized` txs, which is all a node's pool asks about,
+    and tells the listener which of them enter and leave `chain_txs`; the
+    registry's tracker, with no listener, indexes every tx.  A reorg walks
     back only to the common ancestor of the old and the new tail, and
     `reorgs` counts the tail moves that cut blocks off the chain.  Every
     block's height is its parent's height plus one.
     """
 
-    def __init__(self, genesis: Block, owner: int | None = None):
+    def __init__(self, genesis: Block):
         self.genesis = genesis
-        self.owner = owner
         self.listener = None
         self.blocks: dict[Identifier, Block] = {genesis.id: genesis}
         self.tail: Block = genesis
@@ -202,14 +200,12 @@ class ChainTracker:
         self.tail = new_tail
 
     def _indexed_txs(self, blk: Block):
-        """The txs of `blk` this tracker indexes: all of them, or only its
-        owner's, which a drain block mixes with every other owner's."""
-        if self.owner is None:
+        """The txs of `blk` this tracker indexes: all of them, or only the
+        listener's own, which a drain block mixes with every other owner's."""
+        if self.listener is None:
             return blk.tx_ids
-        if blk.drain:
-            own = self.listener.own_finalized
-            return [tx_id for tx_id in blk.tx_ids if tx_id in own]
-        return blk.tx_ids if blk.owner == self.owner else ()
+        own = self.listener.own_finalized
+        return [tx_id for tx_id in blk.tx_ids if tx_id in own]
 
     def _index(self, blk: Block) -> None:
         tx_ids = self._indexed_txs(blk)
@@ -220,7 +216,7 @@ class ChainTracker:
 
     def ancestry_holds_any(self, block_id: Identifier, tx_ids) -> bool:
         """True when `block_id` or one of its ancestors holds a tx in `tx_ids`."""
-        assert self.owner is None, "an owner-scoped tracker indexes only its owner's txs"
+        assert self.listener is None, "a node's tracker indexes only the node's own txs"
         wanted = set(tx_ids)
         cur = self.blocks[block_id]
         while not self._on_chain(cur):

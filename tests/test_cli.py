@@ -183,28 +183,43 @@ LIVELOCKED_CONFIG = (
     "REWARD = 3\n"
 )
 
+# Every node is malicious (round-half-up of 0.75 x 2 is 2), so every valid
+# entity is rejected and no block on a real parent ever finalizes.
+ALL_MALICIOUS_CONFIG = LIVELOCKED_CONFIG.replace(
+    "MALICIOUS = 0.3", "MALICIOUS = 0.75").replace("TRANSACTIONS = 3", "TRANSACTIONS = 5")
+
+# (config, seed, the StalledSimulation message)
+STALLED_CASES = (
+    (LIVELOCKED_CONFIG, 3,
+     "an honest node has 0 honest validators (NODES=2, 1 malicious), fewer than SIG_THR=1"),
+    (ALL_MALICIOUS_CONFIG, 7,
+     "every node is malicious (NODES=2), so no block on a real parent can finalize"),
+)
+
 
 def test_livelocked_run_exits_stalled(tmp_path):
     # a subprocess with a timeout, so a hang fails the test instead of hanging it
-    path = tmp_path / "livelock.config"
-    path.write_text(LIVELOCKED_CONFIG)
     src = str(Path(chainsim.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "chainsim.cli", "--config", str(path), "--seed", "3",
-         "--out", str(tmp_path / "run.csv")],
-        capture_output=True, text=True, timeout=60, env=env,
-    )
-    assert proc.returncode == cli.EXIT_STALLED, proc.stderr
-    assert "stalled simulation" in proc.stderr
+    for i, (text, seed, _) in enumerate(STALLED_CASES):
+        path = tmp_path / f"livelock-{i}.config"
+        path.write_text(text)
+        proc = subprocess.run(
+            [sys.executable, "-m", "chainsim.cli", "--config", str(path), "--seed", str(seed),
+             "--out", str(tmp_path / "run.csv")],
+            capture_output=True, text=True, timeout=60, env=env,
+        )
+        assert proc.returncode == cli.EXIT_STALLED, proc.stderr
+        assert "stalled simulation" in proc.stderr
 
 
 def test_livelocked_run_stalls_at_a_pinned_point():
-    # too few honest validators for SIG_THR: the run fails before its first event
-    sim = chainsim.Simulation(chainsim.parse_config(LIVELOCKED_CONFIG), seed=3)
-    message = "an honest node has 0 honest validators (NODES=2, 1 malicious), fewer than SIG_THR=1"
-    with pytest.raises(chainsim.StalledSimulation) as exc:
-        sim.run()
-    assert str(exc.value) == message
-    assert sim.events_processed == 0
+    # too few honest validators for SIG_THR, or none at all: the run fails
+    # before its first event
+    for text, seed, message in STALLED_CASES:
+        sim = chainsim.Simulation(chainsim.parse_config(text), seed=seed)
+        with pytest.raises(chainsim.StalledSimulation) as exc:
+            sim.run()
+        assert str(exc.value) == message
+        assert sim.events_processed == 0

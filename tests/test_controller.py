@@ -17,7 +17,7 @@ def make_state(index=0) -> NodeState:
     return NodeState(
         node_index=index, malicious=False,
         rng_recipient=random.Random(1), rng_corrupt=random.Random(2),
-        rng_backoff=random.Random(3), tracker=ChainTracker(GENESIS, owner=index),
+        rng_backoff=random.Random(3), tracker=ChainTracker(GENESIS),
     )
 
 
@@ -143,7 +143,7 @@ def test_drain_try_sweeps_every_pool_and_no_second_one_starts_while_it_is_open()
     assert not late_owner.block_attempt_open and late_owner.pool
     assert all(state.block_round is None for state in sim.nodes if state is not builder)
     # a rejected try hands every owner its part back, and the retry sweeps again
-    controller.on_block_result(sim, builder, first, tickets=[])
+    controller.on_block_result(sim, builder, first, tickets=[], approved=False)
     retry = builder.block_round.entity
     assert retry.drain and retry.attempt == 1
     assert retry.tx_ids == tuple(small + big + late)
@@ -158,12 +158,13 @@ def test_drain_try_closed_at_max_retries_reschedules_every_pool():
     run_queued(sim)
     builder = drain_builder(sim)
     for _ in range(controller.MAX_BLOCK_RETRIES):
-        controller.on_block_result(sim, builder, builder.block_round.entity, tickets=[])
+        controller.on_block_result(sim, builder, builder.block_round.entity,
+                                   tickets=[], approved=False)
     last = builder.block_round.entity
     assert last.drain and last.attempt == controller.MAX_BLOCK_RETRIES
     # drop the rounds' messages, so only what the close schedules is queued
     sim._heap.clear()
-    controller.on_block_result(sim, builder, last, tickets=[])
+    controller.on_block_result(sim, builder, last, tickets=[], approved=False)
     # every owner holds its part again and has scheduled a try; node 0 has none
     assert all(state.block_round is None for state in sim.nodes)
     assert [tx for _, tx in pending_pool(sim.nodes[1])] == small
@@ -280,7 +281,7 @@ def test_pool_matches_from_scratch_oracle_after_every_event(monkeypatch, overrid
     else:
         assert cut_in_flight
     if overrides.get("malicious_fraction"):
-        assert sim.malicious_set
+        assert any(s.malicious for s in sim.nodes)
 
 
 def test_first_transaction_timers_respect_delay():
@@ -310,8 +311,9 @@ def test_malicious_owner_retries_until_accepted():
                    signature_threshold=4)
     sim = Simulation(cfg, seed=5)
     sim.run()
-    assert len(sim.malicious_set) == 2
+    malicious = {s.node_index for s in sim.nodes if s.malicious}
+    assert len(malicious) == 2
     assert len(sim.registry.finalized_txs) == 24
     retried = [r for r in sim.records if r.event_type == "tx"
-               and r.owner in sim.malicious_set]
+               and r.owner in malicious]
     assert retried   # malicious owners still land every transaction

@@ -4,7 +4,7 @@ import gc
 import pytest
 
 from chainsim import controller, engine
-from chainsim.consensus import ValidationTicket
+from chainsim.consensus import ValidationTicket, select_validators
 from chainsim.engine import ROUTE_MSG_BYTES, MetricRecord, Simulation
 from chainsim.identity import ZERO_ID
 from chainsim.overlay import KIND_DATA, SearchResult, Vertex
@@ -25,7 +25,7 @@ def live_counters() -> int:
     MetricRecord("tx", "00", 0, 0, 0, 0, 0, 0, 0, 0),
     ContextCounters(),
     SearchResult(ZERO_ID, 0, 0, [0]),
-    ValidationTicket(1, 1, [0, 1]),
+    ValidationTicket(1, [0, 1]),
 ], ids=lambda obj: type(obj).__name__)
 def test_per_entity_objects_have_no_dict(instance):
     assert not hasattr(instance, "__dict__")
@@ -51,14 +51,21 @@ def test_operation_counters_do_not_outlive_a_hostile_run():
 
 def test_every_message_counted_once_against_an_operation_or_uncontexted(monkeypatch):
     made = []
+    selected = []   # the tickets of every round, in selection order
 
     def recording_counters():
         made.append(ContextCounters())
         return made[-1]
 
+    def recording_select(*args):
+        tickets = select_validators(*args)
+        selected.extend(tickets)
+        return tickets
+
     # tx slots get their counters in the controller, block attempts in the engine
     monkeypatch.setattr(controller, "ContextCounters", recording_counters)
     monkeypatch.setattr(engine, "ContextCounters", recording_counters)
+    monkeypatch.setattr(engine, "select_validators", recording_select)
     sim = Simulation(make_cfg(nodes=8, transactions_per_node=6, malicious_fraction=0.25),
                      seed=3)
     report = sim.run()
@@ -71,6 +78,6 @@ def test_every_message_counted_once_against_an_operation_or_uncontexted(monkeypa
     assert len(made) >= report.finalized_tx_count + report.finalized_block_count
     # a row counts its operation up to finalization, never more
     assert sum(r.messages for r in sim.records) <= sum(op.messages for op in made)
-    assert sum(r.validators_contacted for r in sim.records) <= sum(
-        op.validators for op in made)
+    # a row counts the validators its operation's rounds selected, never more
+    assert sum(r.validators_contacted for r in sim.records) <= len(selected)
     net.check_accounting()

@@ -32,8 +32,15 @@ def run_round(sim: Simulation, tx) -> tuple[ValidationRound, list]:
     """Start a round for `tx` and run until it is decided; also return the
     ticket decisions of each result it reports."""
     results = []
-    round_ = ValidationRound(sim, tx, ContextCounters(),
-                             on_result=lambda t: results.append([x.decision for x in t]))
+
+    def on_result(tickets, approved):
+        decisions = [t.decision for t in tickets]
+        # the verdict and the signature count agree with the tickets
+        assert approved == (decisions.count(DECISION_APPROVE) >= sim.cfg.signature_threshold)
+        assert tx.signatures == len(decisions) - decisions.count(DECISION_SILENT)
+        results.append(decisions)
+
+    round_ = ValidationRound(sim, tx, ContextCounters(), on_result=on_result)
     round_.start()
     while not results:
         step(sim)
@@ -69,8 +76,8 @@ def test_round_is_decided_at_the_threshold_approval(monkeypatch):
     ledger = EconomyLedger.create(cfg.nodes, cfg.initial_balance)
     apply_finalization_fees(ledger, tx.owner, round_.tickets, cfg, is_block=False)
     for ticket in round_.tickets:
-        routed = sum(cfg.routing_fee for t in round_.tickets if t.terminal == ticket.validator)
-        earned = ledger.balances[ticket.validator] - cfg.initial_balance - routed
+        # every validator also earns the routing fee of the search that found it
+        earned = ledger.balances[ticket.validator] - cfg.initial_balance - cfg.routing_fee
         assert earned == (cfg.validation_fee if ticket.decision == DECISION_APPROVE else 0)
 
 
@@ -132,9 +139,9 @@ def test_owner_abandons_a_block_round_the_tail_has_passed(monkeypatch):
     results = []
     on_block_result = controller.on_block_result
 
-    def watched_result(sim_, state, block, tickets):
+    def watched_result(sim_, state, block, tickets, approved):
         results.append(block)
-        on_block_result(sim_, state, block, tickets)
+        on_block_result(sim_, state, block, tickets, approved)
 
     monkeypatch.setattr(controller, "on_block_result", watched_result)
 

@@ -203,22 +203,42 @@ def _tx_id(label: str) -> Identifier:
 
 TX_POOL = [_tx_id(f"pool-{k}") for k in range(6)]
 OWNERS = (0, 1)
+TX_OWNER = {tx_id: OWNERS[k % len(OWNERS)] for k, tx_id in enumerate(TX_POOL)}
+
+
+class OwnTxs:
+    """A tracker listener standing for one owner's node: it holds the
+    owner's txs and follows which of them are on the tracker's chain."""
+
+    def __init__(self, owner: int):
+        self.own_finalized = {tx_id: 0 for tx_id in TX_POOL if TX_OWNER[tx_id] == owner}
+        self.on_chain = set()
+
+    def chained(self, tx_ids) -> None:
+        self.on_chain.update(tx_ids)
+
+    def unchained(self, tx_ids) -> None:
+        self.on_chain.difference_update(tx_ids)
 
 
 @st.composite
 def block_arrivals(draw):
     """A random block tree over GENESIS (each height its parent's plus one),
-    delivered in a random order that may repeat blocks."""
+    delivered in a random order that may repeat blocks.  A block holds
+    only its owner's txs, or, as a drain block, anyone's."""
     count = draw(st.integers(1, 12))
     # the id order decides height ties, so let it vary independently of shape
     ranks = draw(st.permutations(range(count)))
     blocks: list[Block] = []
     for i in range(count):
         parent = draw(st.sampled_from([GENESIS] + blocks))
-        tx_ids = draw(st.lists(st.sampled_from(TX_POOL), max_size=3))
         owner = draw(st.sampled_from(OWNERS))
+        drain = draw(st.booleans())
+        allowed = [tx_id for tx_id in TX_POOL if drain or TX_OWNER[tx_id] == owner]
+        tx_ids = draw(st.lists(st.sampled_from(allowed), max_size=3))
         ident = bytes([ranks[i] + 1]) + _tx_id(f"block-{i}")[1:]
-        blocks.append(Block(ident, owner, parent.id, parent.height + 1, tuple(tx_ids)))
+        blocks.append(Block(ident, owner, parent.id, parent.height + 1, tuple(tx_ids),
+                            drain=drain))
     repeats = draw(st.lists(st.sampled_from(blocks), max_size=3))
     return draw(st.permutations(blocks + repeats))
 
@@ -245,10 +265,13 @@ def _oracle_chain(added: list[Block]) -> list[Block]:
 
 
 def _oracle_txs(chain: list[Block], owner=None) -> dict:
+    """The chain's txs, or one owner's: every tx of the owner's own blocks,
+    and the owner's part of each drain block."""
     txs = {}
     for block in chain:
-        if owner is None or block.owner == owner:
-            for tx_id in block.tx_ids:
+        for tx_id in block.tx_ids:
+            if (owner is None or (TX_OWNER[tx_id] == owner if block.drain
+                                  else block.owner == owner)):
                 txs.setdefault(tx_id, block.height)
     return txs
 
@@ -266,7 +289,9 @@ def _naive_ancestry(tracker: ChainTracker, block_id: Identifier) -> set:
 @given(arrivals=block_arrivals())
 def test_incremental_index_matches_from_scratch_oracle(arrivals):
     full = ChainTracker(GENESIS)
-    scoped = {owner: ChainTracker(GENESIS, owner=owner) for owner in OWNERS}
+    scoped = {owner: ChainTracker(GENESIS) for owner in OWNERS}
+    for owner, tracker in scoped.items():
+        tracker.listener = OwnTxs(owner)
     for step, block in enumerate(arrivals):
         for tracker in (full, *scoped.values()):
             tracker.add(block)
@@ -278,6 +303,7 @@ def test_incremental_index_matches_from_scratch_oracle(arrivals):
             assert tracker.tail == chain[-1]
             assert tracker.chain_ids() == [b.id for b in chain]
             assert tracker.chain_txs == _oracle_txs(chain, owner)
+            assert tracker.listener.on_chain == set(tracker.chain_txs)
         for block_id in full.blocks:
             ancestry = _naive_ancestry(full, block_id)
             for tx_id in TX_POOL:
@@ -285,7 +311,8 @@ def test_incremental_index_matches_from_scratch_oracle(arrivals):
 
 
 def test_ancestry_query_refused_by_owner_scoped_tracker():
-    tracker = ChainTracker(GENESIS, owner=0)
+    tracker = ChainTracker(GENESIS)
+    tracker.listener = OwnTxs(0)
     with pytest.raises(AssertionError):
         tracker.ancestry_holds_any(GENESIS.id, [_tx_id("t1")])
 
