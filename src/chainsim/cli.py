@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .config import ConfigError, SimulationConfig, parse_config
@@ -13,27 +12,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_CONFIG = 3
 EXIT_STALLED = 4
-
-
-def _finite(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
-    return value
-
-
-def positive_float(text: str) -> float:
-    value = _finite(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be > 0: {text!r}")
-    return value
-
-
-def non_negative_float(text: str) -> float:
-    value = _finite(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0: {text!r}")
-    return value
 
 
 def non_negative_int(text: str) -> int:
@@ -62,10 +40,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=42, help="run seed")
     parser.add_argument("--latency-samples", metavar="FILE",
                         help="pairwise latency samples, one ms value per line")
-    parser.add_argument("--latency-median", type=positive_float, default=50.0, metavar="MS",
-                        help="median of the builtin log-normal latency model")
-    parser.add_argument("--latency-sigma", type=non_negative_float, default=0.5, metavar="S",
-                        help="shape of the builtin log-normal latency model")
     parser.add_argument("--summary-only", action="store_true",
                         help="print the summary but do not write the CSV")
     parser.add_argument("--check-invariants", type=non_negative_int, default=0, metavar="N",
@@ -83,6 +57,7 @@ def print_summary(report) -> None:
     print(f"  fork waste             : {report.fork_waste:.1%}")
     print(f"  chain reorgs           : {report.reorgs}")
     print(f"  tx / block retries     : {report.tx_retries} / {report.block_retries}")
+    print(f"  block rounds           : {report.block_rounds}")
     print(f"  abandoned block rounds : {report.abandoned_rounds}")
     print(f"  avg tx time            : {report.avg_tx_time_ms:.1f} ms")
     print(f"  avg block time         : {report.avg_block_time_ms:.1f} ms")
@@ -110,11 +85,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
-    sim = Simulation(
-        cfg, seed=args.seed, latency_samples=samples,
-        latency_median_ms=args.latency_median, latency_sigma=args.latency_sigma,
-        check_invariants_every=args.check_invariants,
-    )
+    sim = Simulation(cfg, seed=args.seed, latency_samples=samples,
+                     check_invariants_every=args.check_invariants)
     try:
         report = sim.run()
     except StalledSimulation as exc:

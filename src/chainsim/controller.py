@@ -67,7 +67,7 @@ class NodeState:
     # change rather than rebuilt
     pool: set[Identifier] = field(default_factory=set)
     block_attempt_open: bool = False
-    block_ctx_counter: int = 0
+    block_ctx_counter: int = 0   # first tries that built a block
     # the open attempt's record: its current try's round, whose counters
     # span all of its tries; None between attempts and during the backoff
     block_round: ValidationRound | None = None
@@ -134,7 +134,7 @@ def on_tx_timer(sim, state: NodeState) -> None:
 def on_tx_result(sim, state: NodeState, tx: Transaction, tickets, approved: bool,
                  context: ContextCounters) -> None:
     if approved:
-        sim.finalize_transaction(state, tx, tickets, context)
+        sim.finalize(tx, tickets, context)
         state.add_finalized(tx.id, sim.now)
         maybe_schedule_block(sim, state)
     else:
@@ -222,9 +222,10 @@ def start_block_attempt(sim, state: NodeState, failed: Block | None = None) -> N
     sim.begin_block_validation(state, block, retries=attempt)
 
 
-def on_block_result(sim, state: NodeState, block: Block, tickets, approved: bool) -> None:
+def on_block_result(sim, state: NodeState, block: Block, tickets, approved: bool,
+                    context: ContextCounters) -> None:
     if approved:
-        sim.finalize_block(state, block, tickets)
+        sim.finalize(block, tickets, context)
         state.tracker.add(block)
         # the other owners of a drain block end their parts at its notify
         state.release(block.tx_ids)

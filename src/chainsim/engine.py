@@ -97,6 +97,8 @@ class SimulationReport:
     reorgs: int = 0      # tail moves of the registry chain that cut blocks
     tx_retries: int = 0
     block_retries: int = 0
+    # block validation rounds started: first tries that built a block, and retries
+    block_rounds: int = 0
     # block rounds the owner gave up once its chain tail reached their height
     abandoned_rounds: int = 0
     # the most blocks any one node's chain tracker holds
@@ -165,9 +167,6 @@ class Registry:
     def add_tx(self, tx_id: Identifier, owner: int, seq: int) -> None:
         self.finalized_txs.add(tx_id)
         self._finalized_seqs.add((owner, seq))
-
-    def add_block(self, block: Block) -> None:
-        self.tracker.add(block)
 
     # chain-view interface used by validate_entity
     def has_block(self, block_id: Identifier) -> bool:
@@ -292,7 +291,6 @@ class ValidationRound:
 class Simulation:
     def __init__(self, cfg: SimulationConfig, seed: int = 42,
                  latency_samples: list[float] | None = None,
-                 latency_median_ms: float = 50.0, latency_sigma: float = 0.5,
                  check_invariants_every: int = 0):
         self.cfg = cfg.validate()
         self.seed = seed
@@ -311,10 +309,7 @@ class Simulation:
         substream(seed, "malice").shuffle(shuffled)
         malicious = set(shuffled[:malicious_count(cfg)])
 
-        self.matrix = build_latency_matrix(
-            n, seed, samples=latency_samples,
-            median_ms=latency_median_ms, sigma=latency_sigma,
-        )
+        self.matrix = build_latency_matrix(n, seed, samples=latency_samples)
         self.validation_timeout_ms = 10 * self.matrix.percentile(0.99)
         self._stall_window = (STALL_TIMEOUTS * self.validation_timeout_ms
                               + cfg.inter_tx_delay_s * 1000)
@@ -395,8 +390,8 @@ class Simulation:
 
         The round is the attempt's only record, kept in `state.block_round`
         until the next try or the attempt's end: the owner abandons it when
-        its chain tail passes the block, and finalization reads its counters,
-        fresh on a first try and taken over from the predecessor on a retry.
+        its chain tail passes the block.  Its counters, fresh on a first try
+        and taken over from the predecessor on a retry, go to the result.
         """
         if retries:
             self.block_retries += 1
@@ -406,7 +401,7 @@ class Simulation:
         state.block_round = ValidationRound(
             self, block, context,
             on_result=lambda tickets, approved: controller.on_block_result(
-                self, state, block, tickets, approved),
+                self, state, block, tickets, approved, context),
         )
         state.block_round.start()
 
@@ -414,20 +409,6 @@ class Simulation:
 
     def _note_progress(self) -> None:
         self._stall_deadline = self.now + self._stall_window
-
-    def _announce_and_replicate(self, state: NodeState, entity: Entity,
-                                context: ContextCounters) -> None:
-        state.store.store(entity)
-        path = self.overlay.announce(entity.id, state.node_index, KIND_DATA)
-        self.net.send_path(path, TAG_ANNOUNCE, ROUTE_MSG_BYTES, context, None)
-        holders = replica_holders(entity.id, entity.owner, self.controllers,
-                                  REPLICATION_FACTOR)
-        payload_size = wire_size(entity)
-        for holder in holders[1:]:
-            self.net.send(
-                state.node_index, holder, TAG_NOTIFY, payload_size,
-                context, handler=lambda h=holder: self._store_replica(h, entity, context),
-            )
 
     def _store_replica(self, holder: int, entity: Entity,
                        context: ContextCounters) -> None:
@@ -456,35 +437,34 @@ class Simulation:
                 event_type="block", height=entity.height,
                 size=len(entity.tx_ids), **common))
 
-    def finalize_transaction(self, state: NodeState, tx: Transaction,
-                             tickets: list[ValidationTicket],
-                             context: ContextCounters) -> None:
+    def finalize(self, entity: Entity, tickets: list[ValidationTicket],
+                 context: ContextCounters) -> None:
+        """Finalize an approved entity on `context`, the counters of its
+        tx slot or block attempt; each block notify hands over the block
+        itself."""
         self._note_progress()
-        apply_finalization_fees(self.ledger, tx.owner, tickets, self.cfg,
-                                is_block=False)
-        self.registry.add_tx(tx.id, tx.owner, tx.seq)
-        self._announce_and_replicate(state, tx, context)
-        self._record(tx, context)
-
-    def finalize_block(self, state: NodeState, block: Block,
-                       tickets: list[ValidationTicket]) -> None:
-        """Finalize the node's open block attempt; each notify hands over `block` itself."""
-        self._note_progress()
-        context = state.block_round.context
-        apply_finalization_fees(self.ledger, block.owner, tickets, self.cfg,
-                                is_block=True)
-        self.registry.add_block(block)
-        self._announce_and_replicate(state, block, context)
-        # the id, the parent, an 8-byte height, a drain flag, then the tx ids
-        notify_size = 2 * ID_BYTES + 8 + 1 + ID_BYTES * len(block.tx_ids)
-        for other in self.nodes:
-            if other.node_index == state.node_index:
-                continue
-            self.net.send(
-                state.node_index, other.node_index, TAG_NOTIFY, notify_size, context,
-                handler=lambda o=other: controller.on_block_notify(self, o, block),
-            )
-        self._record(block, context)
+        owner, is_block = entity.owner, isinstance(entity, Block)
+        apply_finalization_fees(self.ledger, owner, tickets, self.cfg, is_block=is_block)
+        if is_block:
+            self.registry.tracker.add(entity)
+        else:
+            self.registry.add_tx(entity.id, owner, entity.seq)
+        self._store_replica(owner, entity, context)
+        holders = replica_holders(entity.id, owner, self.controllers, REPLICATION_FACTOR)
+        payload_size = wire_size(entity)
+        for holder in holders[1:]:
+            self.net.send(owner, holder, TAG_NOTIFY, payload_size, context,
+                          handler=partial(self._store_replica, holder, entity, context))
+        if is_block:
+            # the id, the parent, an 8-byte height, a drain flag, then the tx ids
+            notify_size = 2 * ID_BYTES + 8 + 1 + ID_BYTES * len(entity.tx_ids)
+            for other in self.nodes:
+                if other.node_index != owner:
+                    self.net.send(
+                        owner, other.node_index, TAG_NOTIFY, notify_size, context,
+                        handler=lambda o=other: controller.on_block_notify(self, o, entity),
+                    )
+        self._record(entity, context)
 
     # -- drain and termination ------------------------------------------
 
@@ -583,6 +563,7 @@ class Simulation:
             reorgs=self.registry.tracker.reorgs,
             tx_retries=self.tx_retries,
             block_retries=self.block_retries,
+            block_rounds=sum(s.block_ctx_counter for s in self.nodes) + self.block_retries,
             abandoned_rounds=self.abandoned_rounds,
             max_node_tracked_blocks=max(len(s.tracker.blocks) for s in self.nodes),
             messages_by_tag={tag: m for tag, (m, _) in traffic},

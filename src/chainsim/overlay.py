@@ -50,7 +50,6 @@ class Vertex:
 @dataclass(slots=True)
 class SearchResult:
     identifier: Identifier
-    terminal: int
     hop_count: int
     path: list[int]
 
@@ -165,7 +164,6 @@ class SkipGraph:
         vertex, path = self._search(start_vertex, target)
         return SearchResult(
             identifier=vertex.identifier,
-            terminal=vertex.owner,
             hop_count=len(path) - 1,
             path=path,
         )

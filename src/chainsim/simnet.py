@@ -24,11 +24,11 @@ TAG_VALIDATE_REQUEST = "validate-request"
 TAG_VALIDATE_REPLY = "validate-reply"
 TAG_NOTIFY = "notify"
 
+# the builtin log-normal model's median and shape
+MEDIAN_LATENCY_MS = 50.0
+LATENCY_SHAPE = 0.5
 LATENCY_MIN_MS = 5
 LATENCY_MAX_MS = 300
-LOG_LATENCY_MAX = math.log(LATENCY_MAX_MS)
-DEFAULT_MEDIAN_MS = 50.0
-DEFAULT_SIGMA = 0.5
 
 
 class UnknownAddress(Exception):
@@ -91,20 +91,18 @@ def load_latency_samples(path: str) -> list[float]:
     return samples
 
 
-def build_latency_matrix(n: int, seed: int, samples: list[float] | None = None,
-                         median_ms: float = DEFAULT_MEDIAN_MS,
-                         sigma: float = DEFAULT_SIGMA) -> LatencyMatrix:
+def build_latency_matrix(n: int, seed: int,
+                         samples: list[float] | None = None) -> LatencyMatrix:
     """One latency draw per unordered pair, fixed for the whole run.
 
-    Builtin model: log-normal around `median_ms`, truncated to
-    [5 ms, 300 ms].  A sample list replaces the builtin model and is drawn
-    from uniformly with replacement.
+    Builtin model: log-normal around MEDIAN_LATENCY_MS with shape
+    LATENCY_SHAPE.  A sample list replaces the builtin model and is drawn
+    from uniformly with replacement.  Either is clamped to [5 ms, 300 ms].
     """
     if n < 2:
         raise ValueError("need at least 2 nodes")
     rng = substream(seed, "latency")
-    normal, exp = rng.normalvariate, math.exp
-    mu = math.log(median_ms)
+    mu = math.log(MEDIAN_LATENCY_MS)
     values = [0] * (n * n)
     for a in range(n):
         row = []
@@ -112,11 +110,7 @@ def build_latency_matrix(n: int, seed: int, samples: list[float] | None = None,
             if samples is not None:
                 ms = samples[rng.randrange(len(samples))]
             else:
-                # the same draw as `lognormvariate`, exp(normalvariate), but
-                # an exponent past the clamp never reaches `exp`, which would
-                # overflow on a far tail (a low one underflows to 0.0 harmlessly)
-                x = normal(mu, sigma)
-                ms = exp(x) if x < LOG_LATENCY_MAX else LATENCY_MAX_MS
+                ms = rng.lognormvariate(mu, LATENCY_SHAPE)
             ms = min(max(ms, LATENCY_MIN_MS), LATENCY_MAX_MS)
             row.append(max(1, round(ms)))
         # row a right of the diagonal, and its mirror: column a below it

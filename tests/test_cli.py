@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import chainsim
-from chainsim import cli
+from chainsim import cli, engine
 from chainsim.simnet import LATENCY_MAX_MS, LATENCY_MIN_MS, build_latency_matrix
 from conftest import SAMPLE_CONFIG_TEXT
 
@@ -43,7 +43,8 @@ def test_happy_path_writes_csv(config_file, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "simulation summary" in printed
     for label in ("fork waste", "chain reorgs", "tx / block retries",
-                  "abandoned block rounds", "max per-node tracked", "traffic by tag",
+                  "abandoned block rounds", "  block rounds  ", "max per-node tracked",
+                  "traffic by tag",
                   "    validate-request     : "):
         assert label in printed
 
@@ -114,14 +115,6 @@ def test_dump_overlay_prints_vertices(config_file, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [
-    ("--latency-median", "0"),
-    ("--latency-median", "-5"),
-    ("--latency-median", "nan"),
-    ("--latency-median", "inf"),
-    ("--latency-median", "fast"),
-    ("--latency-sigma", "-0.1"),
-    ("--latency-sigma", "nan"),
-    ("--latency-sigma", "inf"),
     ("--check-invariants", "-1"),
     ("--check-invariants", "2.5"),
 ])
@@ -132,22 +125,27 @@ def test_bad_flag_value_is_usage_error(config_file, flag, value, capsys):
     assert flag in capsys.readouterr().err
 
 
-def test_zero_sigma_and_invariant_interval_accepted(config_file, capsys):
+def test_zero_invariant_interval_accepted(config_file, capsys):
     code = cli.main(["--config", str(config_file), "--summary-only",
-                     "--latency-sigma", "0", "--check-invariants", "0"])
+                     "--check-invariants", "0"])
     assert code == cli.EXIT_OK
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--latency-sigma", "1000"),
-    ("--latency-median", "1e308"),
-])
-def test_far_latency_tail_is_clamped(config_file, flag, value, capsys):
-    code = cli.main(["--config", str(config_file), "--summary-only", flag, value])
+def test_far_latency_samples_are_clamped(config_file, tmp_path, monkeypatch, capsys):
+    samples = tmp_path / "latency.txt"
+    samples.write_text("1e308\n0.001\n")
+    matrices = []
+
+    def kept_matrix(*args, **kwargs):
+        matrices.append(build_latency_matrix(*args, **kwargs))
+        return matrices[-1]
+
+    monkeypatch.setattr(engine, "build_latency_matrix", kept_matrix)
+    code = cli.main(["--config", str(config_file), "--summary-only",
+                     "--latency-samples", str(samples)])
     assert code == cli.EXIT_OK, capsys.readouterr().err
-    kwargs = {"sigma": 1000.0} if flag == "--latency-sigma" else {"median_ms": 1e308}
-    values = build_latency_matrix(30, seed=42, **kwargs).all_values()
-    assert all(LATENCY_MIN_MS <= ms <= LATENCY_MAX_MS for ms in values)
+    (matrix,) = matrices
+    assert set(matrix.all_values()) == {LATENCY_MIN_MS, LATENCY_MAX_MS}
 
 
 def test_non_utf8_config_is_config_error(tmp_path, capsys):

@@ -92,7 +92,7 @@ def test_retry_after_an_abandoned_round_takes_the_txs_pooled_since():
     pooled_since = pool_txs(sim, owner, 3, first_seq=10)
     # another owner's block takes height 1 first, and its notify lands
     rival = Block(hash_bytes(b"rival"), 1, sim.genesis.id, 1)
-    sim.registry.add_block(rival)
+    sim.registry.tracker.add(rival)
     controller.on_block_notify(sim, owner, rival)
     assert first.done
     # the attempt's counters span all of its tries
@@ -143,7 +143,8 @@ def test_drain_try_sweeps_every_pool_and_no_second_one_starts_while_it_is_open()
     assert not late_owner.block_attempt_open and late_owner.pool
     assert all(state.block_round is None for state in sim.nodes if state is not builder)
     # a rejected try hands every owner its part back, and the retry sweeps again
-    controller.on_block_result(sim, builder, first, tickets=[], approved=False)
+    controller.on_block_result(sim, builder, first, tickets=[], approved=False,
+                               context=builder.block_round.context)
     retry = builder.block_round.entity
     assert retry.drain and retry.attempt == 1
     assert retry.tx_ids == tuple(small + big + late)
@@ -158,13 +159,15 @@ def test_drain_try_closed_at_max_retries_reschedules_every_pool():
     run_queued(sim)
     builder = drain_builder(sim)
     for _ in range(controller.MAX_BLOCK_RETRIES):
-        controller.on_block_result(sim, builder, builder.block_round.entity,
-                                   tickets=[], approved=False)
+        round_ = builder.block_round
+        controller.on_block_result(sim, builder, round_.entity, tickets=[], approved=False,
+                                   context=round_.context)
     last = builder.block_round.entity
     assert last.drain and last.attempt == controller.MAX_BLOCK_RETRIES
     # drop the rounds' messages, so only what the close schedules is queued
     sim._heap.clear()
-    controller.on_block_result(sim, builder, last, tickets=[], approved=False)
+    controller.on_block_result(sim, builder, last, tickets=[], approved=False,
+                               context=builder.block_round.context)
     # every owner holds its part again and has scheduled a try; node 0 has none
     assert all(state.block_round is None for state in sim.nodes)
     assert [tx for _, tx in pending_pool(sim.nodes[1])] == small
@@ -228,15 +231,15 @@ def test_pool_matches_from_scratch_oracle_after_every_event(monkeypatch, overrid
                 assert own_round == state.in_flight_txs - held_elsewhere
         schedule_at(sim, fire_time, checked)
 
-    finalize_block = Simulation.finalize_block
+    finalize = Simulation.finalize
 
-    def watched_finalize_block(sim, state, block, tickets):
-        finalize_block(sim, state, block, tickets)
-        if block.drain:
+    def watched_finalize(sim, entity, tickets, context):
+        finalize(sim, entity, tickets, context)
+        if isinstance(entity, Block) and entity.drain:
             for other in sim.nodes:
-                if other is not state:
-                    unnotified.setdefault(other.node_index, {})[block.id] = {
-                        tx_id for tx_id in block.tx_ids if tx_id in other.own_finalized}
+                if other.node_index != entity.owner:
+                    unnotified.setdefault(other.node_index, {})[entity.id] = {
+                        tx_id for tx_id in entity.tx_ids if tx_id in other.own_finalized}
 
     on_block_notify = controller.on_block_notify
 
@@ -260,7 +263,7 @@ def test_pool_matches_from_scratch_oracle_after_every_event(monkeypatch, overrid
         retry_block(sim, state, block)
 
     monkeypatch.setattr(Simulation, "schedule_at", checked_schedule_at)
-    monkeypatch.setattr(Simulation, "finalize_block", watched_finalize_block)
+    monkeypatch.setattr(Simulation, "finalize", watched_finalize)
     monkeypatch.setattr(controller, "on_block_notify", watched_on_block_notify)
     monkeypatch.setattr(controller, "_retry_block", watched_retry_block)
     monkeypatch.setattr(NodeState, "unchained", watched_unchained)

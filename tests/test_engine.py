@@ -374,3 +374,24 @@ def test_traffic_by_tag_sums_to_the_totals_and_matches_every_send(monkeypatch):
     for tag, messages in report.messages_by_tag.items():
         assert messages == counted[tag, "messages"]
         assert report.bytes_by_tag[tag] == counted[tag, "bytes"]
+
+
+@pytest.mark.parametrize("overrides, drain_only", [
+    (dict(nodes=16, transactions_per_node=10, block_size_min=5), False),
+    (dict(nodes=16, transactions_per_node=10, block_size_min=5, malicious_fraction=0.25), False),
+    # BLK_SIZE 100 over 3 tx per node: one drain block is the only block built
+    (dict(nodes=32, transactions_per_node=3, block_size_min=100), True),
+], ids=["golden", "golden-malicious", "drain-only"])
+def test_block_rounds_counts_every_block_validation_started(monkeypatch, overrides, drain_only):
+    started = []
+    begin_block = Simulation.begin_block_validation
+
+    def counted(sim, state, block, retries):
+        started.append(block)
+        begin_block(sim, state, block, retries)
+
+    monkeypatch.setattr(Simulation, "begin_block_validation", counted)
+    report = Simulation(make_cfg(**overrides), seed=7).run()
+    assert report.block_rounds == len(started)
+    if drain_only:
+        assert report.block_rounds == 1

@@ -24,7 +24,7 @@ def live_counters() -> int:
     new_block(0, ZERO_ID, 1, [bytes(32)], created_at=0),
     MetricRecord("tx", "00", 0, 0, 0, 0, 0, 0, 0, 0),
     ContextCounters(),
-    SearchResult(ZERO_ID, 0, 0, [0]),
+    SearchResult(ZERO_ID, 0, [0]),
     ValidationTicket(1, [0, 1]),
 ], ids=lambda obj: type(obj).__name__)
 def test_per_entity_objects_have_no_dict(instance):

@@ -101,7 +101,7 @@ def test_path_starts_at_searcher():
     graph, _ = build_overlay(16, seed=6)
     result = graph.search_num_id(5, Identifier(b"\x11" * 32))
     assert result.path[0] == 5
-    assert result.path[-1] == result.terminal
+    assert result.path[-1] == graph.by_id[result.identifier].owner
     assert result.hop_count == len(result.path) - 1
 
 
@@ -127,7 +127,7 @@ def test_search_paths_have_no_repeated_owners():
         result = graph.search_num_id(start, Identifier(rng.randbytes(32)))
         path = result.path
         assert_hop_path(path, start)
-        assert path[-1] == result.terminal
+        assert path[-1] == graph.by_id[result.identifier].owner
         assert result.hop_count == len(path) - 1
     for ident in rng.sample(data_ids, 60):   # replica joins
         announcers = graph.by_id[ident].announcers

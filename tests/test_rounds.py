@@ -139,9 +139,9 @@ def test_owner_abandons_a_block_round_the_tail_has_passed(monkeypatch):
     results = []
     on_block_result = controller.on_block_result
 
-    def watched_result(sim_, state, block, tickets, approved):
+    def watched_result(sim_, state, block, tickets, approved, context):
         results.append(block)
-        on_block_result(sim_, state, block, tickets, approved)
+        on_block_result(sim_, state, block, tickets, approved, context)
 
     monkeypatch.setattr(controller, "on_block_result", watched_result)
 
@@ -156,7 +156,7 @@ def test_owner_abandons_a_block_round_the_tail_has_passed(monkeypatch):
 
     # another owner's block takes height 1 first, and its notify lands
     rival = Block(hash_bytes(b"rival"), 1, sim.genesis.id, 1)
-    sim.registry.add_block(rival)
+    sim.registry.tracker.add(rival)
     sent_before = len(requests)
     controller.on_block_notify(sim, owner, rival)
 

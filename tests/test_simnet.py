@@ -83,7 +83,7 @@ def test_matrix_deterministic_per_seed():
 
 def test_builtin_median_near_configured():
     # 142 nodes give 10011 pairwise draws
-    matrix = build_latency_matrix(142, seed=2, median_ms=50.0)
+    matrix = build_latency_matrix(142, seed=2)
     values = matrix.all_values()
     assert len(values) == 142 * 141 // 2
     assert abs(statistics.median(values) - 50.0) <= 5.0
