@@ -131,9 +131,14 @@ def test_zero_invariant_interval_accepted(config_file, capsys):
     assert code == cli.EXIT_OK
 
 
-def test_far_latency_samples_are_clamped(config_file, tmp_path, monkeypatch, capsys):
+@pytest.mark.parametrize("text, clamped", [
+    ("1e308\n", {LATENCY_MAX_MS}),
+    ("1e308\n0.001\n", {LATENCY_MIN_MS, LATENCY_MAX_MS}),
+], ids=["high-tail", "both-tails"])
+def test_far_latency_samples_are_clamped(config_file, tmp_path, monkeypatch, capsys,
+                                         text, clamped):
     samples = tmp_path / "latency.txt"
-    samples.write_text("1e308\n0.001\n")
+    samples.write_text(text)
     matrices = []
 
     def kept_matrix(*args, **kwargs):
@@ -145,7 +150,7 @@ def test_far_latency_samples_are_clamped(config_file, tmp_path, monkeypatch, cap
                      "--latency-samples", str(samples)])
     assert code == cli.EXIT_OK, capsys.readouterr().err
     (matrix,) = matrices
-    assert set(matrix.all_values()) == {LATENCY_MIN_MS, LATENCY_MAX_MS}
+    assert set(matrix.all_values()) == clamped
 
 
 def test_non_utf8_config_is_config_error(tmp_path, capsys):
