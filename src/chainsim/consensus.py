@@ -96,46 +96,46 @@ def decide(entity_valid: bool, malicious: bool) -> str:
     return DECISION_REJECT if entity_valid else DECISION_APPROVE
 
 
-def validate_entity(view, entity: Entity, cfg: SimulationConfig) -> bool:
+def validate_entity(registry, entity: Entity, cfg: SimulationConfig) -> bool:
+    """Whether an honest validator approves `entity`; `registry` is the engine's."""
     if isinstance(entity, Transaction):
-        return _validate_transaction(view, entity)
-    if isinstance(entity, Block):
-        return _validate_block(view, entity, cfg)
-    return False
+        return _validate_transaction(registry, entity)
+    return _validate_block(registry, entity, cfg)
 
 
-def _validate_transaction(view, tx: Transaction) -> bool:
+def _validate_transaction(registry, tx: Transaction) -> bool:
     if tx.owner == tx.recipient:
         return False
     if tx.amount != 1:
         return False
-    if not view.has_block(tx.prev_block_id):
+    if tx.prev_block_id not in registry.tracker.blocks:
         return False
-    if view.seq_finalized(tx.owner, tx.seq):
+    if (tx.owner, tx.seq) in registry.finalized_seqs:
         return False
     return True
 
 
-def _validate_block(view, blk: Block, cfg: SimulationConfig) -> bool:
-    parent = view.block(blk.parent)
+def _validate_block(registry, blk: Block, cfg: SimulationConfig) -> bool:
+    tracker = registry.tracker
+    parent = tracker.blocks.get(blk.parent)
     if parent is None:
         return False
     if blk.height != parent.height + 1:
         return False
     # only a block taller than the tail surely becomes the tail if it
     # finalizes; its parent is then the tail or a same-height sibling of it
-    if blk.height <= view.tail().height:
+    if blk.height <= tracker.tail.height:
         return False
     if len(set(blk.tx_ids)) != len(blk.tx_ids):
         return False
     # a drain block, of any size, may only sweep pools that are final
-    if blk.drain and not view.drain_allowed():
+    if blk.drain and not registry.drain_mode:
         return False
     if len(blk.tx_ids) < cfg.block_size_min and not blk.drain:
         return False
-    if not all(view.tx_finalized(tx_id) for tx_id in blk.tx_ids):
+    if not registry.finalized_txs.issuperset(blk.tx_ids):
         return False
-    if view.ancestry_holds_any(blk.parent, blk.tx_ids):
+    if tracker.ancestry_holds_any(blk.parent, blk.tx_ids):
         return False
     return True
 

@@ -152,43 +152,21 @@ def summarize(records: list[MetricRecord], **counts) -> SimulationReport:
 class Registry:
     """Ground-truth finality: all finalized entities and the canonical chain.
 
-    Doubles as the chain view validators consult; per-validator knowledge
-    propagation is not modeled below the notification layer.  Its `tail`
-    backs the rule that a validator approves only blocks taller than the
-    tail.
+    Validators read its fields directly; per-validator knowledge
+    propagation is not modeled below the notification layer.  Its
+    tracker's `tail` backs the rule that a validator approves only blocks
+    taller than the tail.
     """
 
     def __init__(self, genesis: Block):
         self.tracker = ChainTracker(genesis)
         self.finalized_txs: set[Identifier] = set()
-        self._finalized_seqs: set[tuple[int, int]] = set()
+        self.finalized_seqs: set[tuple[int, int]] = set()
         self.drain_mode = False
 
     def add_tx(self, tx_id: Identifier, owner: int, seq: int) -> None:
         self.finalized_txs.add(tx_id)
-        self._finalized_seqs.add((owner, seq))
-
-    # chain-view interface used by validate_entity
-    def has_block(self, block_id: Identifier) -> bool:
-        return block_id in self.tracker.blocks
-
-    def block(self, block_id: Identifier) -> Block | None:
-        return self.tracker.blocks.get(block_id)
-
-    def tail(self) -> Block:
-        return self.tracker.tail
-
-    def tx_finalized(self, tx_id: Identifier) -> bool:
-        return tx_id in self.finalized_txs
-
-    def seq_finalized(self, owner: int, seq: int) -> bool:
-        return (owner, seq) in self._finalized_seqs
-
-    def drain_allowed(self) -> bool:
-        return self.drain_mode
-
-    def ancestry_holds_any(self, block_id: Identifier, tx_ids) -> bool:
-        return self.tracker.ancestry_holds_any(block_id, tx_ids)
+        self.finalized_seqs.add((owner, seq))
 
 
 class ValidationRound:

@@ -15,47 +15,22 @@ from chainsim.consensus import (
     select_validators,
     validate_entity,
 )
+from chainsim.engine import Registry
 from chainsim.identity import Identifier, ZERO_ID
 from chainsim.overlay import KIND_CONTROLLER, SkipGraph
-from chainsim.storage import Block, ChainTracker, new_block, new_transaction
+from chainsim.storage import Block, new_block, new_transaction
 from conftest import make_cfg
 
 
-class FakeView:
-    """Chain view backed by a plain tracker plus a finalized-tx set."""
-
-    def __init__(self, genesis: Block):
-        self.tracker = ChainTracker(genesis)
-        self.finalized = set()
-        self.seqs = set()
-        self.drain = False
-
-    def has_block(self, block_id):
-        return block_id in self.tracker.blocks
-
-    def block(self, block_id):
-        return self.tracker.blocks.get(block_id)
-
-    def tail(self):
-        return self.tracker.tail
-
-    def tx_finalized(self, tx_id):
-        return tx_id in self.finalized
-
-    def seq_finalized(self, owner, seq):
-        return (owner, seq) in self.seqs
-
-    def drain_allowed(self):
-        return self.drain
-
-    def ancestry_holds_any(self, block_id, tx_ids):
-        txs = set()
-        cur = self.tracker.blocks[block_id]
-        while True:
-            txs.update(cur.tx_ids)
-            if cur.id == self.tracker.genesis.id:
-                return any(tx_id in txs for tx_id in tx_ids)
-            cur = self.tracker.blocks[cur.parent]
+def naive_ancestry_holds_any(tracker, block_id, tx_ids):
+    """Reference for `ChainTracker.ancestry_holds_any`: walk to genesis."""
+    txs = set()
+    cur = tracker.blocks[block_id]
+    while True:
+        txs.update(cur.tx_ids)
+        if cur.id == tracker.genesis.id:
+            return any(tx_id in txs for tx_id in tx_ids)
+        cur = tracker.blocks[cur.parent]
 
 
 GENESIS = Block(ZERO_ID, 0, ZERO_ID, 0)
@@ -146,105 +121,107 @@ def test_decide_truth_table():
 
 
 def test_transaction_against_genesis_approved():
-    view = FakeView(GENESIS)
+    registry = Registry(GENESIS)
     cfg = make_cfg()
     tx = new_transaction(0, 1, 1, GENESIS.id, seq=0, created_at=0)
-    assert validate_entity(view, tx, cfg)
+    assert validate_entity(registry, tx, cfg)
 
 
 def test_transaction_rejections():
-    view = FakeView(GENESIS)
+    registry = Registry(GENESIS)
     cfg = make_cfg()
-    assert not validate_entity(view, new_transaction(0, 0, 1, GENESIS.id, 0, 0), cfg)
-    assert not validate_entity(view, new_transaction(0, 1, 2, GENESIS.id, 0, 0), cfg)
+    assert not validate_entity(registry, new_transaction(0, 0, 1, GENESIS.id, 0, 0), cfg)
+    assert not validate_entity(registry, new_transaction(0, 1, 2, GENESIS.id, 0, 0), cfg)
     bogus = Identifier(b"\x13" * 32)
-    assert not validate_entity(view, new_transaction(0, 1, 1, bogus, 0, 0), cfg)
-    view.seqs.add((0, 4))
-    assert not validate_entity(view, new_transaction(0, 1, 1, GENESIS.id, 4, 0), cfg)
+    assert not validate_entity(registry, new_transaction(0, 1, 1, bogus, 0, 0), cfg)
+    registry.add_tx(Identifier(b"\x44" * 32), 0, 4)
+    assert not validate_entity(registry, new_transaction(0, 1, 1, GENESIS.id, 4, 0), cfg)
 
 
-def _finalized_txs(view, count, start=0):
+def _finalized_txs(registry, count, start=0):
     ids = []
     for i in range(count):
         tx = new_transaction(1, 2, 1, GENESIS.id, seq=start + i, created_at=0)
-        view.finalized.add(tx.id)
+        registry.add_tx(tx.id, 1, start + i)
         ids.append(tx.id)
     return ids
 
 
 def test_block_of_exact_minimum_approved():
-    view = FakeView(GENESIS)
+    registry = Registry(GENESIS)
     cfg = make_cfg(block_size_min=5)
-    blk = new_block(1, GENESIS.id, 1, _finalized_txs(view, 5), created_at=0)
-    assert validate_entity(view, blk, cfg)
+    blk = new_block(1, GENESIS.id, 1, _finalized_txs(registry, 5), created_at=0)
+    assert validate_entity(registry, blk, cfg)
 
 
 def test_block_rejections():
-    view = FakeView(GENESIS)
+    registry = Registry(GENESIS)
     cfg = make_cfg(block_size_min=5)
-    txs = _finalized_txs(view, 5)
-    assert not validate_entity(view, new_block(1, Identifier(b"\x09" * 32), 1, txs, 0), cfg)
-    assert not validate_entity(view, new_block(1, GENESIS.id, 2, txs, 0), cfg)
-    assert not validate_entity(view, new_block(1, GENESIS.id, 1, txs[:4] + txs[:1], 0), cfg)
-    assert not validate_entity(view, new_block(1, GENESIS.id, 1, txs[:4], 0), cfg)
+    txs = _finalized_txs(registry, 5)
+    assert not validate_entity(registry, new_block(1, Identifier(b"\x09" * 32), 1, txs, 0), cfg)
+    assert not validate_entity(registry, new_block(1, GENESIS.id, 2, txs, 0), cfg)
+    assert not validate_entity(registry, new_block(1, GENESIS.id, 1, txs[:4] + txs[:1], 0), cfg)
+    assert not validate_entity(registry, new_block(1, GENESIS.id, 1, txs[:4], 0), cfg)
     unknown = [Identifier(b"\x21" * 32)]
-    assert not validate_entity(view, new_block(1, GENESIS.id, 1, txs[:4] + unknown, 0), cfg)
+    assert not validate_entity(registry, new_block(1, GENESIS.id, 1, txs[:4] + unknown, 0), cfg)
 
 
-def _forked_view():
+def _forked_registry():
     """genesis <- a1 <- {tail, sibling}: the two height-2 blocks tie, the tail has the smaller id."""
-    view = FakeView(GENESIS)
+    registry = Registry(GENESIS)
     a1 = Block(Identifier(b"\xa1" * 32), 0, GENESIS.id, 1)
     tail = Block(Identifier(b"\xb0" * 32), 0, a1.id, 2)
     sibling = Block(Identifier(b"\xb1" * 32), 0, a1.id, 2)
     for block in (a1, tail, sibling):
-        view.tracker.add(block)
-    assert view.tail() == tail
-    return view, a1, tail, sibling
+        registry.tracker.add(block)
+    assert registry.tracker.tail == tail
+    return registry, a1, tail, sibling
 
 
 @pytest.mark.parametrize("parent_label", ["tail", "sibling"])
 def test_block_taller_than_the_tail_approved(parent_label):
-    view, _, tail, sibling = _forked_view()
+    registry, _, tail, sibling = _forked_registry()
     parent = {"tail": tail, "sibling": sibling}[parent_label]
-    blk = new_block(1, parent.id, 3, _finalized_txs(view, 2), created_at=0)
-    valid = validate_entity(view, blk, make_cfg(block_size_min=2))
+    blk = new_block(1, parent.id, 3, _finalized_txs(registry, 2), created_at=0)
+    valid = validate_entity(registry, blk, make_cfg(block_size_min=2))
     assert valid
     assert decide(valid, malicious=False) == "approve"
     assert decide(valid, malicious=True) == "reject"
 
 
 def test_block_below_the_tail_rejected():
-    view, a1, _, _ = _forked_view()
+    registry, a1, _, _ = _forked_registry()
     cfg = make_cfg(block_size_min=2)
-    blk = new_block(1, a1.id, 2, _finalized_txs(view, 2), created_at=0)
-    valid = validate_entity(view, blk, cfg)
+    blk = new_block(1, a1.id, 2, _finalized_txs(registry, 2), created_at=0)
+    valid = validate_entity(registry, blk, cfg)
     assert not valid
     assert decide(valid, malicious=False) == "reject"
     assert decide(valid, malicious=True) == "approve"
     # every other check passes: with the tail a level lower it is approved
-    view.tail = lambda: a1
-    assert validate_entity(view, blk, cfg)
+    lower = Registry(GENESIS)
+    lower.tracker.add(a1)
+    _finalized_txs(lower, 2)
+    assert validate_entity(lower, blk, cfg)
 
 
 def test_block_repeating_ancestor_tx_rejected():
-    view = FakeView(GENESIS)
+    registry = Registry(GENESIS)
     cfg = make_cfg(block_size_min=2)
-    first = _finalized_txs(view, 2)
+    first = _finalized_txs(registry, 2)
     parent = new_block(1, GENESIS.id, 1, first, created_at=0)
-    view.tracker.add(parent)
-    again = new_block(1, parent.id, 2, [first[0]] + _finalized_txs(view, 1, start=10), 0)
-    assert not validate_entity(view, again, cfg)
+    registry.tracker.add(parent)
+    again = new_block(1, parent.id, 2, [first[0]] + _finalized_txs(registry, 1, start=10), 0)
+    assert not validate_entity(registry, again, cfg)
 
 
 def test_ancestry_query_matches_naive_walk():
-    view = FakeView(GENESIS)
+    registry = Registry(GENESIS)
     tx = {label: Identifier(bytes([k + 1]) * 32) for k, label in enumerate("abcdefgu")}
 
     def add(parent, txs):
-        block = Block(Identifier(bytes([0xF0 + len(view.tracker.blocks)]) * 32), 0,
+        block = Block(Identifier(bytes([0xF0 + len(registry.tracker.blocks)]) * 32), 0,
                       parent.id, parent.height + 1, tuple(tx[t] for t in txs))
-        view.tracker.add(block)
+        registry.tracker.add(block)
         return block
 
     a1 = add(GENESIS, "a")
@@ -255,7 +232,7 @@ def test_ancestry_query_matches_naive_walk():
     # above the junction on the chain
     l2 = add(a1, "ec")
     l3 = add(l2, "f")
-    assert view.tracker.tail == tail
+    assert registry.tracker.tail == tail
     expected = {
         l3.id: "acef", l2.id: "ace", a2.id: "ab", tail.id: "abcd", GENESIS.id: "",
     }
@@ -263,36 +240,36 @@ def test_ancestry_query_matches_naive_walk():
         for label in tx:
             probes = [tx[label]], [tx["u"], tx[label]]
             for probe in probes:
-                assert view.ancestry_holds_any(block_id, probe) == (label in holds)
-                assert (view.tracker.ancestry_holds_any(block_id, probe)
-                        == view.ancestry_holds_any(block_id, probe))
-    assert not view.tracker.ancestry_holds_any(l3.id, [])
+                naive = naive_ancestry_holds_any(registry.tracker, block_id, probe)
+                assert naive == (label in holds)
+                assert registry.tracker.ancestry_holds_any(block_id, probe) == naive
+    assert not registry.tracker.ancestry_holds_any(l3.id, [])
 
 
 def test_drain_block_needs_drain_mode():
-    view = FakeView(GENESIS)
+    registry = Registry(GENESIS)
     cfg = make_cfg(block_size_min=10)
-    short = new_block(1, GENESIS.id, 1, _finalized_txs(view, 7), 0, drain=True)
-    assert not validate_entity(view, short, cfg)
-    view.drain = True
-    assert validate_entity(view, short, cfg)
+    short = new_block(1, GENESIS.id, 1, _finalized_txs(registry, 7), 0, drain=True)
+    assert not validate_entity(registry, short, cfg)
+    registry.drain_mode = True
+    assert validate_entity(registry, short, cfg)
 
 
 def test_full_drain_block_needs_drain_mode():
     # a drain block may sweep any number of txs, but only once pools are final
-    view = FakeView(GENESIS)
+    registry = Registry(GENESIS)
     cfg = make_cfg(block_size_min=10)
     txs = []
     for owner in (1, 3):
         for seq in range(6):
             tx = new_transaction(owner, 2, 1, GENESIS.id, seq=seq, created_at=0)
-            view.finalized.add(tx.id)
+            registry.add_tx(tx.id, owner, seq)
             txs.append(tx.id)
     full = new_block(1, GENESIS.id, 1, txs, 0, drain=True)
     assert len(full.tx_ids) >= cfg.block_size_min
-    assert not validate_entity(view, full, cfg)
-    view.drain = True
-    assert validate_entity(view, full, cfg)
+    assert not validate_entity(registry, full, cfg)
+    registry.drain_mode = True
+    assert validate_entity(registry, full, cfg)
 
 
 # -- economy --------------------------------------------------------------
