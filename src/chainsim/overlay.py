@@ -67,12 +67,18 @@ class SkipGraph:
     # -- announcement ---------------------------------------------------
 
     def announce(self, identifier: Identifier, owner: int, kind: str) -> list[int]:
-        """Insert (or join as replica announcer) and return the message path."""
+        """Insert (or join as replica announcer) and return the message path.
+
+        The search starts at the owner's controller vertex; only a
+        controller joining the overlay, which has none yet, starts at the
+        introducer.
+        """
         existing = self.by_id.get(identifier)
+        start = self.controller_by_owner.get(owner, self.introducer)
         if existing is not None:
             if owner in existing.announcers and existing.kind == kind:
                 raise DuplicateAnnouncement(identifier, owner)
-            _, path = self._search(self.introducer, identifier)
+            _, path = self._search(start, identifier)
             existing.announcers.append(owner)
             return _prepend_owner(owner, path)
         vertex = Vertex(identifier, owner, kind, self.levels)
@@ -84,12 +90,12 @@ class SkipGraph:
             self.by_id[identifier] = vertex
             self.introducer = vertex
             return []
-        path = self._insert(vertex)
+        path = self._insert(vertex, start)
         self.by_id[identifier] = vertex
         return _prepend_owner(owner, path)
 
-    def _insert(self, vertex: Vertex) -> list[int]:
-        floor, path = self._search(self.introducer, vertex.identifier)
+    def _insert(self, vertex: Vertex, start: Vertex) -> list[int]:
+        floor, path = self._search(start, vertex.identifier)
         if floor.identifier < vertex.identifier:
             left, right = floor, floor.right[0]
         else:  # floor is the global minimum and the new vertex precedes it

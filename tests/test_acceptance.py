@@ -19,8 +19,8 @@ from chainsim.overlay import KIND_CONTROLLER, SkipGraph
 from conftest import SAMPLE_CONFIG_TEXT
 
 DESK_SEED = 7
-DESK_SEED_7_CSV_SHA256 = "3c43ce4a8c6d787307221fcaf2787db86e6a0ebe120c03c6c7e077c9cafd0e29"
-DESK_SEED_8_CSV_SHA256 = "ec7b3a58e7a679333ff9c8b121601cc629a5fd6806221c9d2c80657c657bb50f"
+DESK_SEED_7_CSV_SHA256 = "1d748dcfb7a9d76fe0a141d6331c5f609694e10a51df64f0c7ed41d691a864d0"
+DESK_SEED_8_CSV_SHA256 = "83da9d9d22d69c31e1a00ca5e8c65716cb8741ec7337ff981f982a0f310874cc"
 
 
 def desk_cfg(malicious=0.16) -> SimulationConfig:

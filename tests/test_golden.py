@@ -10,10 +10,10 @@ from chainsim.engine import Simulation, ValidationRound, run_simulation
 from conftest import make_cfg
 
 GOLDEN = [
-    ({}, 7, "e78335db3d384bfb5d10a864992e9574fea17e2a1e4a07a52441c5a83ab7ea44"),
-    ({}, 8, "bb77c224eec9d8046aea1778e3ee81eafacfc087900176b25130fe405f507603"),
+    ({}, 7, "df35389bc696dbf7764cedd3b36c08497e6ee26c254083b723895401bd688bfa"),
+    ({}, 8, "ccb4a552a1a27960f41780f11c0d8ab9619726eb6dff537dacaf41cd924b677b"),
     ({"malicious_fraction": 0.25}, 7,
-     "14d8002a7f17bf688d8b5909dc8712ecff77f8ccbd5771c75eb40adae3b064b4"),
+     "ba4b35c72e12fd50cca39dc916866283dda995587647708b03486b1272877fae"),
 ]
 
 
@@ -30,7 +30,7 @@ def test_golden_run_ends_at_a_pinned_event_and_time():
     # every message is one event, whether or not a handler waits for it
     sim = Simulation(make_cfg(nodes=16, transactions_per_node=10, block_size_min=5), seed=7)
     sim.run()
-    assert (sim.events_processed, sim.now) == (4584, 13644)
+    assert (sim.events_processed, sim.now) == (4584, 13592)
 
 
 def test_csv_digest_is_pinned_when_timeouts_fire(monkeypatch):
@@ -52,7 +52,7 @@ def test_csv_digest_is_pinned_when_timeouts_fire(monkeypatch):
     csv_text, _ = run_simulation(cfg, seed=4, latency_samples=[5.0] * 249 + [300.0])
     assert ended_by_timeout
     assert hashlib.sha256(csv_text.encode()).hexdigest() == (
-        "500c2ead2ec45149f27e46ef3fbbe7a2974d00f774833557d11cb34550a0a5f2")
+        "ee54139bcc36534fc41a2a7e72ff56811f3c4f3aab55996615378810a6d64ec2")
 
 
 @pytest.mark.parametrize("overrides, counters", [
@@ -80,8 +80,8 @@ def test_drain_only_run_is_pinned():
                               malicious_fraction=0.16), seed=7)
     report = sim.run()
     assert hashlib.sha256(sim.csv_text().encode()).hexdigest() == (
-        "24b8858091567eba7eb0c32513e3d8644ec68b15703901a3d858e3f89a4f7727")
-    assert (sim.events_processed, sim.now) == (5303, 7997)
+        "c55aac6156f480600a5acffee3c26e1d67ecca6b7f6f7edfc53b8591f4b3f06b")
+    assert (sim.events_processed, sim.now) == (5303, 7926)
     assert (report.finalized_block_count, report.chain_block_count, report.reorgs,
             report.tx_retries, report.block_retries, report.abandoned_rounds,
             report.max_node_tracked_blocks) == (1, 1, 0, 37, 0, 0, 2)

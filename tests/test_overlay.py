@@ -135,6 +135,22 @@ def test_search_paths_have_no_repeated_owners():
         assert_hop_path(graph.announce(ident, owner, KIND_DATA), owner)
 
 
+def test_announces_start_at_the_owners_controller_vertex():
+    # a data insert or a replica join routes like a search from the
+    # announcer's own vertex, not from the introducer (node 0)
+    graph, _ = build_overlay(16, seed=9)
+    rng = random.Random(9)
+    for _ in range(40):
+        ident = Identifier(rng.randbytes(32))
+        first, second = rng.sample(range(1, 16), 2)
+        search_path = graph.search_num_id(first, ident).path
+        path = graph.announce(ident, first, KIND_DATA)
+        assert path[:len(search_path)] == search_path
+        search_path = graph.search_num_id(second, ident).path
+        assert graph.announce(ident, second, KIND_DATA) == search_path
+    graph.check_invariants()
+
+
 @settings(max_examples=40, deadline=None)
 @given(seeds=st.lists(st.integers(0, 2**30), min_size=1, max_size=40, unique=True))
 def test_invariants_hold_under_random_inserts(seeds):
