@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--summary-only", action="store_true",
                         help="print the summary but do not write the CSV")
     parser.add_argument("--check-invariants", type=non_negative_int, default=0, metavar="N",
-                        help="run structural invariant checks every N events")
+                        help="run structural invariant checks every N events and once at the end")
     parser.add_argument("--dump-overlay", action="store_true",
                         help="print one line per overlay vertex after the run")
     return parser

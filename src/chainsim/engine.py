@@ -521,6 +521,9 @@ class Simulation:
                 self._enter_drain_mode()
             if self._check_termination():
                 break
+        if self.check_invariants_every:
+            # the end state is checked too, even in a run shorter than N events
+            self.check_invariants()
         self._wall_clock_s = time.perf_counter() - start
         return self.report()
 

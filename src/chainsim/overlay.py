@@ -67,13 +67,10 @@ class SkipGraph:
     # -- announcement ---------------------------------------------------
 
     def announce(self, identifier: Identifier, owner: int, kind: str) -> list[int]:
-        """Insert (or join as replica announcer) and return the message path.
-
-        The search starts at the owner's controller vertex; only a
-        controller joining the overlay, which has none yet, starts at the
-        introducer.
-        """
+        """Insert (or join as replica announcer) and return the message path."""
         existing = self.by_id.get(identifier)
+        # search from the owner's controller vertex, as `search_num_id` does;
+        # a controller joining at bootstrap has none yet, so it starts at the introducer
         start = self.controller_by_owner.get(owner, self.introducer)
         if existing is not None:
             if owner in existing.announcers and existing.kind == kind:

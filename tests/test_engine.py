@@ -45,6 +45,23 @@ def test_small_run_finalizes_every_transaction():
     sim.check_invariants()
 
 
+def test_invariants_are_checked_at_the_end_of_a_short_run(monkeypatch):
+    # a run shorter than the check interval still has its end state checked
+    checked_at = []
+    check = Simulation.check_invariants
+
+    def watched(sim):
+        checked_at.append(sim.now)
+        check(sim)
+
+    monkeypatch.setattr(Simulation, "check_invariants", watched)
+    sim = Simulation(make_cfg(nodes=4, transactions_per_node=5, block_size_min=5), seed=1,
+                     check_invariants_every=10**6)
+    sim.run()
+    assert sim.events_processed < 10**6
+    assert checked_at == [sim.now]
+
+
 def test_same_seed_reproduces_csv_bytes():
     cfg = make_cfg(nodes=4, transactions_per_node=5, block_size_min=5)
     first, _ = run_simulation(cfg, seed=2)
