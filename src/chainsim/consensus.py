@@ -4,7 +4,8 @@ Each entity gets `validators_per_entity` slots.  A slot's probe hash maps
 to a uniformly chosen rank over the sorted controller list; the probe is
 re-hashed until the pick is distinct from the entity owner and from
 earlier slots.  Resolution routes a real overlay search to the chosen
-controller, so hops, latency, and message counts stay consistent.
+controller, from the owner's own hosted vertex nearest below it, so hops,
+latency, and message counts stay consistent.
 """
 from __future__ import annotations
 
@@ -46,7 +47,9 @@ def select_validators(entity_id: Identifier, owner: int,
                       cfg: SimulationConfig) -> list[ValidationTicket]:
     """Resolve one ticket per slot; pure in (entity_id, overlay snapshot, cfg).
 
-    Each slot's search starts at the owner's controller vertex.
+    Each slot's search starts at the owner's hosted vertex nearest below
+    the chosen controller's identifier; the pick comes before the search,
+    so where it starts moves only the path, never the validator.
 
     `controllers` is the controller population sorted by identifier; the
     probe hash picks a rank uniformly, giving every node the same chance

@@ -6,10 +6,16 @@ membership vector (the identifier bits read least-significant first), so
 higher lists are sparse random subsequences with long-range links.  Searches descend levels
 greedily and return the floor vertex (greatest id <= target), falling
 back to the global minimum.
+
+A node hosts every vertex it inserted, and moving between its own
+vertices costs no message, so a routed search starts at the searcher's
+hosted vertex nearest below the target: hops then grow with the log of
+the number of nodes, not of vertices.
 """
 from __future__ import annotations
 
 import math
+from bisect import bisect_right, insort
 from dataclasses import dataclass
 
 from .identity import Identifier, membership_prefix_len
@@ -59,7 +65,8 @@ class SkipGraph:
         self.levels = max(1, math.ceil(math.log2(max(2, max_vertices)))) + 2
         self.by_id: dict[Identifier, Vertex] = {}
         self.introducer: Vertex | None = None
-        self.controller_by_owner: dict[int, Vertex] = {}
+        # owner -> sorted identifiers of the vertices it hosts (`Vertex.owner`)
+        self.hosted: dict[int, list[Identifier]] = {}
 
     def __len__(self) -> int:
         return len(self.by_id)
@@ -69,27 +76,28 @@ class SkipGraph:
     def announce(self, identifier: Identifier, owner: int, kind: str) -> list[int]:
         """Insert (or join as replica announcer) and return the message path."""
         existing = self.by_id.get(identifier)
-        # search from the owner's controller vertex, as `search_num_id` does;
-        # a controller joining at bootstrap has none yet, so it starts at the introducer
-        start = self.controller_by_owner.get(owner, self.introducer)
+        # route from the owner's own vertex nearest below the target, as
+        # `search_num_id` does; a controller joining at bootstrap hosts
+        # nothing yet, so it starts at the introducer
+        start = self._home(owner, identifier) or self.introducer
         if existing is not None:
             if owner in existing.announcers and existing.kind == kind:
                 raise DuplicateAnnouncement(identifier, owner)
             _, path = self._search(start, identifier)
             existing.announcers.append(owner)
             return _prepend_owner(owner, path)
+        # a node's controller vertex is the first vertex it hosts
+        if kind == KIND_CONTROLLER and owner in self.hosted:
+            raise DuplicateAnnouncement(identifier, owner)
         vertex = Vertex(identifier, owner, kind, self.levels)
-        if kind == KIND_CONTROLLER:
-            if owner in self.controller_by_owner:
-                raise DuplicateAnnouncement(identifier, owner)
-            self.controller_by_owner[owner] = vertex
         if self.introducer is None:
-            self.by_id[identifier] = vertex
             self.introducer = vertex
-            return []
-        path = self._insert(vertex, start)
+            path = []
+        else:
+            path = _prepend_owner(owner, self._insert(vertex, start))
         self.by_id[identifier] = vertex
-        return _prepend_owner(owner, path)
+        insort(self.hosted.setdefault(owner, []), identifier)
+        return path
 
     def _insert(self, vertex: Vertex, start: Vertex) -> list[int]:
         floor, path = self._search(start, vertex.identifier)
@@ -133,6 +141,20 @@ class SkipGraph:
 
     # -- search ---------------------------------------------------------
 
+    def _home(self, owner: int, target: Identifier) -> Vertex | None:
+        """The owner's hosted vertex with the greatest id <= target, else its
+        smallest one; None when it hosts nothing.
+
+        A start below the target only moves right, and `_search`'s
+        left-moving branch overshoots, so this floor beats the nearest
+        hosted vertex on either side.
+        """
+        ids = self.hosted.get(owner)
+        if not ids:
+            return None
+        i = bisect_right(ids, target)
+        return self.by_id[ids[i - 1] if i else ids[0]]
+
     def _search(self, start: Vertex, target: Identifier) -> tuple[Vertex, list[int]]:
         """Floor vertex of `target` and the owners visited on the way.
 
@@ -159,9 +181,10 @@ class SkipGraph:
         return cur, path
 
     def search_num_id(self, start: int, target: Identifier) -> SearchResult:
+        """Route from node `start`'s hosted vertex nearest below `target`."""
         if not self.by_id:
             raise EmptyOverlay()
-        start_vertex = self.controller_by_owner.get(start)
+        start_vertex = self._home(start, target)
         if start_vertex is None:
             raise UnknownStart(start)
         vertex, path = self._search(start_vertex, target)
@@ -225,7 +248,7 @@ class SkipGraph:
 
 class UnknownStart(OverlayError):
     def __init__(self, address: int):
-        super().__init__(f"no controller vertex registered for node {address}")
+        super().__init__(f"node {address} hosts no vertex")
 
 
 def _prepend_owner(owner: int, path: list[int]) -> list[int]:

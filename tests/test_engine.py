@@ -137,11 +137,11 @@ def test_stall_window_ends_a_livelock_at_a_pinned_point():
     cfg = make_cfg(nodes=11, transactions_per_node=5, inter_tx_delay_s=0, block_size_min=3,
                    malicious_fraction=0.447, validators_per_entity=5, signature_threshold=5)
     assert malicious_count(cfg) == 5
-    sim = Simulation(cfg, seed=208041, latency_samples=[5.0] * 249 + [300.0])
+    sim = Simulation(cfg, seed=208043, latency_samples=[5.0] * 249 + [300.0])
     with pytest.raises(StalledSimulation) as exc:
         sim.run()
-    assert str(exc.value) == "nothing generated or finalized since t=207670 (now t=257700)"
-    assert sim.events_processed == 163613
+    assert str(exc.value) == "nothing generated or finalized since t=174540 (now t=224555)"
+    assert sim.events_processed == 179321
     assert len(sim.registry.finalized_txs) == 53
 
 

@@ -10,10 +10,10 @@ from chainsim.engine import Simulation, ValidationRound, run_simulation
 from conftest import make_cfg
 
 GOLDEN = [
-    ({}, 7, "df35389bc696dbf7764cedd3b36c08497e6ee26c254083b723895401bd688bfa"),
-    ({}, 8, "ccb4a552a1a27960f41780f11c0d8ab9619726eb6dff537dacaf41cd924b677b"),
+    ({}, 7, "173d840331e4c3572f0a92d9fce008bd3c04941f6e8f6df091dc565926f72965"),
+    ({}, 8, "be0b1082b361f9f95b004d49cc4e0c9c6feed26db0d4b2e8f33d714d26ee6170"),
     ({"malicious_fraction": 0.25}, 7,
-     "ba4b35c72e12fd50cca39dc916866283dda995587647708b03486b1272877fae"),
+     "506a425d196dfb1fad432e5bf67b1a6e7cc34480a568b107fb35a62163e5cc2f"),
 ]
 
 
@@ -30,7 +30,7 @@ def test_golden_run_ends_at_a_pinned_event_and_time():
     # every message is one event, whether or not a handler waits for it
     sim = Simulation(make_cfg(nodes=16, transactions_per_node=10, block_size_min=5), seed=7)
     sim.run()
-    assert (sim.events_processed, sim.now) == (4584, 13592)
+    assert (sim.events_processed, sim.now) == (4578, 13231)
 
 
 def test_csv_digest_is_pinned_when_timeouts_fire(monkeypatch):
@@ -52,14 +52,14 @@ def test_csv_digest_is_pinned_when_timeouts_fire(monkeypatch):
     csv_text, _ = run_simulation(cfg, seed=4, latency_samples=[5.0] * 249 + [300.0])
     assert ended_by_timeout
     assert hashlib.sha256(csv_text.encode()).hexdigest() == (
-        "ee54139bcc36534fc41a2a7e72ff56811f3c4f3aab55996615378810a6d64ec2")
+        "c77fe3a197138c6da52b30ade568870fc0b3ce450dd1a25df7ce89adf4e7307c")
 
 
 @pytest.mark.parametrize("overrides, counters", [
     # finalized blocks, chain blocks, reorgs, tx retries, block retries,
     # abandoned block rounds, most blocks in one node's tracker
-    ({}, (29, 19, 9, 0, 87, 103, 30)),
-    ({"malicious_fraction": 0.25}, (31, 20, 10, 84, 91, 102, 32)),
+    ({}, (34, 21, 7, 0, 68, 76, 35)),
+    ({"malicious_fraction": 0.25}, (26, 21, 1, 82, 86, 87, 27)),
 ], ids=["seed7", "malicious-seed7"])
 def test_report_counters_are_pinned(overrides, counters):
     cfg = make_cfg(nodes=16, transactions_per_node=10, block_size_min=5, **overrides)
@@ -80,8 +80,8 @@ def test_drain_only_run_is_pinned():
                               malicious_fraction=0.16), seed=7)
     report = sim.run()
     assert hashlib.sha256(sim.csv_text().encode()).hexdigest() == (
-        "c55aac6156f480600a5acffee3c26e1d67ecca6b7f6f7edfc53b8591f4b3f06b")
-    assert (sim.events_processed, sim.now) == (5303, 7926)
+        "a973d296de35d16266baf267fa99a27e57a8a74820ba4447c54e96096af05434")
+    assert (sim.events_processed, sim.now) == (5361, 8631)
     assert (report.finalized_block_count, report.chain_block_count, report.reorgs,
             report.tx_retries, report.block_retries, report.abandoned_rounds,
             report.max_node_tracked_blocks) == (1, 1, 0, 37, 0, 0, 2)

@@ -1,10 +1,11 @@
-"""Skip-graph structure, floor search, and replica resolution."""
+"""Skip-graph structure, floor search, search starts, and replica resolution."""
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainsim.identity import Identifier
+from chainsim.consensus import select_validators
+from chainsim.identity import Identifier, ZERO_ID
 from chainsim.overlay import (
     DuplicateAnnouncement,
     EmptyOverlay,
@@ -13,6 +14,7 @@ from chainsim.overlay import (
     SkipGraph,
     UnknownStart,
 )
+from conftest import make_cfg
 
 
 def build_overlay(count: int, seed: int) -> tuple[SkipGraph, list[Identifier]]:
@@ -24,6 +26,26 @@ def build_overlay(count: int, seed: int) -> tuple[SkipGraph, list[Identifier]]:
         graph.announce(ident, i, KIND_CONTROLLER)
         ids.append(ident)
     return graph, ids
+
+
+def build_overlay_with_data(count: int, data: int,
+                            seed: int) -> tuple[SkipGraph, list[Identifier]]:
+    """`count` controllers (ids[i] is node i's), then `data` data vertices
+    inserted by random owners."""
+    graph, ids = build_overlay(count, seed)
+    rng = random.Random(f"data-{seed}")
+    for _ in range(data):
+        ident = Identifier(rng.randbytes(32))
+        graph.announce(ident, rng.randrange(count), KIND_DATA)
+        ids.append(ident)
+    return graph, ids
+
+
+def brute_force_home(graph: SkipGraph, owner: int, target: Identifier):
+    """The owner's hosted vertex with the greatest id <= target, else its smallest."""
+    hosted = [v for v in graph.in_order() if v.owner == owner]
+    below = [v for v in hosted if v.identifier <= target]
+    return below[-1] if below else hosted[0]
 
 
 def brute_force_floor(ids: list[Identifier], target: Identifier) -> Identifier:
@@ -53,6 +75,9 @@ def test_duplicate_announcement_rejected():
     graph.announce(ident, 0, KIND_CONTROLLER)
     with pytest.raises(DuplicateAnnouncement):
         graph.announce(ident, 0, KIND_CONTROLLER)
+    # a node's controller vertex is the first vertex it hosts
+    with pytest.raises(DuplicateAnnouncement):
+        graph.announce(Identifier(b"\x43" * 32), 0, KIND_CONTROLLER)
 
 
 def test_exact_hit_returns_all_announcers():
@@ -135,9 +160,10 @@ def test_search_paths_have_no_repeated_owners():
         assert_hop_path(graph.announce(ident, owner, KIND_DATA), owner)
 
 
-def test_announces_start_at_the_owners_controller_vertex():
+def test_announces_start_at_the_owners_floor_hosted_vertex():
     # a data insert or a replica join routes like a search from the
-    # announcer's own vertex, not from the introducer (node 0)
+    # announcer's own hosted vertex nearest below the id, not from the
+    # introducer (node 0); each insert adds a vertex its owner then hosts
     graph, _ = build_overlay(16, seed=9)
     rng = random.Random(9)
     for _ in range(40):
@@ -149,6 +175,49 @@ def test_announces_start_at_the_owners_controller_vertex():
         search_path = graph.search_num_id(second, ident).path
         assert graph.announce(ident, second, KIND_DATA) == search_path
     graph.check_invariants()
+
+
+def test_search_starts_at_the_owners_floor_hosted_vertex():
+    # a node hosts its controller vertex and every data vertex it inserted;
+    # a search leaves from the greatest of them <= target, else the smallest
+    graph, ids = build_overlay_with_data(16, 160, seed=10)
+    rng = random.Random(10)
+    targets = [ZERO_ID] + [Identifier(rng.randbytes(32)) for _ in range(200)]
+    starts_below = 0
+    for target in targets:
+        owner = rng.randrange(16)
+        home = brute_force_home(graph, owner, target)
+        starts_below += home.identifier <= target
+        result = graph.search_num_id(owner, target)
+        assert result.path[0] == owner
+        assert result.path == graph._search(home, target)[1]
+        assert result.identifier == brute_force_floor(ids, target)
+    assert 0 < starts_below < len(targets)   # both sides of the rule ran
+    # a search for an id the owner hosts takes no hop
+    for vertex in graph.by_id.values():
+        result = graph.search_num_id(vertex.owner, vertex.identifier)
+        assert (result.hop_count, result.path) == (0, [vertex.owner])
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**30), nodes=st.integers(2, 12), data=st.integers(0, 80))
+def test_search_start_is_the_brute_force_floor_and_keeps_validators(seed, nodes, data):
+    graph, ids = build_overlay_with_data(nodes, data, seed)
+    rng = random.Random(seed)
+    for _ in range(20):
+        owner, target = rng.randrange(nodes), Identifier(rng.randbytes(32))
+        assert graph._home(owner, target) is brute_force_home(graph, owner, target)
+    # on this snapshot, the validators and the ends of their searches are
+    # those a search from the owner's controller vertex gives
+    controllers = sorted((ids[i], i) for i in range(nodes))
+    cfg = make_cfg(nodes=nodes)
+    entity, owner = Identifier(rng.randbytes(32)), rng.randrange(nodes)
+    tickets = select_validators(entity, owner, controllers, graph, cfg)
+    graph._home = lambda start, target: graph.by_id[ids[start]]
+    from_controller = select_validators(entity, owner, controllers, graph, cfg)
+    assert [(t.validator, t.path[0], t.path[-1]) for t in tickets] == [
+        (t.validator, owner, t.validator) for t in from_controller]
+    assert all(t.path[-1] == t.validator for t in from_controller)
 
 
 @settings(max_examples=40, deadline=None)
