@@ -149,22 +149,20 @@ def on_tx_result(sim, state: NodeState, tx: Transaction, tickets, approved: bool
 # -- block lifecycle -----------------------------------------------------
 
 
-def _other_drain_try_open(sim, state: NodeState) -> bool:
-    """Whether a node other than `state` has a drain try open."""
-    return any(other.block_round is not None and other.block_round.entity.drain
-               for other in sim.nodes if other is not state)
+def _due(sim, state: NodeState, drain: bool) -> bool:
+    """Whether the node's pool is due for a block: at BLK_SIZE txs, or, for
+    a drain try, while no other node has a drain try open."""
+    if drain:
+        return not any(other.block_round is not None and other.block_round.entity.drain
+                       for other in sim.nodes if other is not state)
+    return len(state.pool) >= sim.cfg.block_size_min
 
 
 def maybe_schedule_block(sim, state: NodeState) -> None:
     """Open an attempt, started after a random backoff, once the pool is
-    due: at BLK_SIZE txs, or in drain mode at any tx while no other node
-    has a drain try open."""
-    if state.block_attempt_open or not state.pool:
-        return
-    if sim.registry.drain_mode:
-        if _other_drain_try_open(sim, state):
-            return
-    elif len(state.pool) < sim.cfg.block_size_min:
+    due; in drain mode any non-empty pool may be."""
+    if (state.block_attempt_open or not state.pool
+            or not _due(sim, state, sim.registry.drain_mode)):
         return
     state.block_attempt_open = True
     backoff = state.rng_backoff.randrange(BACKOFF_WINDOW_MS)
@@ -175,20 +173,13 @@ def _take_for_block(sim, state: NodeState, drain: bool) -> list[Identifier] | No
     """Take the txs of a block, or None when there are none to take.
 
     A node's own block takes its whole pool, oldest first, once the pool
-    holds BLK_SIZE txs.  A drain block takes every node's whole pool, in
-    node order, each part oldest first and through its owner's `take`,
-    unless another node's drain try is open.
+    is due.  A drain block takes every node's whole pool, in node order,
+    each part oldest first and through its owner's `take`.
     """
-    if drain:
-        if _other_drain_try_open(sim, state):
-            return None
-        owners = sim.nodes
-    elif len(state.pool) >= sim.cfg.block_size_min:
-        owners = (state,)
-    else:
+    if not _due(sim, state, drain):
         return None
     tx_ids = []
-    for owner in owners:
+    for owner in sim.nodes if drain else (state,):
         if owner.pool:
             part = [tx_id for _, tx_id in pending_pool(owner)]
             owner.take(part)
@@ -226,10 +217,10 @@ def on_block_result(sim, state: NodeState, block: Block, tickets, approved: bool
                     context: ContextCounters) -> None:
     if approved:
         sim.finalize(block, tickets, context)
-        state.tracker.add(block)
-        # the other owners of a drain block end their parts at its notify
-        state.release(block.tx_ids)
-        _close_block_attempt(sim, state)
+        state.block_attempt_open = False
+        state.block_round = None
+        # the owner learns its block the way every other node does
+        on_block_notify(sim, state, block)
         return
     _retry_block(sim, state, block)
 

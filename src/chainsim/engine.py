@@ -1,12 +1,16 @@
-"""Virtual-clock event engine: bootstrap, event loop, metrics, termination.
+"""Virtual-clock event engine: bootstrap, event loop, metrics, end check.
 
 One handler runs at a time; handlers communicate only by scheduling
 events, so a (config, seed, latency source) triple fully determines the
-run, down to the output CSV bytes.
+run, down to the output CSV bytes.  A run ends when its event queue is
+empty: no message is in flight and no timer is pending, so nothing can
+change any more.  One end check then requires every tx to be finalized
+and on the registry chain, and counts the txs in more than one chain block.
 """
 from __future__ import annotations
 
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from heapq import heappop, heappush
@@ -103,6 +107,8 @@ class SimulationReport:
     abandoned_rounds: int = 0
     # the most blocks any one node's chain tracker holds
     max_node_tracked_blocks: int = 0
+    # txs that sit in more than one canonical-chain block
+    repeated_chain_txs: int = 0
     # messages and bytes sent, by message tag
     messages_by_tag: dict[str, int] = field(default_factory=dict)
     bytes_by_tag: dict[str, int] = field(default_factory=dict)
@@ -321,6 +327,7 @@ class Simulation:
         self.tx_retries = 0
         self.block_retries = 0
         self.abandoned_rounds = 0
+        self.repeated_chain_txs = 0   # set by the end check
 
     # -- scheduling -----------------------------------------------------
 
@@ -444,7 +451,7 @@ class Simulation:
                     )
         self._record(entity, context)
 
-    # -- drain and termination ------------------------------------------
+    # -- drain and the end check ----------------------------------------
 
     def _enter_drain_mode(self) -> None:
         """Pools are final: every owner holding one schedules a drain try,
@@ -457,19 +464,17 @@ class Simulation:
         # each tx slot finalizes once, so this is "all generated, none open"
         return len(self.registry.finalized_txs) == self.cfg.nodes * self.cfg.transactions_per_node
 
-    def _check_termination(self) -> bool:
-        if not self._all_txs_finalized():
-            return False
-        # every event up to now has run, so a message that has not landed
-        # lands later: replication or notify traffic is still in flight
-        if self.net.last_arrival > self.now:
-            return False
-        # every tx slot is finalized, so only block rounds and pools can
-        # still hold work
-        if any(s.block_round is not None or s.pool for s in self.nodes):
-            return False
-        chain_txs = self.registry.tracker.chain_txs
-        return all(tx_id in chain_txs for tx_id in self.registry.finalized_txs)
+    def _check_outcome(self) -> None:
+        """The end check, run once the queue is empty: every tx slot is
+        finalized and every finalized tx is on the registry chain.  A tx in
+        more than one chain block is counted, not refused: m malicious
+        approvals finalize such a block when SIG_THR <= m."""
+        registry = self.registry
+        if not (self._all_txs_finalized()
+                and registry.finalized_txs.issubset(registry.tracker.chain_txs)):
+            raise StalledSimulation(f"event queue empty at t={self.now} before termination")
+        placed = Counter(tx_id for blk in registry.tracker.chain for tx_id in blk.tx_ids)
+        self.repeated_chain_txs = sum(1 for n in placed.values() if n > 1)
 
     def check_invariants(self) -> None:
         self.overlay.check_invariants()
@@ -494,10 +499,7 @@ class Simulation:
         self._bootstrap()
         heap = self._heap
         processed = self.events_processed
-        while True:
-            if not heap:
-                raise StalledSimulation(
-                    f"event queue empty at t={self.now} before termination")
+        while heap:
             # run every event of the next instant, then its quiescent point;
             # an event the point schedules for this instant gets an instant
             # and a quiescent point of its own
@@ -519,8 +521,7 @@ class Simulation:
                 # every transaction is generated and finalized: pools are
                 # final, so leftover (possibly undersized) blocks may drain
                 self._enter_drain_mode()
-            if self._check_termination():
-                break
+        self._check_outcome()
         if self.check_invariants_every:
             # the end state is checked too, even in a run shorter than N events
             self.check_invariants()
@@ -547,6 +548,7 @@ class Simulation:
             block_rounds=sum(s.block_ctx_counter for s in self.nodes) + self.block_retries,
             abandoned_rounds=self.abandoned_rounds,
             max_node_tracked_blocks=max(len(s.tracker.blocks) for s in self.nodes),
+            repeated_chain_txs=self.repeated_chain_txs,
             messages_by_tag={tag: m for tag, (m, _) in traffic},
             bytes_by_tag={tag: b for tag, (_, b) in traffic},
         )

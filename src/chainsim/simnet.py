@@ -7,8 +7,7 @@ latency is a single list index.
 Every send increments the global counters, the counters of its tag and,
 when it carries one, the counters of the operation it serves; nothing is
 ever lost.  A message is one scheduled event: its handler, called when it
-lands.  The network keeps only the latest arrival of any message sent so
-far, so "traffic is still in flight" is `last_arrival > now`.
+lands.
 """
 from __future__ import annotations
 
@@ -154,8 +153,6 @@ class Network:
         self.contexted_messages = 0
         # tag -> [messages, bytes] sent with that tag
         self.traffic_by_tag: dict[str, list[int]] = {}
-        # when the last message sent so far lands
-        self.last_arrival = 0
 
     def round_trip(self, a: int, b: int) -> int:
         """Time from a send a -> b until a reply sent on its arrival lands at a."""
@@ -226,8 +223,6 @@ class Network:
             self.contexted_messages += hops
             context.messages += hops
             context.bytes += size * hops
-        if arrival > self.last_arrival:
-            self.last_arrival = arrival
         # a handler-less message is still one event, so that event counts
         # and quiescent points do not depend on who waits for a message
         self._schedule_at(arrival, _arrived if handler is None else handler)

@@ -41,11 +41,6 @@ def desk():
     return {"sim": sim, "csv": sim.csv_text(), "report": report}
 
 
-def chain_tx_counts(sim: Simulation) -> Counter:
-    chain = [sim.registry.tracker.blocks[b] for b in sim.registry.tracker.chain_ids()]
-    return Counter(tx for blk in chain for tx in blk.tx_ids)
-
-
 def test_criterion_1_config_fidelity():
     cfg = parse_config(SAMPLE_CONFIG_TEXT)
     assert cfg.nodes == 120
@@ -66,9 +61,8 @@ def test_criterion_2_desk_scale_end_to_end(desk):
     report = desk["report"]
     sim = desk["sim"]
     assert report.finalized_tx_count == 32 * 50
-    counts = chain_tx_counts(sim)
-    assert len(counts) == 1600, "every transaction must reach the chain"
-    assert set(counts.values()) == {1}, "no transaction may repeat across chain blocks"
+    assert len(sim.registry.tracker.chain_txs) == 1600, "every transaction must reach the chain"
+    assert report.repeated_chain_txs == 0, "no transaction may repeat across chain blocks"
     blocks = [r for r in sim.records if r.event_type == "block"]
     non_drain = [r.size for r in blocks if not sim.registry.tracker.blocks[
         Identifier(bytes.fromhex(r.entity_id))].drain]
@@ -220,8 +214,20 @@ def test_criterion_9_malicious_resilience():
     sim = Simulation(desk_cfg(malicious=0.25), seed=DESK_SEED)
     report = sim.run()
     assert report.finalized_tx_count == 1600
-    counts = chain_tx_counts(sim)
-    assert len(counts) == 1600 and set(counts.values()) == {1}
+    assert len(sim.registry.tracker.chain_txs) == 1600 and report.repeated_chain_txs == 0
     assert all(r.approvals >= 10 for r in sim.records)
     print(f"ACCEPTANCE 9 malicious resilience: PASS "
           f"(min approvals {min(r.approvals for r in sim.records)})")
+
+
+def test_repeated_chain_txs_are_counted_when_malicious_approvals_reach_sig_thr():
+    # 3 of 6 nodes are malicious and SIG_THR is 2, so malicious approvals
+    # alone can finalize a block whose tx is already on the chain; the run
+    # counts that outcome rather than refusing it
+    cfg = replace(desk_cfg(malicious=0.44), nodes=6, transactions_per_node=1,
+                  block_size_min=1, validators_per_entity=4, signature_threshold=2)
+    sim = Simulation(cfg, seed=16)
+    report = sim.run()
+    assert report.finalized_tx_count == 6
+    assert report.repeated_chain_txs == 1
+    print("ACCEPTANCE repeated chain txs: PASS (1 counted at SIG_THR <= m)")

@@ -44,6 +44,7 @@ def test_happy_path_writes_csv(config_file, tmp_path, capsys):
     assert "simulation summary" in printed
     for label in ("fork waste", "chain reorgs", "tx / block retries",
                   "abandoned block rounds", "  block rounds  ", "max per-node tracked",
+                  "  repeated chain txs     : 0\n",
                   "traffic by tag",
                   "    validate-request     : "):
         assert label in printed

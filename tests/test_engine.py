@@ -30,18 +30,12 @@ from chainsim.storage import DECISION_SILENT, Block, Transaction
 from conftest import bare_simulation, make_cfg
 
 
-def chain_tx_multiset(sim: Simulation) -> Counter:
-    chain = [sim.registry.tracker.blocks[b] for b in sim.registry.tracker.chain_ids()]
-    return Counter(tx for blk in chain for tx in blk.tx_ids)
-
-
 def test_small_run_finalizes_every_transaction():
     sim = Simulation(make_cfg(nodes=4, transactions_per_node=5, block_size_min=5), seed=1)
     report = sim.run()
     assert report.finalized_tx_count == 20
-    counts = chain_tx_multiset(sim)
-    assert len(counts) == 20
-    assert set(counts.values()) == {1}
+    assert len(sim.registry.tracker.chain_txs) == 20
+    assert report.repeated_chain_txs == 0
     sim.check_invariants()
 
 
@@ -86,8 +80,7 @@ def test_drain_mode_flushes_small_pools():
     tracker = sim.registry.tracker
     drain_blocks = [tracker.blocks[b] for b in tracker.chain_ids() if tracker.blocks[b].drain]
     assert any(len({owner_of[tx_id] for tx_id in info.tx_ids}) > 1 for info in drain_blocks)
-    counts = chain_tx_multiset(sim)
-    assert len(counts) == 12 and set(counts.values()) == {1}
+    assert len(sim.registry.tracker.chain_txs) == 12 and report.repeated_chain_txs == 0
 
 
 @st.composite
@@ -123,10 +116,11 @@ def test_drain_leaves_every_finalized_tx_in_exactly_one_chain_block(cfg, seed):
     except StalledSimulation:
         return
     assert report.finalized_tx_count == cfg.nodes * cfg.transactions_per_node
-    counts = chain_tx_multiset(sim)
-    assert set(counts) == sim.registry.finalized_txs
-    assert set(counts.values()) == {1}
+    assert set(sim.registry.tracker.chain_txs) == sim.registry.finalized_txs
+    assert report.repeated_chain_txs == 0
     assert all(not s.pool and not s.in_flight_txs for s in sim.nodes)
+    # the run ends only when its event queue is empty
+    assert sim._heap == []
 
 
 def test_stall_window_ends_a_livelock_at_a_pinned_point():
@@ -175,6 +169,8 @@ def test_every_view_of_a_finalized_block_is_the_one_block():
 def test_work_a_quiescent_point_queues_for_now_runs_in_an_instant_of_its_own():
     sim = bare_simulation()
     sim._bootstrap = lambda: None   # no tx timers: only the events queued here
+    # an invariant check after every event runs at every quiescent point
+    sim.check_invariants_every = 1
     log = []
     sim.schedule_at(10, lambda: log.append(("first", sim.now)))
     sim.schedule_at(20, lambda: log.append(("later", sim.now)))
@@ -183,10 +179,12 @@ def test_work_a_quiescent_point_queues_for_now_runs_in_an_instant_of_its_own():
         log.append(("point", sim.now))
         if len(log) == 2:
             sim.schedule_in(0, lambda: log.append(("queued by the point", sim.now)))
-        return sim.now == 20   # the run ends at the last event's point
 
-    sim._check_termination = quiescent_point
-    sim.run()
+    sim.check_invariants = quiescent_point
+    # the queue runs dry with no tx finalized, so the end check refuses the run
+    with pytest.raises(StalledSimulation) as exc:
+        sim.run()
+    assert str(exc.value) == "event queue empty at t=20 before termination"
     assert log == [("first", 10), ("point", 10), ("queued by the point", 10), ("point", 10),
                    ("later", 20), ("point", 20)]
     assert sim.events_processed == 3 and sim._heap == []
@@ -290,8 +288,8 @@ def test_validation_timeout_leaves_silent_validators_unsigned(monkeypatch):
     fired = record_timeouts(monkeypatch)
     sim = skewed_latency_run(malicious_fraction=0.25)
     assert len(sim.registry.finalized_txs) == 160
-    counts = chain_tx_multiset(sim)
-    assert len(counts) == 160 and set(counts.values()) == {1}
+    assert len(sim.registry.tracker.chain_txs) == 160
+    assert sim.report().repeated_chain_txs == 0
     sim.ledger.check_conservation()
     timed_out = [round_ for round_, was_open in fired if was_open]
     assert timed_out

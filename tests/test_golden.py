@@ -49,10 +49,13 @@ def test_csv_digest_is_pinned_when_timeouts_fire(monkeypatch):
     cfg = make_cfg(nodes=32, transactions_per_node=5, block_size_min=5,
                    validators_per_entity=12, signature_threshold=10,
                    malicious_fraction=0.25)
-    csv_text, _ = run_simulation(cfg, seed=4, latency_samples=[5.0] * 249 + [300.0])
+    sim = Simulation(cfg, seed=4, latency_samples=[5.0] * 249 + [300.0])
+    sim.run()
     assert ended_by_timeout
-    assert hashlib.sha256(csv_text.encode()).hexdigest() == (
+    assert hashlib.sha256(sim.csv_text().encode()).hexdigest() == (
         "c77fe3a197138c6da52b30ade568870fc0b3ce450dd1a25df7ce89adf4e7307c")
+    # the run ends once its queue is empty, so every timeout has fired
+    assert sim._heap == []
 
 
 @pytest.mark.parametrize("overrides, counters", [
