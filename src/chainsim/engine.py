@@ -1,11 +1,11 @@
 """Virtual-clock event engine: bootstrap, event loop, metrics, end check.
 
-One handler runs at a time; handlers communicate only by scheduling
+An event is one handler call; handlers communicate only by scheduling
 events, so a (config, seed, latency source) triple fully determines the
 run, down to the output CSV bytes.  A run ends when its event queue is
-empty: no message is in flight and no timer is pending, so nothing can
-change any more.  One end check then requires every tx to be finalized
-and on the registry chain, and counts the txs in more than one chain block.
+empty, since then no handler waits for anything.  One end check then
+requires every tx to be finalized and on the registry chain, and counts
+the txs in more than one chain block.
 """
 from __future__ import annotations
 
@@ -282,6 +282,8 @@ class Simulation:
         self._heap: list[tuple[int, int, Callable[[], None]]] = []
         self._event_seq = 0
         self.events_processed = 0
+        if check_invariants_every < 0:
+            raise ValueError(f"check_invariants_every must be >= 0: {check_invariants_every}")
         self.check_invariants_every = check_invariants_every
 
         n = cfg.nodes
@@ -322,8 +324,9 @@ class Simulation:
         ]
 
         self.records: list[MetricRecord] = []
+        # each tx slot finalizes once, so reaching this is "all generated, none open"
+        self.expected_txs = n * cfg.transactions_per_node
         self._wall_clock_s = 0.0
-        self._last_check = 0
         self.tx_retries = 0
         self.block_retries = 0
         self.abandoned_rounds = 0
@@ -460,17 +463,13 @@ class Simulation:
         for state in self.nodes:
             controller.maybe_schedule_block(self, state)
 
-    def _all_txs_finalized(self) -> bool:
-        # each tx slot finalizes once, so this is "all generated, none open"
-        return len(self.registry.finalized_txs) == self.cfg.nodes * self.cfg.transactions_per_node
-
     def _check_outcome(self) -> None:
         """The end check, run once the queue is empty: every tx slot is
         finalized and every finalized tx is on the registry chain.  A tx in
         more than one chain block is counted, not refused: m malicious
         approvals finalize such a block when SIG_THR <= m."""
         registry = self.registry
-        if not (self._all_txs_finalized()
+        if not (len(registry.finalized_txs) == self.expected_txs
                 and registry.finalized_txs.issubset(registry.tracker.chain_txs)):
             raise StalledSimulation(f"event queue empty at t={self.now} before termination")
         placed = Counter(tx_id for blk in registry.tracker.chain for tx_id in blk.tx_ids)
@@ -497,32 +496,25 @@ class Simulation:
                 f"(NODES={n}, {m} malicious), fewer than SIG_THR={self.cfg.signature_threshold}")
         start = time.perf_counter()
         self._bootstrap()
-        heap = self._heap
-        processed = self.events_processed
+        heap, every, registry = self._heap, self.check_invariants_every, self.registry
+        finalized, expected = registry.finalized_txs, self.expected_txs
         while heap:
-            # run every event of the next instant, then its quiescent point;
-            # an event the point schedules for this instant gets an instant
-            # and a quiescent point of its own
-            current_time = self.now = heap[0][0]
-            while heap and heap[0][0] == current_time:
-                heappop(heap)[2]()
-                processed += 1
-            self.events_processed = processed
-            # quiescent point
-            if current_time > self._stall_deadline:
+            now, _, fn = heappop(heap)
+            self.now = now
+            fn()
+            self.events_processed += 1
+            if now > self._stall_deadline:
                 last = self._stall_deadline - self._stall_window
                 raise StalledSimulation(
-                    f"nothing generated or finalized since t={last} (now t={current_time})")
-            if (self.check_invariants_every
-                    and processed - self._last_check >= self.check_invariants_every):
+                    f"nothing generated or finalized since t={last} (now t={now})")
+            if every and self.events_processed % every == 0:
                 self.check_invariants()
-                self._last_check = processed
-            if not self.registry.drain_mode and self._all_txs_finalized():
+            if len(finalized) == expected and not registry.drain_mode:
                 # every transaction is generated and finalized: pools are
                 # final, so leftover (possibly undersized) blocks may drain
                 self._enter_drain_mode()
         self._check_outcome()
-        if self.check_invariants_every:
+        if every:
             # the end state is checked too, even in a run shorter than N events
             self.check_invariants()
         self._wall_clock_s = time.perf_counter() - start

@@ -6,8 +6,8 @@ row-major n x n table and a node's address is its index, so a message's
 latency is a single list index.
 Every send increments the global counters, the counters of its tag and,
 when it carries one, the counters of the operation it serves; nothing is
-ever lost.  A message is one scheduled event: its handler, called when it
-lands.
+ever lost.  A message with a handler is one scheduled event, the
+handler's call when it lands; a message nobody waits for is only counted.
 """
 from __future__ import annotations
 
@@ -36,8 +36,8 @@ class UnknownAddress(Exception):
         self.address = address
 
 
-class BadSampleFile(Exception):
-    pass
+class BadSampleFile(ValueError):
+    """Latency samples, from a file or a list, that no run can use."""
 
 
 @dataclass
@@ -67,6 +67,14 @@ class LatencyMatrix:
         return ordered[index]
 
 
+def check_latency_sample(value: float, text: str | None = None) -> float:
+    """`value`, refused unless it is a positive, finite latency; `text` is how it was written."""
+    if not math.isfinite(value) or value <= 0:
+        raise BadSampleFile("latency sample must be positive and finite: "
+                            f"{value if text is None else text!r}")
+    return value
+
+
 def load_latency_samples(path: str) -> list[float]:
     samples = []
     try:
@@ -82,9 +90,7 @@ def load_latency_samples(path: str) -> list[float]:
             value = float(line)
         except ValueError:
             raise BadSampleFile(f"non-numeric latency sample: {line!r}") from None
-        if not math.isfinite(value) or value <= 0:
-            raise BadSampleFile(f"latency sample must be positive and finite: {line!r}")
-        samples.append(value)
+        samples.append(check_latency_sample(value, line))
     if not samples:
         raise BadSampleFile(f"no latency samples in {path}")
     return samples
@@ -96,10 +102,16 @@ def build_latency_matrix(n: int, seed: int,
 
     Builtin model: log-normal around MEDIAN_LATENCY_MS with shape
     LATENCY_SHAPE.  A sample list replaces the builtin model and is drawn
-    from uniformly with replacement.  Either is clamped to [5 ms, 300 ms].
+    from uniformly with replacement; it must be non-empty and each sample
+    positive and finite.  Either is clamped to [5 ms, 300 ms].
     """
     if n < 2:
         raise ValueError("need at least 2 nodes")
+    if samples is not None:
+        if not samples:
+            raise BadSampleFile("no latency samples")
+        for value in samples:
+            check_latency_sample(value)
     rng = substream(seed, "latency")
     mu = math.log(MEDIAN_LATENCY_MS)
     values = [0] * (n * n)
@@ -128,10 +140,6 @@ class ContextCounters:
     """
     messages: int = 0
     bytes: int = 0
-
-
-def _arrived() -> None:
-    """The handler of a message that nothing waits for."""
 
 
 class Network:
@@ -208,7 +216,7 @@ class Network:
     def _post(self, arrival: int, tag: str, hops: int, size: int,
               context: ContextCounters | None,
               handler: Callable[[], None] | None) -> None:
-        """Account `hops` messages of `size` bytes and schedule their landing."""
+        """Account `hops` messages of `size` bytes; `handler`, if any, runs at `arrival`."""
         self.total_messages += hops
         self.total_bytes += size * hops
         traffic = self.traffic_by_tag.get(tag)
@@ -223,9 +231,8 @@ class Network:
             self.contexted_messages += hops
             context.messages += hops
             context.bytes += size * hops
-        # a handler-less message is still one event, so that event counts
-        # and quiescent points do not depend on who waits for a message
-        self._schedule_at(arrival, _arrived if handler is None else handler)
+        if handler is not None:
+            self._schedule_at(arrival, handler)
 
     def check_accounting(self) -> None:
         assert self.contexted_messages + self.uncontexted_messages == self.total_messages, (

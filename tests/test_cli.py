@@ -87,6 +87,13 @@ def test_non_finite_latency_sample_is_config_error(config_file, tmp_path, capsys
     assert "config error" in capsys.readouterr().err
 
 
+def test_unwritable_output_is_config_error(config_file, tmp_path, capsys):
+    # a directory cannot be opened as the output file
+    code = cli.main(["--config", str(config_file), "--out", str(tmp_path)])
+    assert code == cli.EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("cannot write output: ")
+
+
 def test_repeat_invocations_identical(config_file, tmp_path, capsys):
     digests = []
     for name in ("a.csv", "b.csv"):

@@ -18,12 +18,14 @@ from chainsim.engine import (
     summarize,
     write_csv,
 )
+from chainsim.identity import hash_bytes
 from chainsim.simnet import (
     TAG_ANNOUNCE,
     TAG_NOTIFY,
     TAG_ROUTE,
     TAG_VALIDATE_REPLY,
     TAG_VALIDATE_REQUEST,
+    BadSampleFile,
     Network,
 )
 from chainsim.storage import DECISION_SILENT, Block, Transaction
@@ -135,7 +137,7 @@ def test_stall_window_ends_a_livelock_at_a_pinned_point():
     with pytest.raises(StalledSimulation) as exc:
         sim.run()
     assert str(exc.value) == "nothing generated or finalized since t=174540 (now t=224555)"
-    assert sim.events_processed == 179321
+    assert sim.events_processed == 179118
     assert len(sim.registry.finalized_txs) == 53
 
 
@@ -166,28 +168,68 @@ def test_every_view_of_a_finalized_block_is_the_one_block():
         assert all(sim.nodes[h].store.fetch(block.id) is block for h in holders)
 
 
-def test_work_a_quiescent_point_queues_for_now_runs_in_an_instant_of_its_own():
+def test_each_call_is_followed_by_its_checks_and_drain_entry(monkeypatch):
+    # events at one time run in schedule order; the invariant check follows
+    # every 2nd call, and drain mode is entered once, right after the call
+    # that finalizes the last tx, before the next event at the same time
     sim = bare_simulation()
     sim._bootstrap = lambda: None   # no tx timers: only the events queued here
-    # an invariant check after every event runs at every quiescent point
-    sim.check_invariants_every = 1
+    sim.check_invariants_every = 2
     log = []
-    sim.schedule_at(10, lambda: log.append(("first", sim.now)))
+    expected = sim.cfg.nodes * sim.cfg.transactions_per_node
+    for seq in range(expected - 1):
+        sim.registry.add_tx(hash_bytes(b"tx", str(seq).encode()), 0, seq)
+
+    def finalize_last():
+        log.append(("last tx", sim.now))
+        sim.registry.add_tx(hash_bytes(b"tx", b"last"), 0, expected - 1)
+
+    enter_drain_mode = Simulation._enter_drain_mode
+
+    def watched_drain_entry(sim):
+        log.append(("drain", sim.now))
+        enter_drain_mode(sim)
+
+    monkeypatch.setattr(Simulation, "_enter_drain_mode", watched_drain_entry)
+    sim.check_invariants = lambda: log.append(("check", sim.now))
     sim.schedule_at(20, lambda: log.append(("later", sim.now)))
-
-    def quiescent_point():
-        log.append(("point", sim.now))
-        if len(log) == 2:
-            sim.schedule_in(0, lambda: log.append(("queued by the point", sim.now)))
-
-    sim.check_invariants = quiescent_point
-    # the queue runs dry with no tx finalized, so the end check refuses the run
+    sim.schedule_at(10, lambda: log.append(("first", sim.now)))
+    sim.schedule_at(10, lambda: log.append(("second", sim.now)))
+    sim.schedule_at(10, finalize_last)
+    sim.schedule_at(10, lambda: log.append(("fourth", sim.now)))
+    # no finalized tx is on the chain, so the end check refuses the run
     with pytest.raises(StalledSimulation) as exc:
         sim.run()
     assert str(exc.value) == "event queue empty at t=20 before termination"
-    assert log == [("first", 10), ("point", 10), ("queued by the point", 10), ("point", 10),
-                   ("later", 20), ("point", 20)]
-    assert sim.events_processed == 3 and sim._heap == []
+    assert log == [("first", 10), ("second", 10), ("check", 10), ("last tx", 10),
+                   ("drain", 10), ("fourth", 10), ("check", 10), ("later", 20)]
+    assert sim.events_processed == 5 and sim._heap == []
+
+
+def test_schedule_into_the_past_is_refused():
+    sim = bare_simulation()
+    sim.now = 10
+    with pytest.raises(ValueError, match="cannot schedule into the past"):
+        sim.schedule_at(9, lambda: None)
+    sim.schedule_at(10, lambda: None)
+    assert len(sim._heap) == 1
+
+
+@pytest.mark.parametrize("samples, message", [
+    ([], "no latency samples"),
+    ([5.0, float("nan")], "must be positive and finite: nan"),
+    ([0.0], "must be positive and finite: 0.0"),
+    ([5.0, -3.0], "must be positive and finite: -3.0"),
+    ([float("inf")], "must be positive and finite: inf"),
+], ids=["empty", "nan", "zero", "negative", "inf"])
+def test_unusable_latency_samples_are_refused(samples, message):
+    with pytest.raises(BadSampleFile, match=message):
+        Simulation(make_cfg(), seed=1, latency_samples=samples)
+
+
+def test_negative_invariant_interval_is_refused():
+    with pytest.raises(ValueError, match="check_invariants_every must be >= 0: -1"):
+        Simulation(make_cfg(), seed=1, check_invariants_every=-1)
 
 
 def test_seed_changes_latency_matrix():

@@ -27,10 +27,11 @@ def test_csv_digest_is_pinned(overrides, seed, digest):
 
 
 def test_golden_run_ends_at_a_pinned_event_and_time():
-    # every message is one event, whether or not a handler waits for it
+    # an event is one handler call: a message nobody waits for is no event,
+    # so the run ends at its last handler call
     sim = Simulation(make_cfg(nodes=16, transactions_per_node=10, block_size_min=5), seed=7)
     sim.run()
-    assert (sim.events_processed, sim.now) == (4578, 13231)
+    assert (sim.events_processed, sim.now) == (3980, 11744)
 
 
 def test_csv_digest_is_pinned_when_timeouts_fire(monkeypatch):
@@ -84,7 +85,7 @@ def test_drain_only_run_is_pinned():
     report = sim.run()
     assert hashlib.sha256(sim.csv_text().encode()).hexdigest() == (
         "a973d296de35d16266baf267fa99a27e57a8a74820ba4447c54e96096af05434")
-    assert (sim.events_processed, sim.now) == (5361, 8631)
+    assert (sim.events_processed, sim.now) == (5038, 5953)
     assert (report.finalized_block_count, report.chain_block_count, report.reorgs,
             report.tx_retries, report.block_retries, report.abandoned_rounds,
             report.max_node_tracked_blocks) == (1, 1, 0, 37, 0, 0, 2)
