@@ -2,6 +2,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
+import os
+import stat
 import sys
 
 from .config import ConfigError, SimulationConfig, parse_config
@@ -75,6 +78,19 @@ def print_summary(report) -> None:
     print(f"  wall clock             : {report.wall_clock_s:.2f} s")
 
 
+def output_error(exc: OSError) -> int:
+    print(f"cannot write output: {exc}", file=sys.stderr)
+    return EXIT_CONFIG
+
+
+def discard_output(out) -> None:
+    """Close and delete an output a stalled run never wrote; a path that
+    is not a regular file, such as /dev/stdout, is left in place."""
+    out.close()
+    if stat.S_ISREG(os.lstat(out.name).st_mode):
+        os.remove(out.name)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -88,19 +104,26 @@ def main(argv: list[str] | None = None) -> int:
 
     sim = Simulation(cfg, seed=args.seed, latency_samples=samples,
                      check_invariants_every=args.check_invariants)
-    try:
-        report = sim.run()
-    except StalledSimulation as exc:
-        print(f"stalled simulation: {exc}", file=sys.stderr)
-        return EXIT_STALLED
-
-    if not args.summary_only:
+    with contextlib.ExitStack() as stack:
+        # open the output before the run, so an unwritable path costs no run
         try:
-            with open(args.out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(sim.csv_text())
+            out = None if args.summary_only else stack.enter_context(
+                open(args.out, "w", encoding="utf-8", newline=""))
         except OSError as exc:
-            print(f"cannot write output: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+            return output_error(exc)
+        try:
+            report = sim.run()
+        except StalledSimulation as exc:
+            if out is not None:
+                discard_output(out)
+            print(f"stalled simulation: {exc}", file=sys.stderr)
+            return EXIT_STALLED
+        if out is not None:
+            try:
+                out.write(sim.csv_text())
+                out.close()
+            except OSError as exc:
+                return output_error(exc)
     print_summary(report)
     if args.dump_overlay:
         for line in sim.overlay.dump_lines():

@@ -9,8 +9,10 @@ back to the global minimum.
 
 A node hosts every vertex it inserted, and moving between its own
 vertices costs no message, so a routed search starts at the searcher's
-hosted vertex nearest below the target: hops then grow with the log of
-the number of nodes, not of vertices.
+hosted vertex nearest below the target, and each owner the path reaches
+resumes it at that owner's own hosted vertex nearest below the target,
+when it hosts one: hops then grow with the log of the number of nodes,
+not of vertices.
 """
 from __future__ import annotations
 
@@ -143,7 +145,9 @@ class SkipGraph:
 
     def _home(self, owner: int, target: Identifier) -> Vertex | None:
         """The owner's hosted vertex with the greatest id <= target, else its
-        smallest one; None when it hosts nothing.
+        smallest one; None when it hosts nothing.  A search starts here,
+        and every later owner on its path resumes at its own floor vertex
+        (`_resume`).
 
         A start below the target only moves right, and `_search`'s
         left-moving branch overshoots, so this floor beats the nearest
@@ -155,29 +159,51 @@ class SkipGraph:
         i = bisect_right(ids, target)
         return self.by_id[ids[i - 1] if i else ids[0]]
 
+    def _resume(self, vertex: Vertex, target: Identifier) -> Vertex:
+        """Where `vertex`'s owner goes on with a search for `target`: its
+        hosted vertex with the greatest id <= target (bisected as in
+        `_home`), else `vertex` itself when it hosts none.
+
+        That vertex is never farther from the floor than `vertex`: it lies
+        between `vertex` and the target when `vertex` is below the target,
+        and below the target, where the floor is, when `vertex` is above.
+        """
+        ids = self.hosted[vertex.owner]
+        i = bisect_right(ids, target)
+        if i and ids[i - 1] != vertex.identifier:
+            return self.by_id[ids[i - 1]]
+        return vertex
+
     def _search(self, start: Vertex, target: Identifier) -> tuple[Vertex, list[int]]:
         """Floor vertex of `target` and the owners visited on the way.
 
         An owner is appended only when it differs from the previous one,
         so the path comes out compressed: one entry per inter-owner hop.
+        Each owner reached resumes at its own vertex nearest below the
+        target (`_resume`), which costs no message.  Each level walks left
+        while above the target, then right while the next id is <= target;
+        a resume that lands below the target on the way left leaves that
+        level's right walk still to do.  (From above the target the right
+        walk cannot move: a level list is sorted.)
         """
         cur = start
         path = [start.owner]
         for level in range(self.levels - 1, -1, -1):
-            if cur.identifier <= target:
-                nxt = cur.right[level]
-                while nxt is not None and nxt.identifier <= target:
-                    cur = nxt
-                    if cur.owner != path[-1]:
-                        path.append(cur.owner)
-                    nxt = cur.right[level]
-            else:
+            if cur.identifier > target:
                 nxt = cur.left[level]
                 while cur.identifier > target and nxt is not None:
                     cur = nxt
                     if cur.owner != path[-1]:
                         path.append(cur.owner)
+                        cur = self._resume(cur, target)
                     nxt = cur.left[level]
+            nxt = cur.right[level]
+            while nxt is not None and nxt.identifier <= target:
+                cur = nxt
+                if cur.owner != path[-1]:
+                    path.append(cur.owner)
+                    cur = self._resume(cur, target)
+                nxt = cur.right[level]
         return cur, path
 
     def search_num_id(self, start: int, target: Identifier) -> SearchResult:

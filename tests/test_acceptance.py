@@ -21,8 +21,8 @@ from chainsim.overlay import KIND_CONTROLLER, SkipGraph
 from conftest import SAMPLE_CONFIG_TEXT
 
 DESK_SEED = 7
-DESK_SEED_7_CSV_SHA256 = "fdfa1744b00e426688cccc494dccda76733fb2dce8f38bdd02b2c323875bb45d"
-DESK_SEED_8_CSV_SHA256 = "770edb4791692aa00075eb40c362828ed9b115f803dc717141aa05d60130f1e9"
+DESK_SEED_7_CSV_SHA256 = "1d872d61ee18b55ad36497d9517ab1e5d694c833223d6c237e4c25fc793afd83"
+DESK_SEED_8_CSV_SHA256 = "54f4e713fcc5d0c600bca11db9bdb435af86d74c62c8181d6a9ed966eaab6f24"
 
 
 def desk_cfg(malicious=0.16) -> SimulationConfig:
@@ -101,8 +101,10 @@ def test_criterion_3_logarithmic_search_scaling():
 @pytest.mark.parametrize("nodes", [16, 32, 64])
 def test_whole_run_search_hops_stay_below_log2_nodes(monkeypatch, nodes):
     # a search starts at the searcher's own vertex nearest below the target,
-    # so hops follow log2 of the nodes, not of the ~33 vertices per node;
-    # from the controller vertex they were 5.73 / 7.13 / 8.49 at seed 7
+    # and each owner it reaches resumes at its own, so hops follow log2 of
+    # the nodes, not of the ~33 vertices per node; from the controller
+    # vertex they were 5.73 / 7.13 / 8.49 at seed 7, and with the searcher's
+    # start alone 3.63 / 4.48 / 5.36
     searches = []
     search = SkipGraph.search_num_id
     monkeypatch.setattr(SkipGraph, "search_num_id",
@@ -114,7 +116,7 @@ def test_whole_run_search_hops_stay_below_log2_nodes(monkeypatch, nodes):
     rounds = nodes * cfg.transactions_per_node + report.tx_retries + report.block_rounds
     assert len(searches) == cfg.validators_per_entity * rounds
     hops = report.messages_by_tag["overlay-route"] / len(searches)
-    assert hops < math.log2(nodes)
+    assert hops < math.log2(nodes) - 1
     print(f"ACCEPTANCE whole-run hops at n={nodes}: PASS ({hops:.2f} per search)")
 
 
@@ -226,7 +228,7 @@ def test_repeated_chain_txs_are_counted_when_malicious_approvals_reach_sig_thr()
     # counts that outcome rather than refusing it
     cfg = replace(desk_cfg(malicious=0.44), nodes=6, transactions_per_node=1,
                   block_size_min=1, validators_per_entity=4, signature_threshold=2)
-    sim = Simulation(cfg, seed=16)
+    sim = Simulation(cfg, seed=0)
     report = sim.run()
     assert report.finalized_tx_count == 6
     assert report.repeated_chain_txs == 1

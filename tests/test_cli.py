@@ -87,8 +87,13 @@ def test_non_finite_latency_sample_is_config_error(config_file, tmp_path, capsys
     assert "config error" in capsys.readouterr().err
 
 
-def test_unwritable_output_is_config_error(config_file, tmp_path, capsys):
-    # a directory cannot be opened as the output file
+def test_unwritable_output_is_config_error(config_file, tmp_path, capsys, monkeypatch):
+    # a directory cannot be opened as the output file, and the output is
+    # opened before the run, so no event runs
+    def no_run(sim):
+        raise AssertionError("the run started")
+
+    monkeypatch.setattr(engine.Simulation, "run", no_run)
     code = cli.main(["--config", str(config_file), "--out", str(tmp_path)])
     assert code == cli.EXIT_CONFIG
     assert capsys.readouterr().err.startswith("cannot write output: ")
@@ -223,6 +228,8 @@ def test_livelocked_run_exits_stalled(tmp_path):
         )
         assert proc.returncode == cli.EXIT_STALLED, proc.stderr
         assert "stalled simulation" in proc.stderr
+        # the output is opened before the run and deleted when it stalls
+        assert not (tmp_path / "run.csv").exists()
 
 
 def test_livelocked_run_stalls_at_a_pinned_point():

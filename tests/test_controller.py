@@ -199,7 +199,7 @@ DRAIN_RETRY_SEED = 1
 # blocks that take the whole pool make rare; the last one's drain block
 # holds several owners' txs, and a drain try before it fails
 @pytest.mark.parametrize("overrides, seed", [
-    (dict(nodes=5, transactions_per_node=7, block_size_min=3), 342),
+    (dict(nodes=5, transactions_per_node=7, block_size_min=3), 467),
     (dict(nodes=9, transactions_per_node=4, block_size_min=2, malicious_fraction=0.15), 17),
     (DRAIN_RETRY_CONFIG, DRAIN_RETRY_SEED),
 ])

@@ -10,10 +10,10 @@ from chainsim.engine import Simulation, ValidationRound, run_simulation
 from conftest import make_cfg
 
 GOLDEN = [
-    ({}, 7, "173d840331e4c3572f0a92d9fce008bd3c04941f6e8f6df091dc565926f72965"),
-    ({}, 8, "be0b1082b361f9f95b004d49cc4e0c9c6feed26db0d4b2e8f33d714d26ee6170"),
+    ({}, 7, "ff5b612ba53190fd408738e1d1934f2eca26e2ad0e103387837590887b6563f7"),
+    ({}, 8, "ad5921cd492fb967de2be5aaf8f7d8b2ff75c93bd319947d4dc14aefa375af3b"),
     ({"malicious_fraction": 0.25}, 7,
-     "506a425d196dfb1fad432e5bf67b1a6e7cc34480a568b107fb35a62163e5cc2f"),
+     "1d835aa3b24cbbe1be2a6df0234a1b1f7b519c5253842e714a771b20e6682736"),
 ]
 
 
@@ -31,7 +31,7 @@ def test_golden_run_ends_at_a_pinned_event_and_time():
     # so the run ends at its last handler call
     sim = Simulation(make_cfg(nodes=16, transactions_per_node=10, block_size_min=5), seed=7)
     sim.run()
-    assert (sim.events_processed, sim.now) == (3980, 11744)
+    assert (sim.events_processed, sim.now) == (3968, 11133)
 
 
 def test_csv_digest_is_pinned_when_timeouts_fire(monkeypatch):
@@ -54,7 +54,7 @@ def test_csv_digest_is_pinned_when_timeouts_fire(monkeypatch):
     sim.run()
     assert ended_by_timeout
     assert hashlib.sha256(sim.csv_text().encode()).hexdigest() == (
-        "c77fe3a197138c6da52b30ade568870fc0b3ce450dd1a25df7ce89adf4e7307c")
+        "54d9f40285bcd85e6ab826a0c45e0b2109e8661fd8ee4e71e77b5928a1e98eb6")
     # the run ends once its queue is empty, so every timeout has fired
     assert sim._heap == []
 
@@ -62,8 +62,8 @@ def test_csv_digest_is_pinned_when_timeouts_fire(monkeypatch):
 @pytest.mark.parametrize("overrides, counters", [
     # finalized blocks, chain blocks, reorgs, tx retries, block retries,
     # abandoned block rounds, most blocks in one node's tracker
-    ({}, (34, 21, 7, 0, 68, 76, 35)),
-    ({"malicious_fraction": 0.25}, (26, 21, 1, 82, 86, 87, 27)),
+    ({}, (32, 21, 9, 0, 68, 78, 33)),
+    ({"malicious_fraction": 0.25}, (31, 21, 10, 89, 69, 68, 32)),
 ], ids=["seed7", "malicious-seed7"])
 def test_report_counters_are_pinned(overrides, counters):
     cfg = make_cfg(nodes=16, transactions_per_node=10, block_size_min=5, **overrides)
@@ -84,8 +84,8 @@ def test_drain_only_run_is_pinned():
                               malicious_fraction=0.16), seed=7)
     report = sim.run()
     assert hashlib.sha256(sim.csv_text().encode()).hexdigest() == (
-        "a973d296de35d16266baf267fa99a27e57a8a74820ba4447c54e96096af05434")
-    assert (sim.events_processed, sim.now) == (5038, 5953)
+        "7c0fab5ffb82a25c59695c50c15106ab00d2a0ea6fad7defc0eafddb407122bb")
+    assert (sim.events_processed, sim.now) == (5028, 5505)
     assert (report.finalized_block_count, report.chain_block_count, report.reorgs,
             report.tx_retries, report.block_retries, report.abandoned_rounds,
             report.max_node_tracked_blocks) == (1, 1, 0, 37, 0, 0, 2)

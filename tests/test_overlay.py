@@ -1,5 +1,6 @@
 """Skip-graph structure, floor search, search starts, and replica resolution."""
 import random
+from bisect import bisect_right, insort
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,6 +18,16 @@ from chainsim.overlay import (
 from conftest import make_cfg
 
 
+def assert_placed(graph: SkipGraph, ident: Identifier) -> None:
+    """A new vertex sits between its level-0 neighbours: its insert found the
+    floor.  A misplaced vertex corrupts the lists, and later searches may
+    then loop forever, so builders check every insert at once."""
+    vertex = graph.by_id[ident]
+    left, right = vertex.left[0], vertex.right[0]
+    assert left is None or left.identifier < ident
+    assert right is None or ident < right.identifier
+
+
 def build_overlay(count: int, seed: int) -> tuple[SkipGraph, list[Identifier]]:
     rng = random.Random(seed)
     graph = SkipGraph(max_vertices=count)
@@ -24,6 +35,7 @@ def build_overlay(count: int, seed: int) -> tuple[SkipGraph, list[Identifier]]:
     for i in range(count):
         ident = Identifier(rng.randbytes(32))
         graph.announce(ident, i, KIND_CONTROLLER)
+        assert_placed(graph, ident)
         ids.append(ident)
     return graph, ids
 
@@ -37,6 +49,7 @@ def build_overlay_with_data(count: int, data: int,
     for _ in range(data):
         ident = Identifier(rng.randbytes(32))
         graph.announce(ident, rng.randrange(count), KIND_DATA)
+        assert_placed(graph, ident)
         ids.append(ident)
     return graph, ids
 
@@ -218,6 +231,76 @@ def test_search_start_is_the_brute_force_floor_and_keeps_validators(seed, nodes,
     assert [(t.validator, t.path[0], t.path[-1]) for t in tickets] == [
         (t.validator, owner, t.validator) for t in from_controller]
     assert all(t.path[-1] == t.validator for t in from_controller)
+
+
+def bisected_floor(sorted_ids: list[Identifier], target: Identifier) -> Identifier:
+    """The greatest id <= target, else the smallest: the oracle of every search."""
+    i = bisect_right(sorted_ids, target)
+    return sorted_ids[i - 1] if i else sorted_ids[0]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**30), nodes=st.integers(2, 64), data=st.integers(0, 1436))
+def test_every_search_returns_the_bisected_floor(seed, nodes, data):
+    # each owner on a path resumes at its own vertex nearest below the
+    # target; whatever the start, the search still ends at the exact floor
+    graph, ids = build_overlay_with_data(nodes, data, seed)
+    graph.check_invariants()
+    sorted_ids = sorted(ids)
+    rng = random.Random(f"targets-{seed}")
+    lowest = [hosted[0] for hosted in graph.hosted.values()]
+    # random ids, exact ids, and ids just below some owner's lowest vertex
+    # or below one of the smallest ids, so that the owner, or many owners,
+    # host nothing <= target and their searches start above it
+    value = lambda i: int.from_bytes(i, "big")
+    below = [max(0, value(i) - 1) for i in rng.sample(lowest, min(3, nodes)) + sorted_ids[:6]]
+    targets = ([Identifier(rng.randbytes(32)) for _ in range(4)] + rng.choices(ids, k=3)
+               + [ZERO_ID] + [Identifier(t.to_bytes(32, "big")) for t in below])
+    starts_above = 0
+    for target in targets:
+        floor = bisected_floor(sorted_ids, target)
+        for owner in range(nodes):
+            starts_above += graph._home(owner, target).identifier > target
+            result = graph.search_num_id(owner, target)
+            assert result.identifier == floor
+            assert_hop_path(result.path, owner)
+            assert result.path[-1] == graph.by_id[floor].owner
+    assert starts_above
+    # inserts find their place by the same search from their owner's home
+    for target in targets[:4]:
+        graph.announce(target, rng.randrange(nodes), KIND_DATA)
+        assert_placed(graph, target)
+        insort(sorted_ids, target)
+    graph.check_invariants()
+    assert [v.identifier for v in graph.in_order()] == sorted_ids
+
+
+def id_at(position: int, membership: int) -> Identifier:
+    """An id ordered by `position` (its leading byte) whose membership
+    vector starts with the bits of `membership` (its trailing byte)."""
+    return Identifier(bytes([position]) + bytes(30) + bytes([membership]))
+
+
+def test_a_resume_below_the_target_walks_right_again():
+    # node 0 hosts only a, above the target and alone in every list above
+    # level 0; its search walks left at level 0 to x, where node 1 resumes
+    # at its floor h, below the target, and so skips node 3's z; the true
+    # floor y lies between h and the target, so the level-0 walk must turn
+    # right again before the search ends
+    h, y, target, z, x, a = (id_at(p, m) for p, m in (
+        (0x10, 0), (0x20, 0), (0x30, 0), (0x38, 0), (0x40, 0), (0x50, 1)))
+    graph = SkipGraph(max_vertices=8)
+    for ident, owner in ((a, 0), (x, 1), (y, 2), (z, 3)):
+        graph.announce(ident, owner, KIND_CONTROLLER)
+    graph.announce(h, 1, KIND_DATA)
+    assert all(link is None for link in graph.by_id[a].left[1:])
+    result = graph.search_num_id(0, target)
+    # without the resume the walk would go a, x, z, y: path [0, 1, 3, 2]
+    assert (result.identifier, result.path) == (y, [0, 1, 2])
+    # an insert there lands between y and z
+    graph.announce(target, 0, KIND_DATA)
+    graph.check_invariants()
+    assert [v.identifier for v in graph.in_order()] == [h, y, target, z, x, a]
 
 
 @settings(max_examples=40, deadline=None)
