@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .config import SimulationConfig
 from .identity import Identifier, hash_bytes
-from .overlay import SkipGraph
+from .overlay import OverlayError, SkipGraph
 from .storage import (
     DECISION_APPROVE,
     DECISION_REJECT,
@@ -69,7 +69,9 @@ def select_validators(entity_id: Identifier, owner: int,
             target = hash_bytes(target)
         chosen.add(validator)
         result = overlay.search_num_id(owner, identifier)
-        # an exact search for an existing identifier ends at its owner
+        if result.identifier != identifier:
+            raise OverlayError(f"search for {identifier.hex()[:12]} ended at "
+                               f"{result.identifier.hex()[:12]}, not at validator {validator}")
         tickets.append(ValidationTicket(validator, result.path))
     return tickets
 

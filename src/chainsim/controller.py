@@ -137,6 +137,8 @@ def on_tx_result(sim, state: NodeState, tx: Transaction, tickets, approved: bool
         sim.finalize(tx, tickets, context)
         state.add_finalized(tx.id, sim.now)
         maybe_schedule_block(sim, state)
+        if len(sim.registry.finalized_txs) == sim.expected_txs:
+            enter_drain_mode(sim)
     else:
         # rebuild with honest fields against the current tail and retry
         retry = new_transaction(
@@ -147,6 +149,14 @@ def on_tx_result(sim, state: NodeState, tx: Transaction, tickets, approved: bool
 
 
 # -- block lifecycle -----------------------------------------------------
+
+
+def enter_drain_mode(sim) -> None:
+    """Pools are final once the last tx finalizes: every owner holding one
+    schedules a drain try, and the first whose backoff ends sweeps every pool."""
+    sim.registry.drain_mode = True
+    for state in sim.nodes:
+        maybe_schedule_block(sim, state)
 
 
 def _due(sim, state: NodeState, drain: bool) -> bool:

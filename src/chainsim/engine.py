@@ -454,14 +454,7 @@ class Simulation:
                     )
         self._record(entity, context)
 
-    # -- drain and the end check ----------------------------------------
-
-    def _enter_drain_mode(self) -> None:
-        """Pools are final: every owner holding one schedules a drain try,
-        and the first whose backoff ends sweeps every pool."""
-        self.registry.drain_mode = True
-        for state in self.nodes:
-            controller.maybe_schedule_block(self, state)
+    # -- the end check --------------------------------------------------
 
     def _check_outcome(self) -> None:
         """The end check, run once the queue is empty: every tx slot is
@@ -496,8 +489,7 @@ class Simulation:
                 f"(NODES={n}, {m} malicious), fewer than SIG_THR={self.cfg.signature_threshold}")
         start = time.perf_counter()
         self._bootstrap()
-        heap, every, registry = self._heap, self.check_invariants_every, self.registry
-        finalized, expected = registry.finalized_txs, self.expected_txs
+        heap, every = self._heap, self.check_invariants_every
         while heap:
             now, _, fn = heappop(heap)
             self.now = now
@@ -509,10 +501,6 @@ class Simulation:
                     f"nothing generated or finalized since t={last} (now t={now})")
             if every and self.events_processed % every == 0:
                 self.check_invariants()
-            if len(finalized) == expected and not registry.drain_mode:
-                # every transaction is generated and finalized: pools are
-                # final, so leftover (possibly undersized) blocks may drain
-                self._enter_drain_mode()
         self._check_outcome()
         if every:
             # the end state is checked too, even in a run shorter than N events

@@ -107,6 +107,11 @@ class SkipGraph:
             left, right = floor, floor.right[0]
         else:  # floor is the global minimum and the new vertex precedes it
             left, right = None, floor
+        # a splice anywhere but at the floor would corrupt the level-0 list
+        if (right is not None and right.identifier <= vertex.identifier) or (
+                left is None and floor.left[0] is not None):
+            raise OverlayError(f"search for {vertex.identifier.hex()[:12]} ended at "
+                               f"{floor.identifier.hex()[:12]}, not at its floor")
         self._splice(vertex, 0, left, right)
         for level in range(1, self.levels):
             left = self._scan_for_level(vertex, level, LEFT, path)

@@ -122,7 +122,7 @@ def test_drain_try_sweeps_every_pool_and_no_second_one_starts_while_it_is_open()
     sim = bare_simulation(block_size_min=10)
     small = pool_txs(sim, sim.nodes[1], 3)
     big = pool_txs(sim, sim.nodes[2], 12)   # BLK_SIZE or more, swept all the same
-    sim._enter_drain_mode()
+    controller.enter_drain_mode(sim)
     # node 0, holding no pool, builds nothing; each owner of a pool schedules a try
     assert [state.block_attempt_open for state in sim.nodes[:3]] == [False, True, True]
     run_queued(sim)
@@ -155,7 +155,7 @@ def test_drain_try_closed_at_max_retries_reschedules_every_pool():
     sim = bare_simulation(block_size_min=10)
     small = pool_txs(sim, sim.nodes[1], 3)
     big = pool_txs(sim, sim.nodes[2], 12)
-    sim._enter_drain_mode()
+    controller.enter_drain_mode(sim)
     run_queued(sim)
     builder = drain_builder(sim)
     for _ in range(controller.MAX_BLOCK_RETRIES):

@@ -1,10 +1,12 @@
 """End-to-end runs, metrics, and CSV output."""
 from collections import Counter
 from dataclasses import replace
+from functools import partial
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chainsim import controller
 from chainsim.config import ValueOutOfRange, malicious_count
 from chainsim.consensus import replica_holders
 from chainsim.engine import (
@@ -18,7 +20,6 @@ from chainsim.engine import (
     summarize,
     write_csv,
 )
-from chainsim.identity import hash_bytes
 from chainsim.simnet import (
     TAG_ANNOUNCE,
     TAG_NOTIFY,
@@ -26,9 +27,10 @@ from chainsim.simnet import (
     TAG_VALIDATE_REPLY,
     TAG_VALIDATE_REQUEST,
     BadSampleFile,
+    ContextCounters,
     Network,
 )
-from chainsim.storage import DECISION_SILENT, Block, Transaction
+from chainsim.storage import DECISION_SILENT, Block, ChainTracker, Transaction, new_transaction
 from conftest import bare_simulation, make_cfg
 
 
@@ -156,53 +158,85 @@ def test_replica_holders_resolvable_through_overlay():
         assert len(holder_indexes) == 3
 
 
-def test_every_view_of_a_finalized_block_is_the_one_block():
-    sim = Simulation(make_cfg(nodes=8, transactions_per_node=4, block_size_min=3), seed=5)
-    sim.run()
-    blocks = [b for b in sim.registry.tracker.blocks.values() if b is not sim.genesis]
-    assert len(blocks) == sum(1 for r in sim.records if r.event_type == "block")
-    for block in blocks:
-        assert isinstance(block, Block) and isinstance(block.tx_ids, tuple)
-        assert all(state.tracker.blocks[block.id] is block for state in sim.nodes)
-        holders = replica_holders(block.id, block.owner, sim.controllers, REPLICATION_FACTOR)
-        assert all(sim.nodes[h].store.fetch(block.id) is block for h in holders)
+def test_every_view_of_a_finalized_block_is_the_one_block(monkeypatch):
+    # the skewed run's slow messages deliver some block notifies before
+    # their parent's, so node trackers hold orphans and link them later
+    early = []   # node-tracker adds of a new block whose parent is unknown there
+    add = ChainTracker.add
+
+    def watched(tracker, blk):
+        if (tracker.listener is not None and blk.id not in tracker.blocks
+                and blk.parent not in tracker.blocks):
+            early.append(blk)
+        add(tracker, blk)
+
+    monkeypatch.setattr(ChainTracker, "add", watched)
+    plain = Simulation(make_cfg(nodes=8, transactions_per_node=4, block_size_min=3), seed=5)
+    plain.run()
+    skewed = skewed_latency_run(malicious_fraction=0.25)
+    assert early
+    for sim in (plain, skewed):
+        registry = sim.registry.tracker
+        blocks = [b for b in registry.blocks.values() if b is not sim.genesis]
+        assert len(blocks) == sum(1 for r in sim.records if r.event_type == "block")
+        for block in blocks:
+            assert isinstance(block, Block) and isinstance(block.tx_ids, tuple)
+            assert all(state.tracker.blocks[block.id] is block for state in sim.nodes)
+            holders = replica_holders(block.id, block.owner, sim.controllers,
+                                      REPLICATION_FACTOR)
+            assert all(sim.nodes[h].store.fetch(block.id) is block for h in holders)
+        # every node ends with the registry's tree and tail, and no orphan
+        for state in sim.nodes:
+            assert state.tracker.blocks.keys() == registry.blocks.keys()
+            assert state.tracker.tail is registry.tail
+            assert not state.tracker._orphans
 
 
 def test_each_call_is_followed_by_its_checks_and_drain_entry(monkeypatch):
-    # events at one time run in schedule order; the invariant check follows
-    # every 2nd call, and drain mode is entered once, right after the call
-    # that finalizes the last tx, before the next event at the same time
+    # events at one time run in schedule order, and the invariant check
+    # follows every 2nd call; drain mode is entered once, inside the
+    # on_tx_result that finalizes the last tx, after its owner schedules
+    # its own pool and before the next event at the same time
     sim = bare_simulation()
     sim._bootstrap = lambda: None   # no tx timers: only the events queued here
     sim.check_invariants_every = 2
+    owner = sim.nodes[3]
+    txs = [new_transaction(owner.node_index, 0, 1, sim.genesis.id, seq, created_at=0)
+           for seq in range(sim.expected_txs)]
+    for tx in txs[:-2]:
+        sim.registry.add_tx(tx.id, tx.owner, tx.seq)
     log = []
-    expected = sim.cfg.nodes * sim.cfg.transactions_per_node
-    for seq in range(expected - 1):
-        sim.registry.add_tx(hash_bytes(b"tx", str(seq).encode()), 0, seq)
-
-    def finalize_last():
-        log.append(("last tx", sim.now))
-        sim.registry.add_tx(hash_bytes(b"tx", b"last"), 0, expected - 1)
-
-    enter_drain_mode = Simulation._enter_drain_mode
+    # finalization is covered elsewhere; here it only counts the tx
+    sim.finalize = lambda tx, tickets, context: sim.registry.add_tx(tx.id, tx.owner, tx.seq)
+    sim.check_invariants = lambda: log.append(("check", sim.now))
+    monkeypatch.setattr(controller, "maybe_schedule_block", lambda sim, state: log.append(
+        ("schedule", state.node_index, sim.registry.drain_mode)))
+    enter_drain_mode = controller.enter_drain_mode
 
     def watched_drain_entry(sim):
         log.append(("drain", sim.now))
         enter_drain_mode(sim)
 
-    monkeypatch.setattr(Simulation, "_enter_drain_mode", watched_drain_entry)
-    sim.check_invariants = lambda: log.append(("check", sim.now))
+    monkeypatch.setattr(controller, "enter_drain_mode", watched_drain_entry)
+
+    def finalize(tx):
+        log.append(("finalize", tx.seq, sim.now))
+        controller.on_tx_result(sim, owner, tx, [], True, ContextCounters())
+
     sim.schedule_at(20, lambda: log.append(("later", sim.now)))
     sim.schedule_at(10, lambda: log.append(("first", sim.now)))
-    sim.schedule_at(10, lambda: log.append(("second", sim.now)))
-    sim.schedule_at(10, finalize_last)
+    sim.schedule_at(10, partial(finalize, txs[-2]))
+    sim.schedule_at(10, partial(finalize, txs[-1]))
     sim.schedule_at(10, lambda: log.append(("fourth", sim.now)))
     # no finalized tx is on the chain, so the end check refuses the run
     with pytest.raises(StalledSimulation) as exc:
         sim.run()
     assert str(exc.value) == "event queue empty at t=20 before termination"
-    assert log == [("first", 10), ("second", 10), ("check", 10), ("last tx", 10),
-                   ("drain", 10), ("fourth", 10), ("check", 10), ("later", 20)]
+    last = len(txs) - 1
+    assert log == [("first", 10), ("finalize", last - 1, 10), ("schedule", 3, False),
+                   ("check", 10), ("finalize", last, 10), ("schedule", 3, False),
+                   ("drain", 10), *[("schedule", i, True) for i in range(len(sim.nodes))],
+                   ("fourth", 10), ("check", 10), ("later", 20)]
     assert sim.events_processed == 5 and sim._heap == []
 
 

@@ -16,6 +16,9 @@ GOLDEN = [
      "1d835aa3b24cbbe1be2a6df0234a1b1f7b519c5253842e714a771b20e6682736"),
 ]
 
+# the skewed-latency run below; CI compares the installed script's CSV with it
+SKEWED_SEED_4_CSV_SHA256 = "54d9f40285bcd85e6ab826a0c45e0b2109e8661fd8ee4e71e77b5928a1e98eb6"
+
 
 # the ids name the run, not its digest, so a re-pinned digest keeps the test's name
 @pytest.mark.parametrize("overrides, seed, digest", GOLDEN,
@@ -53,8 +56,7 @@ def test_csv_digest_is_pinned_when_timeouts_fire(monkeypatch):
     sim = Simulation(cfg, seed=4, latency_samples=[5.0] * 249 + [300.0])
     sim.run()
     assert ended_by_timeout
-    assert hashlib.sha256(sim.csv_text().encode()).hexdigest() == (
-        "54d9f40285bcd85e6ab826a0c45e0b2109e8661fd8ee4e71e77b5928a1e98eb6")
+    assert hashlib.sha256(sim.csv_text().encode()).hexdigest() == SKEWED_SEED_4_CSV_SHA256
     # the run ends once its queue is empty, so every timeout has fired
     assert sim._heap == []
 

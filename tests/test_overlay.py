@@ -12,6 +12,9 @@ from chainsim.overlay import (
     EmptyOverlay,
     KIND_CONTROLLER,
     KIND_DATA,
+    LEFT,
+    RIGHT,
+    OverlayError,
     SkipGraph,
     UnknownStart,
 )
@@ -301,6 +304,51 @@ def test_a_resume_below_the_target_walks_right_again():
     graph.announce(target, 0, KIND_DATA)
     graph.check_invariants()
     assert [v.identifier for v in graph.in_order()] == [h, y, target, z, x, a]
+
+
+def end_searches_beside_the_floor(monkeypatch, side: str) -> None:
+    """Make every search end at its true floor's neighbour on `side`
+    (LEFT or RIGHT) instead, where the floor has one."""
+    search = SkipGraph._search
+
+    def beside_the_floor(graph, start, target):
+        floor, path = search(graph, start, target)
+        return getattr(floor, side)[0] or floor, path
+
+    monkeypatch.setattr(SkipGraph, "_search", beside_the_floor)
+
+
+@pytest.mark.parametrize("side, below_the_minimum", [(LEFT, False), (RIGHT, True)],
+                         ids=["left-of-floor", "right-of-minimum"])
+def test_an_insert_whose_search_misses_the_floor_is_refused(monkeypatch, side,
+                                                            below_the_minimum):
+    # a vertex spliced beside its floor would break the level-0 order;
+    # below the global minimum, the search falls back to the minimum itself
+    graph, ids = build_overlay(16, seed=11)
+    ordered = sorted(ids)
+    if below_the_minimum:
+        target = Identifier(bytes(32))
+    else:   # between the 3rd and 4th vertices, so the floor has a left neighbour
+        target = Identifier((int.from_bytes(ordered[2], "big") + 1).to_bytes(32, "big"))
+    assert target not in graph.by_id
+    end_searches_beside_the_floor(monkeypatch, side)
+    with pytest.raises(OverlayError, match="not at its floor"):
+        graph.announce(target, 0, KIND_DATA)
+    # the overlay is left as it was
+    assert target not in graph.by_id and target not in graph.hosted[0]
+    graph.check_invariants()
+
+
+def test_a_validator_search_that_misses_its_vertex_is_refused(monkeypatch):
+    graph, ids = build_overlay(16, seed=5)
+    controllers = sorted((ident, i) for i, ident in enumerate(ids))
+    cfg = make_cfg(nodes=16, validators_per_entity=6, signature_threshold=4)
+    entity = Identifier(b"\x31" * 32)
+    assert len(select_validators(entity, 3, controllers, graph, cfg)) == 6
+    # six validators: at least one vertex is not the global minimum
+    end_searches_beside_the_floor(monkeypatch, LEFT)
+    with pytest.raises(OverlayError, match="not at validator"):
+        select_validators(entity, 3, controllers, graph, cfg)
 
 
 @settings(max_examples=40, deadline=None)
