@@ -278,6 +278,53 @@ def test_every_search_returns_the_bisected_floor(seed, nodes, data):
     assert [v.identifier for v in graph.in_order()] == sorted_ids
 
 
+def bisected_resume(graph: SkipGraph, vertex, target: Identifier):
+    """The owner's hosted vertex with the greatest id <= target, else `vertex`."""
+    ids = graph.hosted[vertex.owner]
+    i = bisect_right(ids, target)
+    return graph.by_id[ids[i - 1]] if i else vertex
+
+
+def resume_case(vertex, target: Identifier) -> str:
+    """Which of `_resume`'s early returns applies, or "bisect"."""
+    if vertex.identifier <= target:
+        nxt = vertex.next_own
+        return "next-above" if nxt is None or nxt.identifier > target else "bisect"
+    if vertex.prev_own is None:
+        return "none-below"
+    return "prev-at-or-below" if vertex.prev_own.identifier <= target else "bisect"
+
+
+def test_own_vertex_links_follow_each_owners_sorted_ids():
+    graph, _ = build_overlay_with_data(12, 300, seed=5)
+    for owner, ids in graph.hosted.items():
+        vertices = [graph.by_id[i] for i in ids]
+        assert [v.prev_own for v in vertices] == [None] + vertices[:-1]
+        assert [v.next_own for v in vertices] == vertices[1:] + [None]
+
+
+@pytest.mark.parametrize("case", ["next-above", "none-below", "prev-at-or-below", "bisect"])
+def test_each_resume_case_returns_the_bisected_floor(case):
+    # every early return of `_resume` gives what bisecting the owner's
+    # hosted ids gives, and so does the fallback that still bisects
+    graph, ids = build_overlay_with_data(12, 300, seed=5)
+    rng = random.Random(f"resume-{case}")
+    value = lambda i: int.from_bytes(i, "big")
+    seen = 0
+    for vertex in graph.by_id.values():
+        # targets just below, at and just above some of the owner's ids and
+        # the vertex's own, the lowest id, and random ones
+        near = [value(i) + d for i in graph.hosted[vertex.owner] for d in (-1, 0, 1)]
+        near = rng.sample(near, 6) + [value(vertex.identifier) + d for d in (-1, 0, 1)]
+        targets = [Identifier(max(0, t).to_bytes(32, "big")) for t in near]
+        targets += [ZERO_ID] + [Identifier(rng.randbytes(32)) for _ in range(2)]
+        for target in targets:
+            if resume_case(vertex, target) == case:
+                assert graph._resume(vertex, target) is bisected_resume(graph, vertex, target)
+                seen += 1
+    assert seen >= 12
+
+
 def id_at(position: int, membership: int) -> Identifier:
     """An id ordered by `position` (its leading byte) whose membership
     vector starts with the bits of `membership` (its trailing byte)."""
