@@ -61,7 +61,6 @@ def print_summary(report) -> None:
     print(f"  chain reorgs           : {report.reorgs}")
     print(f"  tx / block retries     : {report.tx_retries} / {report.block_retries}")
     print(f"  block rounds           : {report.block_rounds}")
-    print(f"  abandoned block rounds : {report.abandoned_rounds}")
     print(f"  repeated chain txs     : {report.repeated_chain_txs}")
     print(f"  avg tx time            : {report.avg_tx_time_ms:.1f} ms")
     print(f"  avg block time         : {report.avg_block_time_ms:.1f} ms")

@@ -37,6 +37,7 @@ from .simnet import (
     Network,
     TAG_ANNOUNCE,
     TAG_NOTIFY,
+    TAG_PART,
     TAG_ROUTE,
     TAG_VALIDATE_REPLY,
     TAG_VALIDATE_REQUEST,
@@ -54,6 +55,10 @@ from .storage import (
 REPLICATION_FACTOR = 3
 ROUTE_MSG_BYTES = 72
 REPLY_MSG_BYTES = 41
+# a part message: an 8-byte count and the sender's 8-byte tail height, then
+# each tx id with its 8-byte finalize time
+PART_HEADER_BYTES = 16
+PART_TX_BYTES = ID_BYTES + 8
 # a run that neither generates nor finalizes anything for this many
 # validation timeouts (plus one tx interval) is livelocked
 STALL_TIMEOUTS = 1000
@@ -103,8 +108,6 @@ class SimulationReport:
     block_retries: int = 0
     # block validation rounds started: first tries that built a block, and retries
     block_rounds: int = 0
-    # block rounds the owner gave up once its chain tail reached their height
-    abandoned_rounds: int = 0
     # the most blocks any one node's chain tracker holds
     max_node_tracked_blocks: int = 0
     # txs that sit in more than one canonical-chain block
@@ -185,10 +188,10 @@ class ValidationRound:
     its votes.  A tx round is also decided, as failed, at the rejection
     that leaves it unable to reach the threshold.
     A ticket whose reply has not landed by then stays silent: it has no
-    signature and earns no validation fee.  `done` marks a decided round;
-    setting it from outside abandons the round: it then sends no more
-    requests and reports nothing.  A block round outlives its decision as
-    its attempt's record until the next try replaces it or the attempt ends.
+    signature and earns no validation fee.  `done` marks a decided round,
+    which sends no more requests and reports nothing more.  A block round
+    outlives its decision as its attempt's record until the next try
+    replaces it or the attempt ends.
     """
 
     def __init__(self, sim: "Simulation", entity: Entity, context: ContextCounters,
@@ -213,12 +216,15 @@ class ValidationRound:
         )
         self.unresolved = self.pending_replies = len(self.tickets)
         self.request_bytes = wire_size(self.entity)
+        # the owner finds each validator, and may send to it directly later
+        found = sim.nodes[self.entity.owner].known.add
         for ticket in self.tickets:
+            found(ticket.validator)
             sim.net.send_path(ticket.path, TAG_ROUTE, ROUTE_MSG_BYTES, self.context,
                               partial(self._resolved, ticket))
 
     def _resolved(self, ticket: ValidationTicket) -> None:
-        if self.done:   # decided or abandoned: a request would change nothing
+        if self.done:   # decided: a request would change nothing
             return
         sim = self.sim
         owner, validator = self.entity.owner, ticket.validator
@@ -317,7 +323,6 @@ class Simulation:
                 malicious=i in malicious,
                 rng_recipient=substream(seed, "recipient", i),
                 rng_corrupt=substream(seed, "corrupt", i),
-                rng_backoff=substream(seed, "backoff", i),
                 tracker=ChainTracker(self.genesis),
             )
             for i in range(n)
@@ -329,7 +334,6 @@ class Simulation:
         self._wall_clock_s = 0.0
         self.tx_retries = 0
         self.block_retries = 0
-        self.abandoned_rounds = 0
         self.repeated_chain_txs = 0   # set by the end check
 
     # -- scheduling -----------------------------------------------------
@@ -377,9 +381,9 @@ class Simulation:
         """Validate one try of the node's open block attempt.
 
         The round is the attempt's only record, kept in `state.block_round`
-        until the next try or the attempt's end: the owner abandons it when
-        its chain tail passes the block.  Its counters, fresh on a first try
-        and taken over from the predecessor on a retry, go to the result.
+        until the next try or the attempt's end.  Its counters, fresh on a
+        first try and taken over from the predecessor on a retry, go to the
+        result.
         """
         if retries:
             self.block_retries += 1
@@ -392,6 +396,25 @@ class Simulation:
                 self, state, block, tickets, approved, context),
         )
         state.block_round.start()
+
+    # -- parts ----------------------------------------------------------
+
+    def send_parts(self, state: NodeState, dst: int, parts: dict[Identifier, int]) -> None:
+        """Send the `parts` node `state` holds to node `dst` in one message,
+        with the sender's tail height.  A node that has not yet found `dst`
+        by a routed search (a validator search counts) sends it along one
+        for dst's controller vertex, charged per hop like a validator search
+        plus the parts; otherwise it sends it direct."""
+        src = state.node_index
+        size = PART_HEADER_BYTES + PART_TX_BYTES * len(parts)
+        handler = partial(controller.on_parts, self, self.nodes[dst], parts,
+                          state.tracker.tail.height)
+        if dst in state.known:
+            self.net.send(src, dst, TAG_PART, size, None, handler)
+            return
+        state.known.add(dst)
+        path = self.overlay.search_num_id(src, self.identifiers[dst]).path
+        self.net.send_path(path, TAG_PART, ROUTE_MSG_BYTES + size, None, handler)
 
     # -- finalization ---------------------------------------------------
 
@@ -526,7 +549,6 @@ class Simulation:
             tx_retries=self.tx_retries,
             block_retries=self.block_retries,
             block_rounds=sum(s.block_ctx_counter for s in self.nodes) + self.block_retries,
-            abandoned_rounds=self.abandoned_rounds,
             max_node_tracked_blocks=max(len(s.tracker.blocks) for s in self.nodes),
             repeated_chain_txs=self.repeated_chain_txs,
             messages_by_tag={tag: m for tag, (m, _) in traffic},

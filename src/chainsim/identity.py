@@ -19,10 +19,7 @@ ZERO_ID = bytes(ID_BYTES)
 
 
 def hash_bytes(*parts: bytes) -> Identifier:
-    h = hashlib.sha256()
-    for part in parts:
-        h.update(part)
-    return h.digest()
+    return hashlib.sha256(b"".join(parts)).digest()
 
 
 def derive_node_identifier(index: int) -> Identifier:

@@ -238,7 +238,10 @@ class SkipGraph:
                 cur = nxt
                 if cur.owner != path[-1]:
                     path.append(cur.owner)
-                    cur = self._resume(cur, target)
+                    # `_resume`'s first case, tested here without the call
+                    own = cur.next_own
+                    if own is not None and own.identifier <= target:
+                        cur = self._resume(cur, target)
                 nxt = cur.right[level]
         return cur, path
 

@@ -22,6 +22,7 @@ TAG_ANNOUNCE = "announce"
 TAG_VALIDATE_REQUEST = "validate-request"
 TAG_VALIDATE_REPLY = "validate-reply"
 TAG_NOTIFY = "notify"
+TAG_PART = "part"
 
 # the builtin log-normal model's median and shape
 MEDIAN_LATENCY_MS = 50.0

@@ -43,10 +43,10 @@ def test_happy_path_writes_csv(config_file, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "simulation summary" in printed
     for label in ("fork waste", "chain reorgs", "tx / block retries",
-                  "abandoned block rounds", "  block rounds  ", "max per-node tracked",
+                  "  block rounds  ", "max per-node tracked",
                   "  repeated chain txs     : 0\n",
                   "traffic by tag",
-                  "    validate-request     : "):
+                  "    validate-request     : ", "    part                 : "):
         assert label in printed
 
 

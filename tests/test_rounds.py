@@ -1,12 +1,11 @@
 """When an owner stops waiting on a validation round.
 
-A round is decided at its threshold approval, a tx round also at the
-rejection that leaves it short of the threshold, and a block round is
-abandoned once the owner's chain tail reaches the block's height.
+A round is decided at its threshold approval, and a tx round also at the
+rejection that leaves it short of the threshold; a block round short of
+the threshold waits for every reply or its timeout.
 """
 from heapq import heappop
 
-from chainsim import controller
 from chainsim.consensus import EconomyLedger, apply_finalization_fees
 from chainsim.engine import Simulation, ValidationRound
 from chainsim.identity import hash_bytes
@@ -15,7 +14,6 @@ from chainsim.storage import (
     DECISION_APPROVE,
     DECISION_REJECT,
     DECISION_SILENT,
-    Block,
     new_block,
     new_transaction,
 )
@@ -125,53 +123,3 @@ def test_block_round_short_of_the_threshold_waits_for_every_reply():
     round_, results = run_round(sim, block)
     assert results == [[DECISION_REJECT] * BARE_VALIDATORS]
     assert round_.pending_replies == 0
-
-
-def test_owner_abandons_a_block_round_the_tail_has_passed(monkeypatch):
-    sim = bare_simulation(block_size_min=2)
-    owner = sim.nodes[0]
-    for seq in range(2):
-        tx = new_transaction(0, 1, 1, sim.genesis.id, seq=seq, created_at=0)
-        sim.registry.add_tx(tx.id, 0, seq)
-        owner.add_finalized(tx.id, 0)
-
-    requests = watch_requests(monkeypatch)
-    results = []
-    on_block_result = controller.on_block_result
-
-    def watched_result(sim_, state, block, tickets, approved, context):
-        results.append(block)
-        on_block_result(sim_, state, block, tickets, approved, context)
-
-    monkeypatch.setattr(controller, "on_block_result", watched_result)
-
-    owner.block_attempt_open = True
-    controller.start_block_attempt(sim, owner)
-    first = owner.block_round
-    assert first.entity.height == 1
-    # run until some of the round's validators are found, not all
-    while not 0 < first.unresolved < BARE_VALIDATORS:
-        step(sim)
-    assert requests and not first.done
-
-    # another owner's block takes height 1 first, and its notify lands
-    rival = Block(hash_bytes(b"rival"), 1, sim.genesis.id, 1)
-    sim.registry.tracker.add(rival)
-    sent_before = len(requests)
-    controller.on_block_notify(sim, owner, rival)
-
-    assert first.done
-    retry = owner.block_round
-    assert retry is not first
-    # the attempt's counters span all of its tries
-    assert retry.context is first.context
-    assert (retry.entity.parent, retry.entity.height) == (rival.id, 2)
-    assert retry.entity.tx_ids == first.entity.tx_ids
-    assert (sim.abandoned_rounds, sim.block_retries) == (1, 1)
-    while sim._heap:
-        step(sim)
-    # no request after the notify, and no late reply reaches the owner
-    assert first not in requests[sent_before:]
-    assert first.entity not in results
-    assert results == [retry.entity]
-    assert owner.block_round is None and owner.tracker.tail.id == retry.entity.id
