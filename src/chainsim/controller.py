@@ -13,14 +13,15 @@ do not bounce between a proposer and a node that has not heard of it.
 
 The proposer builds one block from every part it holds once they reach
 `BLK_SIZE` (`BLK_SIZE` is a minimum), and in drain mode, once every
-transaction has finalized, from whatever it holds.  It never reads
+transaction has finalized, from every part the chain still lacks, whatever
+their number; it learns that number from the registry, and never reads
 another node's state.  A rejected try rejoins the parts that arrived
-since and is rebuilt on the current tail while the node is still its
-proposer, up to MAX_BLOCK_RETRIES retries; then the attempt ends and the
-parts are settled like any others.  A malicious proposer puts a bogus
-parent on an attempt's first try, and the retries absorb it.  With one
-builder per tail and validators that approve only blocks taller than the
-tail, blocks do not contend for a height.
+since and is rebuilt on the current tail for as long as the node is still
+its proposer; then the attempt ends and the parts are settled like any
+others.  A malicious proposer puts a bogus parent on an attempt's first
+try, and the honest retries absorb it.  With one builder per tail and
+validators that approve only blocks taller than the tail, blocks do not
+contend for a height.
 
 Each part is in one place at a time, so with one builder per tail no tx
 reaches two blocks.  A finalized block whose parent never resolves (a
@@ -32,7 +33,6 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from functools import lru_cache
 from random import Random
 from typing import TYPE_CHECKING
 
@@ -53,7 +53,6 @@ if TYPE_CHECKING:
 
 CORRUPTION_PROBABILITY = 0.5
 RETRY_DELAY_MS = 200
-MAX_BLOCK_RETRIES = 3
 
 
 @dataclass
@@ -108,13 +107,8 @@ def proposer_of(sim, tail: Block) -> int:
     """The one node that builds on `tail`: a hash of the tail's id picks a
     rank over the sorted controllers, as `replica_holders` places replicas."""
     controllers = sim.controllers
-    return controllers[_proposer_rank(tail.id, len(controllers))][1]
-
-
-@lru_cache(maxsize=1024)
-def _proposer_rank(tail_id: Identifier, nodes: int) -> int:
-    # every node asks about the same few tails, so each is hashed once
-    return int.from_bytes(hash_bytes(tail_id, b"proposer"), "big") % nodes
+    rank = int.from_bytes(hash_bytes(tail.id, b"proposer"), "big") % len(controllers)
+    return controllers[rank][1]
 
 
 def _bogus_block_id(state: NodeState, seq: int) -> Identifier:
@@ -181,9 +175,17 @@ def _settle(sim, state: NodeState) -> None:
     if proposer != state.node_index:
         parts, state.parts = state.parts, {}
         sim.send_parts(state, proposer, parts)
-    elif state.block_round is None and (
-            len(state.parts) >= sim.cfg.block_size_min or sim.registry.drain_mode):
+    elif state.block_round is None and len(state.parts) >= _parts_due(sim):
         start_block_attempt(sim, state)
+
+
+def _parts_due(sim) -> int:
+    """The parts a proposer builds from: `BLK_SIZE`, and in drain mode
+    every finalized tx the chain lacks, so parts still in flight make the
+    one drain block rather than another (a read of the registry)."""
+    if not sim.registry.drain_mode:
+        return sim.cfg.block_size_min
+    return sim.expected_txs - len(sim.registry.tracker.chain_txs)
 
 
 def start_block_attempt(sim, state: NodeState, failed: Block | None = None) -> None:
@@ -226,13 +228,11 @@ def on_block_result(sim, state: NodeState, block: Block, tickets, approved: bool
 def _retry_block(sim, state: NodeState, block: Block) -> None:
     """End a try that put `block` nowhere: its parts rejoin the ones held
     since, and the node rebuilds them on its current tail while it is that
-    tail's proposer and `block` has retries left; otherwise the attempt
-    ends and the parts are settled."""
+    tail's proposer; otherwise the attempt ends and the parts are settled."""
     state.parts.update(state.taken)
     state.taken = {}
     tail = state.tracker.tail
-    if (block.attempt < MAX_BLOCK_RETRIES and tail.height >= state.wait_height
-            and proposer_of(sim, tail) == state.node_index):
+    if tail.height >= state.wait_height and proposer_of(sim, tail) == state.node_index:
         start_block_attempt(sim, state, failed=block)
         return
     state.block_round = None

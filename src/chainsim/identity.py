@@ -19,7 +19,10 @@ ZERO_ID = bytes(ID_BYTES)
 
 
 def hash_bytes(*parts: bytes) -> Identifier:
-    return hashlib.sha256(b"".join(parts)).digest()
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part)
+    return h.digest()
 
 
 def derive_node_identifier(index: int) -> Identifier:

@@ -95,14 +95,20 @@ def test_pool_below_blk_size_gives_no_block():
     assert len(proposer.parts) == 9
 
 
-def test_drain_mode_proposer_builds_from_whatever_it_holds():
+def test_drain_mode_proposer_builds_once_it_holds_every_part_the_chain_lacks():
     sim = bare_simulation(block_size_min=10)
+    sim.expected_txs = 5
     proposer = proposer_state(sim)
     held = pool_txs(sim, proposer, 3)
     sim.registry.drain_mode = True
+    # two of the five finalized txs are still on their way: no block yet
     controller._settle(sim, proposer)
+    assert proposer.block_round is None and len(proposer.parts) == 3
+    owner = sim.nodes[(proposer.node_index + 1) % len(sim.nodes)]
+    late = pool_txs(sim, owner, 2, holder=make_state(owner.node_index))
+    controller.on_parts(sim, proposer, {tx: owner.own_finalized[tx] for tx in late}, height=0)
     block = proposer.block_round.entity
-    assert block.drain and block.tx_ids == tuple(held)
+    assert block.drain and set(block.tx_ids) == set(held + late) and len(block.tx_ids) == 5
 
 
 def test_retry_after_a_rejected_round_takes_the_parts_held_since():
@@ -130,23 +136,32 @@ def test_retry_after_a_rejected_round_takes_the_parts_held_since():
     assert not proposer.parts
 
 
-def test_attempt_closed_at_max_retries_starts_again_from_its_parts():
+def test_a_proposer_retries_its_attempt_until_the_tail_moves_on(monkeypatch):
+    sent = count_part_sends(monkeypatch)
     sim = bare_simulation(block_size_min=10)
     proposer = proposer_state(sim)
     held = pool_txs(sim, proposer, 12)
     controller._settle(sim, proposer)
-    for _ in range(controller.MAX_BLOCK_RETRIES):
+    first = proposer.block_round
+    for attempt in range(1, 6):
         round_ = proposer.block_round
         controller.on_block_result(sim, proposer, round_.entity, tickets=[], approved=False,
                                    context=round_.context)
-    last = proposer.block_round
-    assert last.entity.attempt == controller.MAX_BLOCK_RETRIES
-    controller.on_block_result(sim, proposer, last.entity, tickets=[], approved=False,
-                               context=last.context)
-    # the attempt ends, and a new one starts at once from the same parts
-    fresh = proposer.block_round
-    assert fresh.entity.attempt == 0 and fresh.context is not last.context
-    assert fresh.entity.tx_ids == tuple(held) and proposer.block_ctx_counter == 2
+        # every retry is the same attempt, rebuilt from the same parts
+        retry = proposer.block_round
+        assert retry.entity.attempt == attempt and retry.context is first.context
+        assert retry.entity.tx_ids == tuple(held) and proposer.block_ctx_counter == 1
+    # another block takes the tail's height, and its proposer is another node
+    other = next(block for block in (
+        Block(hash_bytes(b"other", bytes([i])), 5, sim.genesis.id, 1) for i in range(256))
+        if controller.proposer_of(sim, block) != proposer.node_index)
+    proposer.tracker.add(other)
+    round_ = proposer.block_round
+    controller.on_block_result(sim, proposer, round_.entity, tickets=[], approved=False,
+                               context=round_.context)
+    # the attempt ends, and its parts go to the new tail's proposer
+    assert proposer.block_round is None and not proposer.parts and not proposer.taken
+    assert sent == [(proposer.node_index, controller.proposer_of(sim, other), set(held))]
 
 
 def test_a_block_on_a_bogus_parent_gives_its_parts_back():
@@ -298,12 +313,14 @@ def test_pool_matches_from_scratch_oracle_after_every_event(monkeypatch, overrid
                     places.update(state.taken.keys())
                 tail = state.tracker.tail
                 if state.parts and tail.height >= state.wait_height:
-                    # a node holds parts only as its tail's proposer, below BLK_SIZE
-                    # or while its own try is open
+                    # a node holds parts only as its tail's proposer, below what is
+                    # due or while its own try is open
                     assert controller.proposer_of(sim, tail) == state.node_index
-                    assert round_ is not None or (
-                        len(state.parts) < sim.cfg.block_size_min
-                        and not sim.registry.drain_mode)
+                    # before drain mode it holds fewer than BLK_SIZE; in drain
+                    # mode some part the chain lacks is elsewhere
+                    due = (sim.expected_txs - len(sim.registry.tracker.chain_txs)
+                           if sim.registry.drain_mode else sim.cfg.block_size_min)
+                    assert round_ is not None or len(state.parts) < due
             for parts in in_transit:
                 places.update(parts.keys())
             assert places.keys() == sim.registry.finalized_txs
