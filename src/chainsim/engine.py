@@ -56,9 +56,11 @@ REPLICATION_FACTOR = 3
 ROUTE_MSG_BYTES = 72
 REPLY_MSG_BYTES = 41
 # a part message: an 8-byte count and the sender's 8-byte tail height, then
-# each tx id with its 8-byte finalize time
+# each tx id with its 8-byte finalize time and its owner's 8-byte index
 PART_HEADER_BYTES = 16
-PART_TX_BYTES = ID_BYTES + 8
+PART_TX_BYTES = ID_BYTES + 8 + 8
+# a block notify's header: the id, the parent, an 8-byte height and a drain flag
+NOTIFY_HEADER_BYTES = 2 * ID_BYTES + 8 + 1
 # a run that neither generates nor finalizes anything for this many
 # validation timeouts (plus one tx interval) is livelocked
 STALL_TIMEOUTS = 1000
@@ -171,11 +173,14 @@ class Registry:
         self.tracker = ChainTracker(genesis)
         self.finalized_txs: set[Identifier] = set()
         self.finalized_seqs: set[tuple[int, int]] = set()
+        # tx id -> owner; stands in for the owner field of a part message
+        self.owner_of: dict[Identifier, int] = {}
         self.drain_mode = False
 
     def add_tx(self, tx_id: Identifier, owner: int, seq: int) -> None:
         self.finalized_txs.add(tx_id)
         self.finalized_seqs.add((owner, seq))
+        self.owner_of[tx_id] = owner
 
 
 class ValidationRound:
@@ -451,8 +456,9 @@ class Simulation:
     def finalize(self, entity: Entity, tickets: list[ValidationTicket],
                  context: ContextCounters) -> None:
         """Finalize an approved entity on `context`, the counters of its
-        tx slot or block attempt; each block notify hands over the block
-        itself."""
+        tx slot or block attempt.  A block's notify to each other node is
+        charged for the header and the ids of the block's txs that node
+        owns, all it reads; the handler hands over the block itself."""
         self._note_progress()
         owner, is_block = entity.owner, isinstance(entity, Block)
         apply_finalization_fees(self.ledger, owner, tickets, self.cfg, is_block=is_block)
@@ -467,12 +473,15 @@ class Simulation:
             self.net.send(owner, holder, TAG_NOTIFY, payload_size, context,
                           handler=partial(self._store_replica, holder, entity, context))
         if is_block:
-            # the id, the parent, an 8-byte height, a drain flag, then the tx ids
-            notify_size = 2 * ID_BYTES + 8 + 1 + ID_BYTES * len(entity.tx_ids)
+            # the proposer knows each part's owner from its part message
+            owner_of = self.registry.owner_of
+            owned = Counter(owner_of[tx_id] for tx_id in entity.tx_ids)
             for other in self.nodes:
-                if other.node_index != owner:
+                i = other.node_index
+                if i != owner:
                     self.net.send(
-                        owner, other.node_index, TAG_NOTIFY, notify_size, context,
+                        owner, i, TAG_NOTIFY, NOTIFY_HEADER_BYTES + ID_BYTES * owned[i],
+                        context,
                         handler=lambda o=other: controller.on_block_notify(self, o, entity),
                     )
         self._record(entity, context)

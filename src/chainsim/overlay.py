@@ -81,18 +81,19 @@ class SkipGraph:
     # -- announcement ---------------------------------------------------
 
     def announce(self, identifier: Identifier, owner: int, kind: str) -> list[int]:
-        """Insert (or join as replica announcer) and return the message path."""
+        """Insert a vertex, or join an existing one as a replica announcer,
+        and return the message path.
+
+        A joining holder learned the vertex's host from the notify that
+        brought it the replica, so a join is one message to the host (none
+        when the holder is the host) and links nothing.
+        """
         existing = self.by_id.get(identifier)
-        # route from the owner's own vertex nearest below the target, as
-        # `search_num_id` does; a controller joining at bootstrap hosts
-        # nothing yet, so it starts at the introducer
-        start = self._home(owner, identifier) or self.introducer
         if existing is not None:
             if owner in existing.announcers and existing.kind == kind:
                 raise DuplicateAnnouncement(identifier, owner)
-            _, path = self._search(start, identifier)
             existing.announcers.append(owner)
-            return _prepend_owner(owner, path)
+            return [] if owner == existing.owner else [owner, existing.owner]
         # a node's controller vertex is the first vertex it hosts
         if kind == KIND_CONTROLLER and owner in self.hosted:
             raise DuplicateAnnouncement(identifier, owner)
@@ -101,6 +102,10 @@ class SkipGraph:
             self.introducer = vertex
             path = []
         else:
+            # route from the owner's own vertex nearest below the target, as
+            # `search_num_id` does; a controller joining at bootstrap hosts
+            # nothing yet, so it starts at the introducer
+            start = self._home(owner, identifier) or self.introducer
             path = _prepend_owner(owner, self._insert(vertex, start))
         self.by_id[identifier] = vertex
         self._host(vertex)

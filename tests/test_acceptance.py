@@ -22,8 +22,8 @@ from chainsim.storage import new_block, new_transaction
 from conftest import SAMPLE_CONFIG_TEXT
 
 DESK_SEED = 7
-DESK_SEED_7_CSV_SHA256 = "a390e8b28ed164ba9e0db773e2689a6fdbda0dc80d96bdaad9644568a0b9f1ea"
-DESK_SEED_8_CSV_SHA256 = "11c28adb6b6f6e8ac6e591acd7500e04290cc4f70173f2bbcc897e1f51cf2368"
+DESK_SEED_7_CSV_SHA256 = "e47d52ad7909a5b26882314ef75326fdf97917930a1e5dfaebc70efe64d3bf51"
+DESK_SEED_8_CSV_SHA256 = "03f0c1d8afddcd325277cdb4e0c579fae3f8432a9a7d44c20d8f7d20515d30c2"
 
 
 def desk_cfg(malicious=0.16) -> SimulationConfig:
@@ -163,6 +163,21 @@ def test_one_proposer_per_tail_keeps_blocks_from_contending(sweep, nodes):
     assert report.messages_by_tag["part"] > 0 and searches["part"] > 0
     print(f"ACCEPTANCE no block contention at n={nodes}: PASS ({rounds_per_block:.2f} "
           f"rounds per chain block, fork waste {report.fork_waste:.2f})")
+
+
+def test_notify_bytes_per_entity_stay_flat_in_nodes(sweep):
+    # a block's notify carries the header to every node but only each tx
+    # id to its owner, so its ids cost the same at any n, and the headers
+    # are spread over the larger blocks of more nodes; when every node got
+    # every id they were 1,702 / 2,211 / 3,210 bytes per entity at seed 7
+    per_entity = {}
+    for nodes in SWEEP_NODES:
+        _, report, _ = sweep[nodes]
+        entities = report.finalized_tx_count + report.finalized_block_count
+        per_entity[nodes] = report.bytes_by_tag["notify"] / entities
+    assert per_entity[64] <= 1.1 * per_entity[16]
+    print("ACCEPTANCE flat notify bytes: PASS (" + " / ".join(
+        f"{per_entity[nodes]:.0f}" for nodes in SWEEP_NODES) + " bytes per entity)")
 
 
 def test_criterion_4_search_oracle_equivalence():

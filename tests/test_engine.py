@@ -20,6 +20,7 @@ from chainsim.engine import (
     summarize,
     write_csv,
 )
+from chainsim.overlay import SkipGraph
 from chainsim.simnet import (
     TAG_ANNOUNCE,
     TAG_NOTIFY,
@@ -453,6 +454,75 @@ def test_traffic_by_tag_sums_to_the_totals_and_matches_every_send(monkeypatch):
     for tag, messages in report.messages_by_tag.items():
         assert messages == counted[tag, "messages"]
         assert report.bytes_by_tag[tag] == counted[tag, "bytes"]
+
+
+@pytest.mark.parametrize("overrides", [{}, {"malicious_fraction": 0.25}],
+                         ids=["golden-seed7", "malicious-seed7"])
+def test_nodes_read_only_what_a_block_notify_carries(monkeypatch, overrides):
+    # a block's notify carries the header and the ids of the block's txs
+    # the receiver owns; a node handed a copy holding only those runs the same
+    cfg = make_cfg(nodes=16, transactions_per_node=10, block_size_min=5, **overrides)
+
+    def run():
+        sim = Simulation(cfg, seed=7)
+        report = sim.run()
+        return sim.csv_text(), sim.events_processed, replace(report, wall_clock_s=0.0)
+
+    plain = run()
+    notify = controller.on_block_notify
+    trimmed = []   # notifies whose copy left out another owner's ids
+
+    def own_ids_only(sim, state, block):
+        owner_of = sim.registry.owner_of
+        own = tuple(tx_id for tx_id in block.tx_ids if owner_of[tx_id] == state.node_index)
+        if len(own) < len(block.tx_ids):
+            trimmed.append(block)
+        notify(sim, state, replace(block, tx_ids=own))
+
+    monkeypatch.setattr(controller, "on_block_notify", own_ids_only)
+    assert run() == plain
+    assert trimmed
+
+
+def test_notify_and_announce_traffic_is_what_nodes_read(monkeypatch):
+    # a replica goes whole to each holder but the owner; a block's notify
+    # goes to every other node with the 73-byte header, plus 32 bytes for
+    # each of its txs that the receiver owns; a holder joins its replica's
+    # vertex with one message to the host
+    finalized, inserts, joins = [], [], []
+    finalize, announce = Simulation.finalize, SkipGraph.announce
+
+    def watched_finalize(sim, entity, tickets, context):
+        finalized.append(entity)
+        finalize(sim, entity, tickets, context)
+
+    def watched_announce(graph, identifier, owner, kind):
+        existing = graph.by_id.get(identifier)
+        path = announce(graph, identifier, owner, kind)
+        if existing is None:
+            inserts.append(path)
+        else:
+            joins.append((path, [owner, existing.owner]))
+        return path
+
+    monkeypatch.setattr(Simulation, "finalize", watched_finalize)
+    monkeypatch.setattr(SkipGraph, "announce", watched_announce)
+    cfg = make_cfg(nodes=16, transactions_per_node=10, block_size_min=5,
+                   malicious_fraction=0.25)
+    sim = Simulation(cfg, seed=7)
+    report = sim.run()
+    n, holders = cfg.nodes, REPLICATION_FACTOR
+    owner_of = sim.registry.owner_of
+    blocks = [entity for entity in finalized if isinstance(entity, Block)]
+    assert len(blocks) == report.finalized_block_count
+    replicas = sum((holders - 1) * r.memory_bytes for r in sim.records)
+    headers = sum((n - 1) * 73 + 32 * sum(owner_of[tx_id] != blk.owner for tx_id in blk.tx_ids)
+                  for blk in blocks)
+    assert report.bytes_by_tag[TAG_NOTIFY] == replicas + headers
+    assert len(joins) == (holders - 1) * len(sim.records)
+    assert all(path == holder_to_host for path, holder_to_host in joins)
+    assert report.messages_by_tag[TAG_ANNOUNCE] == (
+        len(joins) + sum(max(0, len(path) - 1) for path in inserts))
 
 
 @pytest.mark.parametrize("overrides, drain_only", [

@@ -10,14 +10,14 @@ from chainsim.engine import Simulation, ValidationRound, run_simulation
 from conftest import make_cfg
 
 GOLDEN = [
-    ({}, 7, "e05553c6a3daf0d00b93c7634615fe68e3948d76968c6a7bb37dac2d075ab91d"),
-    ({}, 8, "5d82d5d296dacc25f12db015a7b464295048ce70d6c659b351cf45d421f6509d"),
+    ({}, 7, "c956bd4cda2fb1fce0768e8849271a9396a91529630845da96a549ef1fbb5c0d"),
+    ({}, 8, "fd4564fbc794ac2924c77ce84cdeaf5b90944c676894f61bc23e63d8ed2b5945"),
     ({"malicious_fraction": 0.25}, 7,
-     "af99e429ebe49173da2bcfe1016130e69b697d9bd6b624b8e51593098bcea9e4"),
+     "281228697e7ef39017528ed14853489470e8a51b7a573f06772bfd94b6d9fb58"),
 ]
 
 # the skewed-latency run below; CI compares the installed script's CSV with it
-SKEWED_SEED_4_CSV_SHA256 = "6587f0a8915f235a077ce4e5b4f0a411e839a0daed51456db02cdc72526b6419"
+SKEWED_SEED_4_CSV_SHA256 = "abe9ad64b682fca37a42b806c7dd124403de5a4b268db820e5fc34ecd18d07ed"
 
 
 # the ids name the run, not its digest, so a re-pinned digest keeps the test's name
@@ -87,7 +87,7 @@ def test_drain_only_run_is_pinned():
                               malicious_fraction=0.16), seed=7)
     report = sim.run()
     assert hashlib.sha256(sim.csv_text().encode()).hexdigest() == (
-        "e7a063b213f54f74cb3e07d09df71bfff1633aab8243fd97ac8ee89a3c3c602d")
+        "ba91f16244fb9a50d19257d791a205f532362b7f4a022b19e4f79eb3070c15ed")
     assert (sim.events_processed, sim.now) == (5123, 5832)
     assert (report.finalized_block_count, report.chain_block_count, report.reorgs,
             report.tx_retries, report.block_retries,

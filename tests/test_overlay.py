@@ -176,21 +176,48 @@ def test_search_paths_have_no_repeated_owners():
         assert_hop_path(graph.announce(ident, owner, KIND_DATA), owner)
 
 
+def links(graph: SkipGraph) -> dict:
+    """Every vertex's neighbours at every level and its owner's vertices
+    on either side, as ids."""
+    ident = lambda v: None if v is None else v.identifier
+    return {vertex.identifier: ([ident(v) for v in vertex.left + vertex.right],
+                                ident(vertex.prev_own), ident(vertex.next_own))
+            for vertex in graph.by_id.values()}
+
+
 def test_announces_start_at_the_owners_floor_hosted_vertex():
-    # a data insert or a replica join routes like a search from the
-    # announcer's own hosted vertex nearest below the id, not from the
-    # introducer (node 0); each insert adds a vertex its owner then hosts
+    # a data insert routes like a search from the announcer's own hosted
+    # vertex nearest below the id, not from the introducer (node 0), and
+    # adds a vertex its owner then hosts; a replica join is one message
+    # from the holder to the vertex's host, which the notify named, and
+    # links nothing
     graph, _ = build_overlay(16, seed=9)
-    rng = random.Random(9)
+    # a stream apart from build_overlay's, whose first draw is node 0's
+    # controller id, so that every id below is a new vertex
+    rng = random.Random("announce-9")
     for _ in range(40):
         ident = Identifier(rng.randbytes(32))
         first, second = rng.sample(range(1, 16), 2)
+        assert ident not in graph.by_id
         search_path = graph.search_num_id(first, ident).path
         path = graph.announce(ident, first, KIND_DATA)
         assert path[:len(search_path)] == search_path
-        search_path = graph.search_num_id(second, ident).path
-        assert graph.announce(ident, second, KIND_DATA) == search_path
-    graph.check_invariants()
+        order, before = graph.in_order(), links(graph)
+        assert graph.announce(ident, second, KIND_DATA) == [second, first]
+        assert graph.in_order() == order and links(graph) == before
+        assert graph.by_id[ident].announcers == [first, second]
+        assert graph.search_num_id(second, ident).identifier == ident
+        graph.check_invariants()
+
+
+def test_a_host_joining_its_own_vertex_sends_no_message():
+    # a node that announces the id of a vertex it hosts, as another kind,
+    # is already where the join would go
+    graph, ids = build_overlay(8, seed=9)
+    before = links(graph)
+    assert graph.announce(ids[3], 3, KIND_DATA) == []
+    assert graph.by_id[ids[3]].announcers == [3, 3]
+    assert links(graph) == before
 
 
 def test_search_starts_at_the_owners_floor_hosted_vertex():
