@@ -24,6 +24,9 @@ from .storage import (
     Transaction,
 )
 
+# W: a block under BLK_SIZE is due from this long after its oldest tx finalized
+PART_WAIT_MS = 2000
+
 
 class InsufficientDistinctValidators(Exception):
     def __init__(self, nodes: int, wanted: int):
@@ -133,12 +136,12 @@ def _validate_block(registry, blk: Block, cfg: SimulationConfig) -> bool:
         return False
     if len(set(blk.tx_ids)) != len(blk.tx_ids):
         return False
-    # a drain block, of any size, may only sweep pools that are final
-    if blk.drain and not registry.drain_mode:
+    finalized = registry.finalized_txs
+    if not all(tx_id in finalized for tx_id in blk.tx_ids):
         return False
-    if len(blk.tx_ids) < cfg.block_size_min and not blk.drain:
-        return False
-    if not registry.finalized_txs.issuperset(blk.tx_ids):
+    # a block under BLK_SIZE must be due (an empty one never is)
+    oldest = min((finalized[tx_id] for tx_id in blk.tx_ids), default=blk.created_at)
+    if len(blk.tx_ids) < cfg.block_size_min and blk.created_at - oldest < PART_WAIT_MS:
         return False
     if tracker.ancestry_holds_any(blk.parent, blk.tx_ids):
         return False

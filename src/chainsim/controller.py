@@ -12,12 +12,12 @@ yet reached it holds its parts until a notify brings it there, so parts
 do not bounce between a proposer and a node that has not heard of it.
 
 The proposer builds one block from every part it holds once they reach
-`BLK_SIZE` (`BLK_SIZE` is a minimum), and in drain mode, once every
-transaction has finalized, from every part the chain still lacks, whatever
-their number; it learns that number from the registry, and never reads
-another node's state.  A rejected try rejoins the parts that arrived
-since and is rebuilt on the current tail for as long as the node is still
-its proposer; then the attempt ends and the parts are settled like any
+`BLK_SIZE`, or once the oldest finalized `W` (`PART_WAIT_MS`) ago, and
+otherwise wakes up at that deadline; it reads only the parts it holds,
+with the finalize times their part messages carry.  A rejected try
+rejoins the parts that arrived since and is rebuilt on the current tail,
+with its first try's creation time, for as long as the node is still its
+proposer; then the attempt ends and the parts are settled like any
 others.  A malicious proposer puts a bogus parent on an attempt's first
 try, and the honest retries absorb it.  With one builder per tail and
 validators that approve only blocks taller than the tail, blocks do not
@@ -37,6 +37,7 @@ from random import Random
 from typing import TYPE_CHECKING
 
 from .config import SimulationConfig
+from .consensus import PART_WAIT_MS
 from .identity import Identifier, hash_bytes
 from .simnet import ContextCounters
 from .storage import (
@@ -73,6 +74,8 @@ class NodeState:
     wait_height: int = 0
     # nodes this node has found by a routed search, so it sends to them directly
     known: set[int] = field(default_factory=set)
+    # when the next wake-up to settle the parts fires; once past, none waits
+    wake_at: int = 0
     block_ctx_counter: int = 0   # first tries that built a block
     # the open attempt's record: its current try's round, whose counters
     # span all of its tries; None between attempts
@@ -139,9 +142,6 @@ def on_tx_result(sim, state: NodeState, tx: Transaction, tickets, approved: bool
                  context: ContextCounters) -> None:
     if approved:
         sim.finalize(tx, tickets, context)
-        if len(sim.registry.finalized_txs) == sim.expected_txs:
-            # every pool is final: proposers build from whatever they hold
-            sim.registry.drain_mode = True
         state.add_finalized(tx.id, sim.now)
         _settle(sim, state)
     else:
@@ -167,7 +167,8 @@ def on_parts(sim, state: NodeState, parts: dict[Identifier, int], height: int) -
 def _settle(sim, state: NodeState) -> None:
     """Act on the parts the node holds: a node that is not its tail's
     proposer forwards them all to that proposer; the proposer, with no
-    block try open, builds once they are due."""
+    block try open, builds once they reach `BLK_SIZE` or the oldest has
+    waited `W`, and otherwise wakes up at that deadline."""
     tail = state.tracker.tail
     if not state.parts or tail.height < state.wait_height:
         return
@@ -175,23 +176,20 @@ def _settle(sim, state: NodeState) -> None:
     if proposer != state.node_index:
         parts, state.parts = state.parts, {}
         sim.send_parts(state, proposer, parts)
-    elif state.block_round is None and len(state.parts) >= _parts_due(sim):
-        start_block_attempt(sim, state)
-
-
-def _parts_due(sim) -> int:
-    """The parts a proposer builds from: `BLK_SIZE`, and in drain mode
-    every finalized tx the chain lacks, so parts still in flight make the
-    one drain block rather than another (a read of the registry)."""
-    if not sim.registry.drain_mode:
-        return sim.cfg.block_size_min
-    return sim.expected_txs - len(sim.registry.tracker.chain_txs)
+    elif state.block_round is None:
+        due = min(state.parts.values()) + PART_WAIT_MS
+        if len(state.parts) >= sim.cfg.block_size_min or sim.now >= due:
+            start_block_attempt(sim, state)
+        elif not sim.now < state.wake_at <= due:
+            # no wake-up waits at or before the deadline
+            state.wake_at = due
+            sim.schedule_at(due, lambda: _settle(sim, state))
 
 
 def start_block_attempt(sim, state: NodeState, failed: Block | None = None) -> None:
     """Build and validate a try from every part the node holds, on its
-    current tail: an attempt's first try, or an honest rebuild of `failed`.
-    A block built in drain mode is a drain block."""
+    current tail: an attempt's first try, or an honest rebuild of `failed`
+    that keeps its creation time, so a short block stays due."""
     tx_ids = [tx_id for _, tx_id in pending_pool(state)]
     state.taken, state.parts = state.parts, {}
     tail = state.tracker.tail
@@ -204,8 +202,7 @@ def start_block_attempt(sim, state: NodeState, failed: Block | None = None) -> N
     else:
         created_at, attempt = failed.created_at, failed.attempt + 1
     block = new_block(state.node_index, prev, tail.height + 1, tx_ids,
-                      created_at=created_at, attempt=attempt,
-                      drain=sim.registry.drain_mode)
+                      created_at=created_at, attempt=attempt)
     # a block's attempt number is its retry count
     sim.begin_block_validation(state, block, retries=attempt)
 

@@ -59,8 +59,8 @@ REPLY_MSG_BYTES = 41
 # each tx id with its 8-byte finalize time and its owner's 8-byte index
 PART_HEADER_BYTES = 16
 PART_TX_BYTES = ID_BYTES + 8 + 8
-# a block notify's header: the id, the parent, an 8-byte height and a drain flag
-NOTIFY_HEADER_BYTES = 2 * ID_BYTES + 8 + 1
+# a block notify's header: the id, the parent and an 8-byte height
+NOTIFY_HEADER_BYTES = 2 * ID_BYTES + 8
 # a run that neither generates nor finalizes anything for this many
 # validation timeouts (plus one tx interval) is livelocked
 STALL_TIMEOUTS = 1000
@@ -166,19 +166,19 @@ class Registry:
     Validators read its fields directly; per-validator knowledge
     propagation is not modeled below the notification layer.  Its
     tracker's `tail` backs the rule that a validator approves only blocks
-    taller than the tail.
+    taller than the tail, and each tx's finalize time the rule that a
+    block under `BLK_SIZE` waits for its oldest tx to age `W`.
     """
 
     def __init__(self, genesis: Block):
         self.tracker = ChainTracker(genesis)
-        self.finalized_txs: set[Identifier] = set()
+        self.finalized_txs: dict[Identifier, int] = {}   # tx id -> finalized_at
         self.finalized_seqs: set[tuple[int, int]] = set()
         # tx id -> owner; stands in for the owner field of a part message
         self.owner_of: dict[Identifier, int] = {}
-        self.drain_mode = False
 
-    def add_tx(self, tx_id: Identifier, owner: int, seq: int) -> None:
-        self.finalized_txs.add(tx_id)
+    def add_tx(self, tx_id: Identifier, owner: int, seq: int, finalized_at: int) -> None:
+        self.finalized_txs[tx_id] = finalized_at
         self.finalized_seqs.add((owner, seq))
         self.owner_of[tx_id] = owner
 
@@ -465,7 +465,7 @@ class Simulation:
         if is_block:
             self.registry.tracker.add(entity)
         else:
-            self.registry.add_tx(entity.id, owner, entity.seq)
+            self.registry.add_tx(entity.id, owner, entity.seq, self.now)
         self._store_replica(owner, entity, context)
         holders = replica_holders(entity.id, owner, self.controllers, REPLICATION_FACTOR)
         payload_size = wire_size(entity)
@@ -495,7 +495,7 @@ class Simulation:
         approvals finalize such a block when SIG_THR <= m."""
         registry = self.registry
         if not (len(registry.finalized_txs) == self.expected_txs
-                and registry.finalized_txs.issubset(registry.tracker.chain_txs)):
+                and registry.finalized_txs.keys() <= registry.tracker.chain_txs.keys()):
             raise StalledSimulation(f"event queue empty at t={self.now} before termination")
         placed = Counter(tx_id for blk in registry.tracker.chain for tx_id in blk.tx_ids)
         self.repeated_chain_txs = sum(1 for n in placed.values() if n > 1)

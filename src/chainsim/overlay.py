@@ -85,15 +85,15 @@ class SkipGraph:
         and return the message path.
 
         A joining holder learned the vertex's host from the notify that
-        brought it the replica, so a join is one message to the host (none
-        when the holder is the host) and links nothing.
+        brought it the replica, so a join is one message to the host and
+        links nothing; no node joins a vertex it already announced.
         """
         existing = self.by_id.get(identifier)
         if existing is not None:
-            if owner in existing.announcers and existing.kind == kind:
+            if owner in existing.announcers:
                 raise DuplicateAnnouncement(identifier, owner)
             existing.announcers.append(owner)
-            return [] if owner == existing.owner else [owner, existing.owner]
+            return [owner, existing.owner]
         # a node's controller vertex is the first vertex it hosts
         if kind == KIND_CONTROLLER and owner in self.hosted:
             raise DuplicateAnnouncement(identifier, owner)

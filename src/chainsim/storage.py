@@ -46,7 +46,6 @@ class Block:
     tx_ids: tuple[Identifier, ...] = ()
     created_at: int = 0
     attempt: int = 0
-    drain: bool = False
     signatures: int = 0   # validators that replied
 
 
@@ -67,7 +66,7 @@ def canonical_bytes(entity: Entity) -> bytes:
             b"B"
             + struct.pack(">Q", entity.owner)
             + entity.parent
-            + struct.pack(">QQQB", entity.height, entity.created_at, entity.attempt, int(entity.drain))
+            + struct.pack(">QQQ", entity.height, entity.created_at, entity.attempt)
             + struct.pack(">Q", len(entity.tx_ids))
         )
         return head + b"".join(entity.tx_ids)
@@ -92,8 +91,8 @@ def new_transaction(owner: int, recipient: int, amount: int, prev_block_id: Iden
 
 
 def new_block(owner: int, parent: Identifier, height: int, tx_ids,
-              created_at: int, attempt: int = 0, drain: bool = False) -> Block:
-    blk = Block(ZERO_ID, owner, parent, height, tuple(tx_ids), created_at, attempt, drain)
+              created_at: int, attempt: int = 0) -> Block:
+    blk = Block(ZERO_ID, owner, parent, height, tuple(tx_ids), created_at, attempt)
     blk.id = derive_object_identifier(canonical_bytes(blk))
     return blk
 
@@ -201,7 +200,7 @@ class ChainTracker:
 
     def _indexed_txs(self, blk: Block):
         """The txs of `blk` this tracker indexes: all of them, or only the
-        listener's own, which a drain block mixes with every other owner's."""
+        listener's own, which a block mixes with every other owner's."""
         if self.listener is None:
             return blk.tx_ids
         own = self.listener.own_finalized

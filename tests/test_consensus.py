@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from chainsim.consensus import (
+    PART_WAIT_MS,
     EconomyLedger,
     InsufficientDistinctValidators,
     ValidationTicket,
@@ -134,15 +135,15 @@ def test_transaction_rejections():
     assert not validate_entity(registry, new_transaction(0, 1, 2, GENESIS.id, 0, 0), cfg)
     bogus = Identifier(b"\x13" * 32)
     assert not validate_entity(registry, new_transaction(0, 1, 1, bogus, 0, 0), cfg)
-    registry.add_tx(Identifier(b"\x44" * 32), 0, 4)
+    registry.add_tx(Identifier(b"\x44" * 32), 0, 4, finalized_at=0)
     assert not validate_entity(registry, new_transaction(0, 1, 1, GENESIS.id, 4, 0), cfg)
 
 
-def _finalized_txs(registry, count, start=0):
+def _finalized_txs(registry, count, start=0, finalized_at=0):
     ids = []
     for i in range(count):
         tx = new_transaction(1, 2, 1, GENESIS.id, seq=start + i, created_at=0)
-        registry.add_tx(tx.id, 1, start + i)
+        registry.add_tx(tx.id, 1, start + i, finalized_at)
         ids.append(tx.id)
     return ids
 
@@ -246,30 +247,43 @@ def test_ancestry_query_matches_naive_walk():
     assert not registry.tracker.ancestry_holds_any(l3.id, [])
 
 
-def test_drain_block_needs_drain_mode():
+def test_short_block_is_due_once_its_oldest_tx_has_waited_w():
+    # a block under BLK_SIZE is approved only if its oldest tx, wherever it
+    # sits in the block, finalized at least W before the block's created_at
     registry = Registry(GENESIS)
     cfg = make_cfg(block_size_min=10)
-    short = new_block(1, GENESIS.id, 1, _finalized_txs(registry, 7), 0, drain=True)
-    assert not validate_entity(registry, short, cfg)
-    registry.drain_mode = True
-    assert validate_entity(registry, short, cfg)
+    txs = (_finalized_txs(registry, 3, finalized_at=900)
+           + _finalized_txs(registry, 4, start=3, finalized_at=100))
+    for created_at, due in ((100, False), (100 + PART_WAIT_MS - 1, False),
+                            (100 + PART_WAIT_MS, True), (900 + PART_WAIT_MS, True)):
+        blk = new_block(1, GENESIS.id, 1, txs, created_at)
+        assert validate_entity(registry, blk, cfg) == due, created_at
 
 
-def test_full_drain_block_needs_drain_mode():
-    # a drain block may sweep any number of txs, but only once pools are final
+def test_full_block_is_approved_whatever_its_age():
+    registry = Registry(GENESIS)
+    cfg = make_cfg(block_size_min=5)
+    txs = _finalized_txs(registry, 5, finalized_at=1000)
+    for created_at in (1000, 1000 + PART_WAIT_MS - 1, 1000 + PART_WAIT_MS):
+        assert validate_entity(registry, new_block(1, GENESIS.id, 1, txs, created_at), cfg)
+    # one tx fewer, and the same block is not due yet
+    assert not validate_entity(registry, new_block(1, GENESIS.id, 1, txs[:4], 1000), cfg)
+
+
+def test_retry_of_a_short_block_keeps_its_first_tries_creation_time():
+    # a retry adds the parts that arrived since, younger than W, and keeps
+    # the first try's created_at, so it is as due as the first try was
     registry = Registry(GENESIS)
     cfg = make_cfg(block_size_min=10)
-    txs = []
-    for owner in (1, 3):
-        for seq in range(6):
-            tx = new_transaction(owner, 2, 1, GENESIS.id, seq=seq, created_at=0)
-            registry.add_tx(tx.id, owner, seq)
-            txs.append(tx.id)
-    full = new_block(1, GENESIS.id, 1, txs, 0, drain=True)
-    assert len(full.tx_ids) >= cfg.block_size_min
-    assert not validate_entity(registry, full, cfg)
-    registry.drain_mode = True
-    assert validate_entity(registry, full, cfg)
+    held = _finalized_txs(registry, 3, finalized_at=0)
+    first = new_block(1, GENESIS.id, 1, held, created_at=PART_WAIT_MS)
+    assert validate_entity(registry, first, cfg)
+    late = _finalized_txs(registry, 4, start=3, finalized_at=PART_WAIT_MS + 300)
+    retry = new_block(1, GENESIS.id, 1, held + late, first.created_at, attempt=1)
+    assert len(retry.tx_ids) < cfg.block_size_min
+    assert validate_entity(registry, retry, cfg)
+    # the late parts alone would not be due at that time
+    assert not validate_entity(registry, new_block(1, GENESIS.id, 1, late, first.created_at), cfg)
 
 
 # -- economy --------------------------------------------------------------

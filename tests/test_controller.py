@@ -6,6 +6,7 @@ from heapq import heappop
 import pytest
 
 from chainsim import controller
+from chainsim.consensus import PART_WAIT_MS, validate_entity
 from chainsim.controller import NodeState, pending_pool
 from chainsim.engine import Simulation
 from chainsim.identity import Identifier, ZERO_ID, hash_bytes
@@ -47,7 +48,7 @@ def pool_txs(sim: Simulation, state: NodeState, count: int, first_seq=0,
     for seq in range(first_seq, first_seq + count):
         tx = new_transaction(state.node_index, 1, 1, sim.genesis.id, seq, created_at=0)
         finalized_at = 1000 * first_seq + (7 * seq) % count
-        sim.registry.add_tx(tx.id, state.node_index, seq)
+        sim.registry.add_tx(tx.id, state.node_index, seq, finalized_at)
         state.own_finalized[tx.id] = finalized_at
         holder.parts[tx.id] = finalized_at
         finalized.append((finalized_at, tx.id))
@@ -82,7 +83,7 @@ def test_block_takes_the_whole_pool_once_it_reaches_blk_size():
     assert block.tx_ids == tuple(tx for _, tx in sorted(
         (proposer.taken[tx], tx) for tx in held))
     assert (block.owner, block.parent, block.height) == (proposer.node_index, sim.genesis.id, 1)
-    assert not block.drain and len(block.tx_ids) == 13
+    assert len(block.tx_ids) == 13
     assert not proposer.parts and proposer.taken.keys() == set(held)
 
 
@@ -91,24 +92,33 @@ def test_pool_below_blk_size_gives_no_block():
     proposer = proposer_state(sim)
     pool_txs(sim, proposer, 9)
     controller._settle(sim, proposer)
-    assert proposer.block_round is None and not sim._heap
-    assert len(proposer.parts) == 9
+    controller._settle(sim, proposer)
+    # no block, and one wake-up at the oldest part's deadline
+    assert proposer.block_round is None and len(proposer.parts) == 9
+    assert [fire_time for fire_time, _, _ in sim._heap] == [PART_WAIT_MS]
 
 
-def test_drain_mode_proposer_builds_once_it_holds_every_part_the_chain_lacks():
+def test_a_proposer_builds_a_short_block_once_its_oldest_part_has_waited_w():
     sim = bare_simulation(block_size_min=10)
-    sim.expected_txs = 5
     proposer = proposer_state(sim)
     held = pool_txs(sim, proposer, 3)
-    sim.registry.drain_mode = True
-    # two of the five finalized txs are still on their way: no block yet
     controller._settle(sim, proposer)
-    assert proposer.block_round is None and len(proposer.parts) == 3
+    # parts that land later neither build nor schedule a second wake-up
     owner = sim.nodes[(proposer.node_index + 1) % len(sim.nodes)]
-    late = pool_txs(sim, owner, 2, holder=make_state(owner.node_index))
+    late = pool_txs(sim, owner, 2, first_seq=1, holder=make_state(owner.node_index))
+    sim.now = PART_WAIT_MS - 1
     controller.on_parts(sim, proposer, {tx: owner.own_finalized[tx] for tx in late}, height=0)
+    assert proposer.block_round is None and len(sim._heap) == 1
+    sim.now, _, wake = heappop(sim._heap)
+    wake()
     block = proposer.block_round.entity
-    assert block.drain and set(block.tx_ids) == set(held + late) and len(block.tx_ids) == 5
+    assert sim.now == PART_WAIT_MS == block.created_at
+    assert set(block.tx_ids) == set(held + late)
+    # its validators approve it, and would have refused it a millisecond earlier
+    assert validate_entity(sim.registry, block, sim.cfg)
+    early = new_block(block.owner, block.parent, block.height, block.tx_ids,
+                      created_at=block.created_at - 1)
+    assert not validate_entity(sim.registry, early, sim.cfg)
 
 
 def test_retry_after_a_rejected_round_takes_the_parts_held_since():
@@ -181,9 +191,9 @@ def test_a_block_on_a_bogus_parent_gives_its_parts_back():
     assert again.parent == sim.genesis.id and again.tx_ids == tuple(held)
 
 
-def run_queued(sim: Simulation) -> None:
-    """Run every queued event, and the ones they queue, in order."""
-    while sim._heap:
+def run_queued(sim: Simulation, until: int) -> None:
+    """Run every queued event due before `until`, and the ones they queue, in order."""
+    while sim._heap and sim._heap[0][0] < until:
         sim.now, _, fn = heappop(sim._heap)
         fn()
 
@@ -215,8 +225,13 @@ def test_a_node_that_is_not_the_proposer_forwards_its_parts(monkeypatch):
     controller._settle(sim, owner)
     # later ones go direct
     assert sim.net.traffic_by_tag[TAG_PART][0] == routed + 1
-    run_queued(sim)
+    run_queued(sim, until=PART_WAIT_MS)
     assert proposer.parts.keys() == set(first + second)
+    # the proposer holds them until the oldest one's deadline; the direct
+    # message overtook the routed one, so a wake-up for the younger part
+    # waits too, and finds nothing due
+    assert proposer.wake_at == PART_WAIT_MS
+    assert sorted(fire_time for fire_time, _, _ in sim._heap) == [PART_WAIT_MS, 2 * PART_WAIT_MS]
     assert sent == [(owner.node_index, proposer.node_index, set(first)),
                     (owner.node_index, proposer.node_index, set(second))]
 
@@ -238,10 +253,12 @@ def test_the_old_proposer_forwards_its_parts_when_the_tail_moves(monkeypatch):
     # one message hands the new proposer every part the old one still held
     assert sent == [(proposer.node_index, next_proposer, set(late))]
     assert not proposer.parts and proposer.block_round is None
-    run_queued(sim)
-    # it waits for the new tail before acting on them, so nothing bounces back
+    run_queued(sim, until=min(proposer.own_finalized[tx] for tx in late) + PART_WAIT_MS)
+    # it waits for the new tail before acting on them, so nothing bounces back,
+    # and then for the oldest one's deadline
     new = sim.nodes[next_proposer]
     assert new.tracker.tail is block and new.parts.keys() == set(late)
+    assert [fire_time for fire_time, _, _ in sim._heap] == [new.wake_at]
     assert len(sent) == 1
 
 
@@ -261,19 +278,19 @@ def test_a_block_with_two_owners_parts_came_by_part_messages(monkeypatch):
                    if owner_of[tx_id] != block.owner)
 
 
-# a drain-heavy run: 3 txs per node never reach BLK_SIZE 5 before drain mode
-DRAIN_RETRY_CONFIG = dict(nodes=8, transactions_per_node=3, block_size_min=5,
+# 3 txs per node and BLK_SIZE 5: the leftovers end in a short block
+SHORT_RETRY_CONFIG = dict(nodes=8, transactions_per_node=3, block_size_min=5,
                           malicious_fraction=0.25)
-DRAIN_RETRY_SEED = 1
+SHORT_RETRY_SEED = 1
 
 
 # runs whose parts follow several tail moves, held and forwarded; the last
-# one's drain block holds several owners' txs, and a malicious proposer's
-# try fails and is rebuilt
+# one ends in a short block, and a malicious proposer's try fails and is
+# rebuilt
 @pytest.mark.parametrize("overrides, seed", [
     (dict(nodes=5, transactions_per_node=7, block_size_min=3), 467),
     (dict(nodes=9, transactions_per_node=4, block_size_min=2, malicious_fraction=0.15), 17),
-    (DRAIN_RETRY_CONFIG, DRAIN_RETRY_SEED),
+    (SHORT_RETRY_CONFIG, SHORT_RETRY_SEED),
 ])
 def test_pool_matches_from_scratch_oracle_after_every_event(monkeypatch, overrides, seed):
     # between events every finalized tx is in exactly one place: on the
@@ -314,16 +331,15 @@ def test_pool_matches_from_scratch_oracle_after_every_event(monkeypatch, overrid
                 tail = state.tracker.tail
                 if state.parts and tail.height >= state.wait_height:
                     # a node holds parts only as its tail's proposer, below what is
-                    # due or while its own try is open
+                    # due or while its own try is open: fewer than BLK_SIZE, the
+                    # oldest finalized less than W ago
                     assert controller.proposer_of(sim, tail) == state.node_index
-                    # before drain mode it holds fewer than BLK_SIZE; in drain
-                    # mode some part the chain lacks is elsewhere
-                    due = (sim.expected_txs - len(sim.registry.tracker.chain_txs)
-                           if sim.registry.drain_mode else sim.cfg.block_size_min)
-                    assert round_ is not None or len(state.parts) < due
+                    assert round_ is not None or (
+                        len(state.parts) < sim.cfg.block_size_min
+                        and sim.now - min(state.parts.values()) < PART_WAIT_MS)
             for parts in in_transit:
                 places.update(parts.keys())
-            assert places.keys() == sim.registry.finalized_txs
+            assert places.keys() == sim.registry.finalized_txs.keys()
             assert set(places.values()) <= {1}
         schedule_at(sim, fire_time, checked)
 
@@ -335,13 +351,14 @@ def test_pool_matches_from_scratch_oracle_after_every_event(monkeypatch, overrid
     assert not in_transit
     assert all(not state.parts and not state.taken for state in sim.nodes)
     assert forwarded and report.fork_waste == 0
-    drain_blocks = [block for block in sim.registry.tracker.blocks.values() if block.drain]
-    assert drain_blocks
-    if overrides is DRAIN_RETRY_CONFIG:
-        owner_of = {tx_id: s.node_index for s in sim.nodes for tx_id in s.own_finalized}
-        assert any(len({owner_of[tx_id] for tx_id in block.tx_ids}) > 1
-                   for block in drain_blocks)
-        assert report.block_retries
+    # every short block was built once its oldest tx had waited W
+    finalized_at = sim.registry.finalized_txs
+    short = [block for block in sim.registry.tracker.chain[1:]
+             if len(block.tx_ids) < sim.cfg.block_size_min]
+    assert all(block.created_at - min(finalized_at[tx_id] for tx_id in block.tx_ids)
+               >= PART_WAIT_MS for block in short)
+    if overrides is SHORT_RETRY_CONFIG:
+        assert short and report.block_retries
     if overrides.get("malicious_fraction"):
         assert any(s.malicious for s in sim.nodes)
 

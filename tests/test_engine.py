@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from chainsim import controller
 from chainsim.config import ValueOutOfRange, malicious_count
-from chainsim.consensus import replica_holders
+from chainsim.consensus import PART_WAIT_MS, replica_holders
 from chainsim.engine import (
     CSV_HEADER,
     REPLICATION_FACTOR,
@@ -76,16 +76,22 @@ def test_zero_transactions_rejected():
         Simulation(make_cfg(transactions_per_node=0), seed=1)
 
 
-def test_drain_mode_flushes_small_pools():
-    # 3 txs per node can never reach the block minimum of 5 without draining
+def built_once_due(sim: Simulation, block: Block) -> bool:
+    """Whether `block` was created once its oldest tx had waited W."""
+    finalized_at = sim.registry.finalized_txs
+    return block.created_at - min(finalized_at[tx_id] for tx_id in block.tx_ids) >= PART_WAIT_MS
+
+
+def test_short_blocks_flush_small_pools():
+    # 12 txs over blocks of at least 5 leave some under BLK_SIZE at the end
     sim = Simulation(make_cfg(nodes=4, transactions_per_node=3, block_size_min=5), seed=4)
     report = sim.run()
     assert report.finalized_tx_count == 12
-    # the leftovers of several owners land in one drain block
-    owner_of = {tx_id: s.node_index for s in sim.nodes for tx_id in s.own_finalized}
-    tracker = sim.registry.tracker
-    drain_blocks = [tracker.blocks[b] for b in tracker.chain_ids() if tracker.blocks[b].drain]
-    assert any(len({owner_of[tx_id] for tx_id in info.tx_ids}) > 1 for info in drain_blocks)
+    # the leftovers of several owners land in a short block once the oldest has waited W
+    owner_of = sim.registry.owner_of
+    short = [block for block in sim.registry.tracker.chain[1:] if len(block.tx_ids) < 5]
+    assert short and all(built_once_due(sim, block) for block in short)
+    assert any(len({owner_of[tx_id] for tx_id in block.tx_ids}) > 1 for block in short)
     assert len(sim.registry.tracker.chain_txs) == 12 and report.repeated_chain_txs == 0
 
 
@@ -122,7 +128,7 @@ def test_drain_leaves_every_finalized_tx_in_exactly_one_chain_block(cfg, seed):
     except StalledSimulation:
         return
     assert report.finalized_tx_count == cfg.nodes * cfg.transactions_per_node
-    assert set(sim.registry.tracker.chain_txs) == sim.registry.finalized_txs
+    assert sim.registry.tracker.chain_txs.keys() == sim.registry.finalized_txs.keys()
     assert report.repeated_chain_txs == 0
     assert all(not s.parts and not s.taken for s in sim.nodes)
     # the run ends only when its event queue is empty
@@ -137,11 +143,11 @@ def test_stall_window_ends_a_livelock_at_a_pinned_point():
     cfg = make_cfg(nodes=11, transactions_per_node=5, inter_tx_delay_s=0, block_size_min=3,
                    malicious_fraction=0.447, validators_per_entity=5, signature_threshold=5)
     assert malicious_count(cfg) == 5
-    sim = Simulation(cfg, seed=208052, latency_samples=[5.0] * 249 + [300.0])
+    sim = Simulation(cfg, seed=208053, latency_samples=[5.0] * 249 + [300.0])
     with pytest.raises(StalledSimulation) as exc:
         sim.run()
-    assert str(exc.value) == "nothing generated or finalized since t=153110 (now t=203115)"
-    assert sim.events_processed == 151383
+    assert str(exc.value) == "nothing generated or finalized since t=133285 (now t=183375)"
+    assert sim.events_processed == 163105
     assert len(sim.registry.finalized_txs) == 54
 
 
@@ -175,7 +181,7 @@ def test_every_view_of_a_finalized_block_is_the_one_block(monkeypatch):
     monkeypatch.setattr(ChainTracker, "add", watched)
     plain = Simulation(make_cfg(nodes=8, transactions_per_node=4, block_size_min=3), seed=5)
     plain.run()
-    skewed = skewed_latency_run(malicious_fraction=0.25)
+    skewed = skewed_latency_run(malicious_fraction=0.25, seed=9)
     assert early
     for sim in (plain, skewed):
         registry = sim.registry.tracker
@@ -194,25 +200,23 @@ def test_every_view_of_a_finalized_block_is_the_one_block(monkeypatch):
             assert not state.tracker._orphans
 
 
-def test_each_call_is_followed_by_its_checks_and_drain_entry(monkeypatch):
+def test_each_call_is_followed_by_its_checks_and_its_owners_settle(monkeypatch):
     # events at one time run in schedule order, and the invariant check
-    # follows every 2nd call; drain mode is entered once, inside the
-    # on_tx_result that finalizes the last tx, before its owner acts on its
-    # part and before the next event at the same time
+    # follows every 2nd call; the on_tx_result that finalizes a tx settles
+    # its owner's parts before the next event at the same time
     sim = bare_simulation()
     sim._bootstrap = lambda: None   # no tx timers: only the events queued here
     sim.check_invariants_every = 2
     owner = sim.nodes[3]
     txs = [new_transaction(owner.node_index, 0, 1, sim.genesis.id, seq, created_at=0)
-           for seq in range(sim.expected_txs)]
-    for tx in txs[:-2]:
-        sim.registry.add_tx(tx.id, tx.owner, tx.seq)
+           for seq in range(2)]
     log = []
     # finalization is covered elsewhere; here it only counts the tx
-    sim.finalize = lambda tx, tickets, context: sim.registry.add_tx(tx.id, tx.owner, tx.seq)
+    sim.finalize = lambda tx, tickets, context: sim.registry.add_tx(
+        tx.id, tx.owner, tx.seq, sim.now)
     sim.check_invariants = lambda: log.append(("check", sim.now))
     monkeypatch.setattr(controller, "_settle", lambda sim, state: log.append(
-        ("settle", state.node_index, sim.registry.drain_mode)))
+        ("settle", state.node_index, len(sim.registry.finalized_txs))))
 
     def finalize(tx):
         log.append(("finalize", tx.seq, sim.now))
@@ -227,9 +231,8 @@ def test_each_call_is_followed_by_its_checks_and_drain_entry(monkeypatch):
     with pytest.raises(StalledSimulation) as exc:
         sim.run()
     assert str(exc.value) == "event queue empty at t=20 before termination"
-    last = len(txs) - 1
-    assert log == [("first", 10), ("finalize", last - 1, 10), ("settle", 3, False),
-                   ("check", 10), ("finalize", last, 10), ("settle", 3, True),
+    assert log == [("first", 10), ("finalize", 0, 10), ("settle", 3, 1),
+                   ("check", 10), ("finalize", 1, 10), ("settle", 3, 2),
                    ("fourth", 10), ("check", 10), ("later", 20)]
     assert sim.events_processed == 5 and sim._heap == []
 
@@ -340,14 +343,14 @@ def record_timeouts(monkeypatch) -> list[tuple[ValidationRound, bool]]:
     return fired
 
 
-def skewed_latency_run(malicious_fraction: float) -> Simulation:
+def skewed_latency_run(malicious_fraction: float, seed: int = 6) -> Simulation:
     # one 300 ms sample in 250 puts the p99 latency at 5 ms, so the 50 ms
     # validation timeout fires while slow replies are still in flight; no
     # reply lands exactly at a deadline
     cfg = make_cfg(nodes=32, transactions_per_node=5, block_size_min=5,
                    validators_per_entity=12, signature_threshold=10,
                    malicious_fraction=malicious_fraction)
-    sim = Simulation(cfg, seed=6, latency_samples=[5.0] * 249 + [300.0])
+    sim = Simulation(cfg, seed=seed, latency_samples=[5.0] * 249 + [300.0])
     sim.run()
     return sim
 
@@ -486,7 +489,7 @@ def test_nodes_read_only_what_a_block_notify_carries(monkeypatch, overrides):
 
 def test_notify_and_announce_traffic_is_what_nodes_read(monkeypatch):
     # a replica goes whole to each holder but the owner; a block's notify
-    # goes to every other node with the 73-byte header, plus 32 bytes for
+    # goes to every other node with the 72-byte header, plus 32 bytes for
     # each of its txs that the receiver owns; a holder joins its replica's
     # vertex with one message to the host
     finalized, inserts, joins = [], [], []
@@ -516,7 +519,7 @@ def test_notify_and_announce_traffic_is_what_nodes_read(monkeypatch):
     blocks = [entity for entity in finalized if isinstance(entity, Block)]
     assert len(blocks) == report.finalized_block_count
     replicas = sum((holders - 1) * r.memory_bytes for r in sim.records)
-    headers = sum((n - 1) * 73 + 32 * sum(owner_of[tx_id] != blk.owner for tx_id in blk.tx_ids)
+    headers = sum((n - 1) * 72 + 32 * sum(owner_of[tx_id] != blk.owner for tx_id in blk.tx_ids)
                   for blk in blocks)
     assert report.bytes_by_tag[TAG_NOTIFY] == replicas + headers
     assert len(joins) == (holders - 1) * len(sim.records)
@@ -525,13 +528,14 @@ def test_notify_and_announce_traffic_is_what_nodes_read(monkeypatch):
         len(joins) + sum(max(0, len(path) - 1) for path in inserts))
 
 
-@pytest.mark.parametrize("overrides, drain_only", [
+@pytest.mark.parametrize("overrides, deadline_only", [
     (dict(nodes=16, transactions_per_node=10, block_size_min=5), False),
     (dict(nodes=16, transactions_per_node=10, block_size_min=5, malicious_fraction=0.25), False),
-    # BLK_SIZE 100 over 3 tx per node: one drain block is the only block built
+    # BLK_SIZE 100 over 3 tx per node: every block is short, built at its deadline
     (dict(nodes=32, transactions_per_node=3, block_size_min=100), True),
-], ids=["golden", "golden-malicious", "drain-only"])
-def test_block_rounds_counts_every_block_validation_started(monkeypatch, overrides, drain_only):
+], ids=["golden", "golden-malicious", "deadline-only"])
+def test_block_rounds_counts_every_block_validation_started(monkeypatch, overrides,
+                                                            deadline_only):
     started = []
     begin_block = Simulation.begin_block_validation
 
@@ -540,7 +544,9 @@ def test_block_rounds_counts_every_block_validation_started(monkeypatch, overrid
         begin_block(sim, state, block, retries)
 
     monkeypatch.setattr(Simulation, "begin_block_validation", counted)
-    report = Simulation(make_cfg(**overrides), seed=7).run()
+    sim = Simulation(make_cfg(**overrides), seed=7)
+    report = sim.run()
     assert report.block_rounds == len(started)
-    if drain_only:
-        assert report.block_rounds == 1
+    if deadline_only:
+        assert all(len(block.tx_ids) < 100 and built_once_due(sim, block) for block in started)
+        assert report.block_rounds == 2

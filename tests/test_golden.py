@@ -6,18 +6,20 @@ import hashlib
 
 import pytest
 
+from chainsim import controller
+from chainsim.consensus import PART_WAIT_MS
 from chainsim.engine import Simulation, ValidationRound, run_simulation
 from conftest import make_cfg
 
 GOLDEN = [
-    ({}, 7, "c956bd4cda2fb1fce0768e8849271a9396a91529630845da96a549ef1fbb5c0d"),
-    ({}, 8, "fd4564fbc794ac2924c77ce84cdeaf5b90944c676894f61bc23e63d8ed2b5945"),
+    ({}, 7, "87b9640968d5ab0fffded9800279703597d60f09a72b0c884031705db1c4840c"),
+    ({}, 8, "dc9e7459c531c4aa4b08ab9648a2ef0695c5acc41a139f907d0b834e685bf81a"),
     ({"malicious_fraction": 0.25}, 7,
-     "281228697e7ef39017528ed14853489470e8a51b7a573f06772bfd94b6d9fb58"),
+     "71caa5a9598db6f1e7c43a4f37f6d2e88dea6aba7f25f90f9cc054b8b498499c"),
 ]
 
 # the skewed-latency run below; CI compares the installed script's CSV with it
-SKEWED_SEED_4_CSV_SHA256 = "abe9ad64b682fca37a42b806c7dd124403de5a4b268db820e5fc34ecd18d07ed"
+SKEWED_SEED_4_CSV_SHA256 = "28711404da2087fe8dacf28b71521c3196b01093384547518b79d17c3b2d2989"
 
 
 # the ids name the run, not its digest, so a re-pinned digest keeps the test's name
@@ -34,7 +36,7 @@ def test_golden_run_ends_at_a_pinned_event_and_time():
     # so the run ends at its last handler call
     sim = Simulation(make_cfg(nodes=16, transactions_per_node=10, block_size_min=5), seed=7)
     sim.run()
-    assert (sim.events_processed, sim.now) == (3295, 10751)
+    assert (sim.events_processed, sim.now) == (3349, 12816)
 
 
 def test_csv_digest_is_pinned_when_timeouts_fire(monkeypatch):
@@ -64,8 +66,8 @@ def test_csv_digest_is_pinned_when_timeouts_fire(monkeypatch):
 @pytest.mark.parametrize("overrides, counters", [
     # finalized blocks, chain blocks, reorgs, tx retries, block retries,
     # most blocks in one node's tracker
-    ({}, (27, 27, 0, 0, 0, 28)),
-    ({"malicious_fraction": 0.25}, (19, 19, 0, 67, 6, 20)),
+    ({}, (28, 28, 0, 0, 0, 29)),
+    ({"malicious_fraction": 0.25}, (20, 20, 0, 72, 7, 21)),
 ], ids=["seed7", "malicious-seed7"])
 def test_report_counters_are_pinned(overrides, counters):
     cfg = make_cfg(nodes=16, transactions_per_node=10, block_size_min=5, **overrides)
@@ -77,25 +79,27 @@ def test_report_counters_are_pinned(overrides, counters):
     assert report.fork_waste == pytest.approx((finalized - chain) / finalized)
 
 
-def test_drain_only_run_is_pinned():
+def test_deadline_only_run_is_pinned():
     # BLK_SIZE 100 over 3 tx per node: the parts never reach BLK_SIZE, so
-    # the one block is a drain block that the genesis tail's proposer
-    # builds after the last tx finalizes, from every node's parts; its
-    # first try falls short of SIG_THR, and the retry finalizes
+    # every block is short, built by its parent's proposer from the parts
+    # it holds once the oldest has waited W
     sim = Simulation(make_cfg(nodes=32, transactions_per_node=3, block_size_min=100,
                               validators_per_entity=12, signature_threshold=10,
                               malicious_fraction=0.16), seed=7)
     report = sim.run()
     assert hashlib.sha256(sim.csv_text().encode()).hexdigest() == (
-        "ba91f16244fb9a50d19257d791a205f532362b7f4a022b19e4f79eb3070c15ed")
-    assert (sim.events_processed, sim.now) == (5123, 5832)
+        "11170095851b8b5bb1ff3827021a6d28a7de26b91bf2b6057ddc36392b9280d2")
+    assert (sim.events_processed, sim.now) == (5418, 7614)
     assert (report.finalized_block_count, report.chain_block_count, report.reorgs,
             report.tx_retries, report.block_retries,
-            report.max_node_tracked_blocks) == (1, 1, 0, 37, 1, 2)
-    finalized = [info for info in sim.registry.tracker.blocks.values()
-                 if info.id != sim.genesis.id]
-    assert len(finalized) == 1 and finalized[0].drain and finalized[0].owner == 7
-    # the one block holds the leftovers of every owner
-    assert len(finalized[0].tx_ids) == 96
-    owner_of = {tx_id: s.node_index for s in sim.nodes for tx_id in s.own_finalized}
-    assert {owner_of[tx_id] for tx_id in finalized[0].tx_ids} == set(range(32))
+            report.max_node_tracked_blocks) == (3, 3, 0, 42, 0, 4)
+    tracker, finalized_at = sim.registry.tracker, sim.registry.finalized_txs
+    blocks = tracker.chain[1:]
+    assert [len(block.tx_ids) for block in blocks] == [52, 42, 2]
+    for block in blocks:
+        assert block.owner == controller.proposer_of(sim, tracker.blocks[block.parent])
+        assert block.created_at - min(finalized_at[tx_id] for tx_id in block.tx_ids) == (
+            PART_WAIT_MS)
+    # the first block holds the parts of 31 owners
+    owner_of = sim.registry.owner_of
+    assert len({owner_of[tx_id] for tx_id in blocks[0].tx_ids}) == 31

@@ -210,13 +210,17 @@ def test_announces_start_at_the_owners_floor_hosted_vertex():
         graph.check_invariants()
 
 
-def test_a_host_joining_its_own_vertex_sends_no_message():
-    # a node that announces the id of a vertex it hosts, as another kind,
-    # is already where the join would go
+def test_a_repeat_announce_of_any_kind_raises():
+    # a node already among a vertex's announcers, its host or a replica
+    # holder, may not announce it again, whatever the kind
     graph, ids = build_overlay(8, seed=9)
+    assert graph.announce(ids[3], 5, KIND_DATA) == [5, 3]
     before = links(graph)
-    assert graph.announce(ids[3], 3, KIND_DATA) == []
-    assert graph.by_id[ids[3]].announcers == [3, 3]
+    for node in (3, 5):
+        for kind in (KIND_CONTROLLER, KIND_DATA):
+            with pytest.raises(DuplicateAnnouncement):
+                graph.announce(ids[3], node, kind)
+    assert graph.by_id[ids[3]].announcers == [3, 5]
     assert links(graph) == before
 
 

@@ -24,7 +24,7 @@ DATA_DIR = pathlib.Path(__file__).parent / "data"
 
 # sha256 of the canonical bytes of the fixed sample block below,
 # recomputed with an external hash tool when the layout was frozen
-SAMPLE_BLOCK_DIGEST = "6e2188fa870dbf12112c04ac539df60d93cb85726baebb14e380e634c6fb9289"
+SAMPLE_BLOCK_DIGEST = "f1ec61a6cff331dbf1fe069ef60cdace41477d15f1410956de8aed9190fb2f4e"
 
 identifiers = st.binary(min_size=32, max_size=32).map(Identifier)
 
@@ -41,7 +41,6 @@ blocks = st.builds(
     owner=st.integers(0, 2**32), parent=identifiers,
     height=st.integers(0, 2**32), tx_ids=st.lists(identifiers, max_size=8),
     created_at=st.integers(0, 2**40), attempt=st.integers(0, 5),
-    drain=st.booleans(),
 )
 
 # (validator, decision code, token); only validators that replied sign,
@@ -225,7 +224,7 @@ class OwnTxs:
 def block_arrivals(draw):
     """A random block tree over GENESIS (each height its parent's plus one),
     delivered in a random order that may repeat blocks.  A block holds
-    only its owner's txs, or, as a drain block, anyone's."""
+    any owner's txs, as a proposer's block does."""
     count = draw(st.integers(1, 12))
     # the id order decides height ties, so let it vary independently of shape
     ranks = draw(st.permutations(range(count)))
@@ -233,12 +232,9 @@ def block_arrivals(draw):
     for i in range(count):
         parent = draw(st.sampled_from([GENESIS] + blocks))
         owner = draw(st.sampled_from(OWNERS))
-        drain = draw(st.booleans())
-        allowed = [tx_id for tx_id in TX_POOL if drain or TX_OWNER[tx_id] == owner]
-        tx_ids = draw(st.lists(st.sampled_from(allowed), max_size=3))
+        tx_ids = draw(st.lists(st.sampled_from(TX_POOL), max_size=3))
         ident = bytes([ranks[i] + 1]) + _tx_id(f"block-{i}")[1:]
-        blocks.append(Block(ident, owner, parent.id, parent.height + 1, tuple(tx_ids),
-                            drain=drain))
+        blocks.append(Block(ident, owner, parent.id, parent.height + 1, tuple(tx_ids)))
     repeats = draw(st.lists(st.sampled_from(blocks), max_size=3))
     return draw(st.permutations(blocks + repeats))
 
@@ -265,13 +261,11 @@ def _oracle_chain(added: list[Block]) -> list[Block]:
 
 
 def _oracle_txs(chain: list[Block], owner=None) -> dict:
-    """The chain's txs, or one owner's: every tx of the owner's own blocks,
-    and the owner's part of each drain block."""
+    """The chain's txs, or one owner's, whoever built their blocks."""
     txs = {}
     for block in chain:
         for tx_id in block.tx_ids:
-            if (owner is None or (TX_OWNER[tx_id] == owner if block.drain
-                                  else block.owner == owner)):
+            if owner is None or TX_OWNER[tx_id] == owner:
                 txs.setdefault(tx_id, block.height)
     return txs
 
