@@ -55,6 +55,8 @@ from .storage import (
 REPLICATION_FACTOR = 3
 ROUTE_MSG_BYTES = 72
 REPLY_MSG_BYTES = 41
+# an insert reply's entry for each neighbour: its id and its host's 8-byte index
+LINK_BYTES = ID_BYTES + 8
 # a part message: an 8-byte count and the sender's 8-byte tail height, then
 # each tx id with its 8-byte finalize time and its owner's 8-byte index
 PART_HEADER_BYTES = 16
@@ -356,10 +358,8 @@ class Simulation:
 
     def _bootstrap(self) -> None:
         for i, identifier in enumerate(self.identifiers):
-            path = self.overlay.announce(identifier, i, KIND_CONTROLLER)
-            self.net.send_path(path, TAG_ANNOUNCE, ROUTE_MSG_BYTES, None, None)
-        path = self.overlay.announce(self.genesis.id, 0, KIND_DATA)
-        self.net.send_path(path, TAG_ANNOUNCE, ROUTE_MSG_BYTES, None, None)
+            self._insert_vertex(identifier, i, KIND_CONTROLLER, None)
+        self._insert_vertex(self.genesis.id, 0, KIND_DATA, None)
         delay_ms = max(1, self.cfg.inter_tx_delay_s * 1000)
         for i, state in enumerate(self.nodes):
             offset = substream(self.seed, "offset", i).randrange(delay_ms)
@@ -426,11 +426,27 @@ class Simulation:
     def _note_progress(self) -> None:
         self._stall_deadline = self.now + self._stall_window
 
+    def _insert_vertex(self, identifier: Identifier, owner: int, kind: str,
+                       context: ContextCounters | None) -> None:
+        """Insert `owner`'s vertex: the chain goes hop by hop through the
+        search and both sides' level walks, and its last owner replies to
+        `owner` with the new vertex's neighbours."""
+        path = self.overlay.announce(identifier, owner, kind)
+        self.net.send_path(path, TAG_ANNOUNCE, ROUTE_MSG_BYTES, context, None)
+        if path and path[-1] != owner:
+            size = ROUTE_MSG_BYTES + LINK_BYTES * self.overlay.neighbour_count(identifier)
+            self.net.send(path[-1], owner, TAG_ANNOUNCE, size, context, None)
+
     def _store_replica(self, holder: int, entity: Entity,
                        context: ContextCounters) -> None:
+        """Store `entity` at `holder`: its owner inserts its vertex, and
+        every other holder joins that vertex."""
         self.nodes[holder].store.store(entity)
-        path = self.overlay.announce(entity.id, holder, KIND_DATA)
-        self.net.send_path(path, TAG_ANNOUNCE, ROUTE_MSG_BYTES, context, None)
+        if holder == entity.owner:
+            self._insert_vertex(entity.id, holder, KIND_DATA, context)
+        else:
+            path = self.overlay.join(entity.id, holder)
+            self.net.send_path(path, TAG_ANNOUNCE, ROUTE_MSG_BYTES, context, None)
 
     def _record(self, entity: Entity, context: ContextCounters) -> None:
         # every try contacts VALID_THR validators, and a round is decided at

@@ -13,12 +13,20 @@ hosted vertex nearest below the target, and each owner the path reaches
 resumes it at that owner's own hosted vertex nearest below the target,
 when it hosts one: hops then grow with the log of the number of nodes,
 not of vertices.
+
+An insert (`announce`) is one chain: the search to the floor, then the
+floor's owner walks the left side up every level, then the owner of the
+level-0 right neighbour walks the right side; the engine charges the
+chain's last owner one reply to the inserter with the new vertex's
+neighbours (`neighbour_count`).  A replica holder joins an existing vertex
+with one message to its host (`join`), which links nothing.
 """
 from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from itertools import zip_longest
 
 from .identity import Identifier, membership_prefix_len
 
@@ -81,19 +89,10 @@ class SkipGraph:
     # -- announcement ---------------------------------------------------
 
     def announce(self, identifier: Identifier, owner: int, kind: str) -> list[int]:
-        """Insert a vertex, or join an existing one as a replica announcer,
-        and return the message path.
-
-        A joining holder learned the vertex's host from the notify that
-        brought it the replica, so a join is one message to the host and
-        links nothing; no node joins a vertex it already announced.
-        """
-        existing = self.by_id.get(identifier)
-        if existing is not None:
-            if owner in existing.announcers:
-                raise DuplicateAnnouncement(identifier, owner)
-            existing.announcers.append(owner)
-            return [owner, existing.owner]
+        """Insert a vertex hosted by `owner` and return its insert chain,
+        one entry per inter-owner hop (`_insert`)."""
+        if identifier in self.by_id:
+            raise DuplicateAnnouncement(identifier, self.by_id[identifier].owner)
         # a node's controller vertex is the first vertex it hosts
         if kind == KIND_CONTROLLER and owner in self.hosted:
             raise DuplicateAnnouncement(identifier, owner)
@@ -111,6 +110,26 @@ class SkipGraph:
         self._host(vertex)
         return path
 
+    def join(self, identifier: Identifier, holder: int) -> list[int]:
+        """Add a replica holder to a vertex's announcers and return the
+        join's path, [holder, host].
+
+        The holder learned the vertex's host from the notify that brought
+        it the replica, so a join is one message to the host and links
+        nothing; no node joins a vertex it already announced.
+        """
+        vertex = self.by_id[identifier]
+        if holder in vertex.announcers:
+            raise DuplicateAnnouncement(identifier, holder)
+        vertex.announcers.append(holder)
+        return [holder, vertex.owner]
+
+    def neighbour_count(self, identifier: Identifier) -> int:
+        """How many distinct vertices the vertex links to, over all levels:
+        the entries of its insert's reply."""
+        vertex = self.by_id[identifier]
+        return len({id(v) for v in vertex.left + vertex.right if v is not None})
+
     def _host(self, vertex: Vertex) -> None:
         """Add `vertex` to its owner's sorted ids and own-vertex links."""
         ids = self.hosted.setdefault(vertex.owner, [])
@@ -125,6 +144,16 @@ class SkipGraph:
             nxt.prev_own = vertex
 
     def _insert(self, vertex: Vertex, start: Vertex) -> list[int]:
+        """Splice `vertex` in at every level and return the owners its
+        insert chain visits, one entry per inter-owner hop.
+
+        The chain is the search to the floor, then every left-level walk
+        from the floor's owner, then every right-level walk from the owner
+        of the level-0 right neighbour, whose address the floor's owner
+        puts in the message.  The level-l neighbour on a side depends only
+        on that side's level-(l-1) one, so one side is walked whole before
+        the other and the chain never hops between the sides per level.
+        """
         floor, path = self._search(start, vertex.identifier)
         if floor.identifier < vertex.identifier:
             left, right = floor, floor.right[0]
@@ -135,30 +164,37 @@ class SkipGraph:
                 left is None and floor.left[0] is not None):
             raise OverlayError(f"search for {vertex.identifier.hex()[:12]} ended at "
                                f"{floor.identifier.hex()[:12]}, not at its floor")
-        self._splice(vertex, 0, left, right)
-        for level in range(1, self.levels):
-            left = self._scan_for_level(vertex, level, LEFT, path)
-            right = self._scan_for_level(vertex, level, RIGHT, path)
-            if left is None and right is None:
-                break
+        lefts = self._walk(vertex, left, LEFT, path)
+        rights = self._walk(vertex, right, RIGHT, path)
+        for level, (left, right) in enumerate(zip_longest(lefts, rights)):
             self._splice(vertex, level, left, right)
         return path
 
-    def _scan_for_level(self, vertex: Vertex, level: int, side: str,
-                        path: list[int]) -> Vertex | None:
-        # walk the level-(l-1) list away from the new vertex (towards `side`,
-        # LEFT or RIGHT) until a member sharing >= l membership-vector bits
-        # appears; a visited owner is appended to `path` only when it differs
-        # from the last entry, so the path keeps one entry per inter-owner hop
-        below = level - 1
-        cur = getattr(vertex, side)[below]
+    def _walk(self, vertex: Vertex, cur: Vertex | None, side: str,
+              path: list[int]) -> list[Vertex]:
+        """`vertex`'s neighbours towards `side` (LEFT or RIGHT), level by
+        level from `cur`, its level-0 one, up to the highest level that has
+        one.
+
+        The level-l neighbour is the first vertex sharing >= l membership
+        bits with `vertex` on the level-(l-1) list, from the level-(l-1)
+        neighbour away from `vertex`.  A visited owner is appended to
+        `path` only when it differs from the last entry.
+        """
+        found = []
+        level = 0
         while cur is not None:
-            if cur.owner != path[-1]:
-                path.append(cur.owner)
-            if membership_prefix_len(cur.identifier, vertex.identifier) >= level:
+            found.append(cur)
+            level += 1
+            if level == self.levels:
                 break
-            cur = getattr(cur, side)[below]
-        return cur
+            while cur is not None:
+                if cur.owner != path[-1]:
+                    path.append(cur.owner)
+                if membership_prefix_len(cur.identifier, vertex.identifier) >= level:
+                    break
+                cur = getattr(cur, side)[level - 1]
+        return found
 
     @staticmethod
     def _splice(vertex: Vertex, level: int, left: Vertex | None, right: Vertex | None):

@@ -23,8 +23,8 @@ from chainsim.storage import new_block, new_transaction
 from conftest import SAMPLE_CONFIG_TEXT
 
 DESK_SEED = 7
-DESK_SEED_7_CSV_SHA256 = "bf79e60e6c7d8006c1a713e0dcb364a48fef2bda89653e974999f3c9780b0338"
-DESK_SEED_8_CSV_SHA256 = "0bb7042308cccf029e0ac16ed9ffa2e531df512fac722024dfe638583c41d10d"
+DESK_SEED_7_CSV_SHA256 = "5f72b5ff49eb5d87c2b091fa16801cc8e9e992bbee1735e1be40257db56d98df"
+DESK_SEED_8_CSV_SHA256 = "3dde32426a67ac0c75f77517c4b106c0450a59635bf0145e4d98f119d2dbc4d6"
 
 
 def desk_cfg(malicious=0.16) -> SimulationConfig:
@@ -241,6 +241,39 @@ def test_criterion_7_determinism(desk):
     assert other.csv_text() != desk["csv"]
     assert csv_sha256(other.csv_text()) == DESK_SEED_8_CSV_SHA256
     print("ACCEPTANCE 7 determinism: PASS (byte-identical CSV)")
+
+
+def test_desk_inserts_cost_logarithmic_messages_after_their_search(monkeypatch):
+    # after its search, an insert walks each side's levels once, left then
+    # right, and its last owner sends one reply to the inserter: on the
+    # desk run those messages average under 2 log2(vertices)
+    searches, after_search = [], []
+    search, announce = SkipGraph._search, SkipGraph.announce
+
+    def recording_search(graph, start, target):
+        floor, path = search(graph, start, target)
+        searches.append((path[0], len(path)))
+        return floor, path
+
+    def watched_announce(graph, identifier, owner, kind):
+        searches.clear()
+        path = announce(graph, identifier, owner, kind)
+        if searches:   # every insert but the first vertex's has one search
+            (first, length), = searches
+            walks = len(path) - length - (first != owner)
+            after_search.append(walks + (path[-1] != owner))
+        return path
+
+    monkeypatch.setattr(SkipGraph, "_search", recording_search)
+    monkeypatch.setattr(SkipGraph, "announce", watched_announce)
+    sim = Simulation(desk_cfg(), seed=DESK_SEED)
+    sim.run()
+    vertices = len(sim.overlay)
+    assert len(after_search) == vertices - 1
+    mean, bound = statistics.mean(after_search), 2 * math.log2(vertices)
+    assert mean < bound
+    print(f"ACCEPTANCE logarithmic insert: PASS ({mean:.1f} messages after the search "
+          f"< {bound:.1f})")
 
 
 def test_criterion_8_uniform_chance_selection():

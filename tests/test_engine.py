@@ -4,7 +4,7 @@ from dataclasses import replace
 from functools import partial
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from chainsim import controller
 from chainsim.config import ValueOutOfRange, malicious_count
@@ -119,7 +119,10 @@ def honest_majority_configs(draw):
                    signature_threshold=threshold).validate()
 
 
-@settings(max_examples=15, deadline=None, derandomize=True)
+# no shrinking: each shrink step reruns a whole run with the invariants
+# checked after every event, so a failure would take minutes to report
+@settings(max_examples=15, deadline=None, derandomize=True,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.target])
 @given(cfg=honest_majority_configs(), seed=st.integers(0, 2**16))
 def test_drain_leaves_every_finalized_tx_in_exactly_one_chain_block(cfg, seed):
     sim = Simulation(cfg, seed=seed, check_invariants_every=1)
@@ -491,25 +494,34 @@ def test_notify_and_announce_traffic_is_what_nodes_read(monkeypatch):
     # a replica goes whole to each holder but the owner; a block's notify
     # goes to every other node with the 72-byte header, plus 32 bytes for
     # each of its txs that the receiver owns; a holder joins its replica's
-    # vertex with one message to the host
-    finalized, inserts, joins = [], [], []
-    finalize, announce = Simulation.finalize, SkipGraph.announce
+    # vertex with one message to the host; an insert is one 72-byte message
+    # per hop of its chain, then a reply from the chain's last owner to the
+    # inserter, unless that is the inserter itself, of 72 bytes plus 40 (an
+    # id and an 8-byte index) for each distinct neighbour of the new vertex
+    finalized, inserts, replies, joins = [], [], [], []
+    finalize, announce, join = Simulation.finalize, SkipGraph.announce, SkipGraph.join
 
     def watched_finalize(sim, entity, tickets, context):
         finalized.append(entity)
         finalize(sim, entity, tickets, context)
 
     def watched_announce(graph, identifier, owner, kind):
-        existing = graph.by_id.get(identifier)
         path = announce(graph, identifier, owner, kind)
-        if existing is None:
-            inserts.append(path)
-        else:
-            joins.append((path, [owner, existing.owner]))
+        inserts.append(path)
+        if path and path[-1] != owner:
+            vertex = graph.by_id[identifier]
+            neighbours = {v.identifier for v in vertex.left + vertex.right if v is not None}
+            replies.append(72 + 40 * len(neighbours))
+        return path
+
+    def watched_join(graph, identifier, holder):
+        path = join(graph, identifier, holder)
+        joins.append((path, [holder, graph.by_id[identifier].owner]))
         return path
 
     monkeypatch.setattr(Simulation, "finalize", watched_finalize)
     monkeypatch.setattr(SkipGraph, "announce", watched_announce)
+    monkeypatch.setattr(SkipGraph, "join", watched_join)
     cfg = make_cfg(nodes=16, transactions_per_node=10, block_size_min=5,
                    malicious_fraction=0.25)
     sim = Simulation(cfg, seed=7)
@@ -524,8 +536,12 @@ def test_notify_and_announce_traffic_is_what_nodes_read(monkeypatch):
     assert report.bytes_by_tag[TAG_NOTIFY] == replicas + headers
     assert len(joins) == (holders - 1) * len(sim.records)
     assert all(path == holder_to_host for path, holder_to_host in joins)
-    assert report.messages_by_tag[TAG_ANNOUNCE] == (
-        len(joins) + sum(max(0, len(path) - 1) for path in inserts))
+    # one insert per node's controller, the genesis block and every record
+    assert len(inserts) == n + 1 + len(sim.records)
+    assert 0 < len(replies) < len(inserts)
+    hops = len(joins) + sum(max(0, len(path) - 1) for path in inserts)
+    assert report.messages_by_tag[TAG_ANNOUNCE] == hops + len(replies)
+    assert report.bytes_by_tag[TAG_ANNOUNCE] == 72 * hops + sum(replies)
 
 
 @pytest.mark.parametrize("overrides, deadline_only", [

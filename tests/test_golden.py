@@ -12,14 +12,14 @@ from chainsim.engine import Simulation, ValidationRound, run_simulation
 from conftest import make_cfg
 
 GOLDEN = [
-    ({}, 7, "87b9640968d5ab0fffded9800279703597d60f09a72b0c884031705db1c4840c"),
-    ({}, 8, "dc9e7459c531c4aa4b08ab9648a2ef0695c5acc41a139f907d0b834e685bf81a"),
+    ({}, 7, "3ea075927980c58dab4026d18c6ca11ff502af4bbd34f5db1da7aaa24042406e"),
+    ({}, 8, "d3336ebcd27677d212f225a729037025954a7078c2914cb5d330e3fcf0c095e2"),
     ({"malicious_fraction": 0.25}, 7,
-     "71caa5a9598db6f1e7c43a4f37f6d2e88dea6aba7f25f90f9cc054b8b498499c"),
+     "72886e32b15a08f3403c93c38c7176f0ac3b858793bd788365f6636bdee0d9df"),
 ]
 
 # the skewed-latency run below; CI compares the installed script's CSV with it
-SKEWED_SEED_4_CSV_SHA256 = "28711404da2087fe8dacf28b71521c3196b01093384547518b79d17c3b2d2989"
+SKEWED_SEED_4_CSV_SHA256 = "d521163841c795a7fda141c1736683225cbd4a30fe71456d8abb5e2ae1f1cb97"
 
 
 # the ids name the run, not its digest, so a re-pinned digest keeps the test's name
@@ -88,7 +88,7 @@ def test_deadline_only_run_is_pinned():
                               malicious_fraction=0.16), seed=7)
     report = sim.run()
     assert hashlib.sha256(sim.csv_text().encode()).hexdigest() == (
-        "11170095851b8b5bb1ff3827021a6d28a7de26b91bf2b6057ddc36392b9280d2")
+        "d6112318bc6bf126189291e179c0e4099723c535f415c120f0b1aa11778ca920")
     assert (sim.events_processed, sim.now) == (5418, 7614)
     assert (report.finalized_block_count, report.chain_block_count, report.reorgs,
             report.tx_retries, report.block_retries,

@@ -5,10 +5,10 @@ import pytest
 
 from chainsim import controller, engine
 from chainsim.consensus import ValidationTicket, select_validators
-from chainsim.engine import ROUTE_MSG_BYTES, MetricRecord, Simulation
+from chainsim.engine import MetricRecord, Simulation
 from chainsim.identity import ZERO_ID
 from chainsim.overlay import KIND_DATA, SearchResult, Vertex
-from chainsim.simnet import TAG_PART, ContextCounters
+from chainsim.simnet import TAG_ANNOUNCE, TAG_PART, ContextCounters
 from chainsim.storage import new_block, new_transaction
 from conftest import make_cfg
 
@@ -66,6 +66,15 @@ def test_every_message_counted_once_against_an_operation_or_uncontexted(monkeypa
     monkeypatch.setattr(controller, "ContextCounters", recording_counters)
     monkeypatch.setattr(engine, "ContextCounters", recording_counters)
     monkeypatch.setattr(engine, "select_validators", recording_select)
+    bootstrap_traffic = {}
+    bootstrap = Simulation._bootstrap
+
+    def recording_bootstrap(sim):
+        bootstrap(sim)
+        bootstrap_traffic.update((tag, tuple(traffic))
+                                 for tag, traffic in sim.net.traffic_by_tag.items())
+
+    monkeypatch.setattr(Simulation, "_bootstrap", recording_bootstrap)
     sim = Simulation(make_cfg(nodes=8, transactions_per_node=6, malicious_fraction=0.25),
                      seed=3)
     report = sim.run()
@@ -73,10 +82,12 @@ def test_every_message_counted_once_against_an_operation_or_uncontexted(monkeypa
     assert sum(op.messages for op in made) + net.uncontexted_messages == net.total_messages
     # the bootstrap announces and the part messages are the only traffic
     # outside an operation
+    (bootstrap_messages, bootstrap_bytes), = bootstrap_traffic.values()
+    assert list(bootstrap_traffic) == [TAG_ANNOUNCE]
     part_messages, part_bytes = net.traffic_by_tag[TAG_PART]
     assert part_messages > 0
-    assert net.total_bytes - sum(op.bytes for op in made) == (
-        ROUTE_MSG_BYTES * (net.uncontexted_messages - part_messages) + part_bytes)
+    assert net.uncontexted_messages == bootstrap_messages + part_messages
+    assert net.total_bytes - sum(op.bytes for op in made) == bootstrap_bytes + part_bytes
     # one operation per tx slot, and one per block attempt, finalized or not
     assert len(made) >= report.finalized_tx_count + report.finalized_block_count
     # a row counts its operation up to finalization, never more

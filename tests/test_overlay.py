@@ -99,7 +99,7 @@ def test_duplicate_announcement_rejected():
 def test_exact_hit_returns_all_announcers():
     graph, ids = build_overlay(8, seed=2)
     target = ids[3]
-    graph.announce(target, 6, KIND_DATA)   # replica announcer
+    graph.join(target, 6)   # replica announcer
     result = graph.search_num_id(0, target)
     assert result.identifier == target
     assert graph.by_id[target].announcers == [3, 6]
@@ -173,7 +173,7 @@ def test_search_paths_have_no_repeated_owners():
     for ident in rng.sample(data_ids, 60):   # replica joins
         announcers = graph.by_id[ident].announcers
         owner = rng.choice([i for i in range(12) if i not in announcers])
-        assert_hop_path(graph.announce(ident, owner, KIND_DATA), owner)
+        assert_hop_path(graph.join(ident, owner), owner)
 
 
 def links(graph: SkipGraph) -> dict:
@@ -183,6 +183,49 @@ def links(graph: SkipGraph) -> dict:
     return {vertex.identifier: ([ident(v) for v in vertex.left + vertex.right],
                                 ident(vertex.prev_own), ident(vertex.next_own))
             for vertex in graph.by_id.values()}
+
+
+def oracle_links(graph: SkipGraph) -> dict:
+    """Every vertex's neighbours at every level, as `links` lists them,
+    found from the sorted ids alone: at level l, the nearest vertex on
+    either side among those sharing its first l membership bits, the
+    lowest l bits of the id."""
+    ordered = sorted(graph.by_id)
+    levels = graph.levels
+    expected = {ident: [None] * (2 * levels) for ident in ordered}
+    for level in range(levels):
+        mask = (1 << level) - 1
+        last = {}   # lowest `level` bits -> the last id seen with them
+        for ident in ordered:
+            key = int.from_bytes(ident, "big") & mask
+            before = last.get(key)
+            if before is not None:
+                expected[ident][level] = before
+                expected[before][levels + level] = ident
+            last[key] = ident
+    return expected
+
+
+def test_inserts_link_the_nearest_member_on_each_side_and_visit_every_changed_owner():
+    # node 3 owns long runs of adjacent vertices, as in
+    # test_search_paths_have_no_repeated_owners, so an insert's level walks
+    # cross several of its vertices in a row; after each insert every link
+    # is the oracle's, and the owner of every vertex whose links it changed
+    # is on its path, the only nodes it messaged
+    rng = random.Random(8)
+    graph = SkipGraph(max_vertices=12)
+    for i in range(252):
+        owner, kind = (i, KIND_CONTROLLER) if i < 12 else (
+            3 if i % 4 else rng.randrange(12), KIND_DATA)
+        before = links(graph)
+        ident = Identifier(rng.randbytes(32))
+        path = graph.announce(ident, owner, kind)
+        after = links(graph)
+        assert {key: level_links for key, (level_links, _, _) in after.items()} == (
+            oracle_links(graph))
+        changed = {key for key in after if before.get(key) != after[key]}
+        assert ident in changed
+        assert {graph.by_id[key].owner for key in changed} <= {owner, *path}
 
 
 def test_announces_start_at_the_owners_floor_hosted_vertex():
@@ -203,7 +246,7 @@ def test_announces_start_at_the_owners_floor_hosted_vertex():
         path = graph.announce(ident, first, KIND_DATA)
         assert path[:len(search_path)] == search_path
         order, before = graph.in_order(), links(graph)
-        assert graph.announce(ident, second, KIND_DATA) == [second, first]
+        assert graph.join(ident, second) == [second, first]
         assert graph.in_order() == order and links(graph) == before
         assert graph.by_id[ident].announcers == [first, second]
         assert graph.search_num_id(second, ident).identifier == ident
@@ -211,15 +254,19 @@ def test_announces_start_at_the_owners_floor_hosted_vertex():
 
 
 def test_a_repeat_announce_of_any_kind_raises():
-    # a node already among a vertex's announcers, its host or a replica
-    # holder, may not announce it again, whatever the kind
+    # an existing vertex is never inserted again, whoever announces it and
+    # whatever the kind, and a node already among its announcers, its host
+    # or a replica holder, may not join it
     graph, ids = build_overlay(8, seed=9)
-    assert graph.announce(ids[3], 5, KIND_DATA) == [5, 3]
+    assert graph.join(ids[3], 5) == [5, 3]
     before = links(graph)
-    for node in (3, 5):
+    for node in (3, 5, 6):
         for kind in (KIND_CONTROLLER, KIND_DATA):
             with pytest.raises(DuplicateAnnouncement):
                 graph.announce(ids[3], node, kind)
+    for node in (3, 5):
+        with pytest.raises(DuplicateAnnouncement):
+            graph.join(ids[3], node)
     assert graph.by_id[ids[3]].announcers == [3, 5]
     assert links(graph) == before
 
