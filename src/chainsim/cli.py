@@ -58,7 +58,6 @@ def print_summary(report) -> None:
     print(f"  finalized blocks       : {report.finalized_block_count}"
           f" (chain: {report.chain_block_count})")
     print(f"  fork waste             : {report.fork_waste:.1%}")
-    print(f"  chain reorgs           : {report.reorgs}")
     print(f"  tx / block retries     : {report.tx_retries} / {report.block_retries}")
     print(f"  block rounds           : {report.block_rounds}")
     print(f"  repeated chain txs     : {report.repeated_chain_txs}")

@@ -125,14 +125,10 @@ def _validate_transaction(registry, tx: Transaction) -> bool:
 
 def _validate_block(registry, blk: Block, cfg: SimulationConfig) -> bool:
     tracker = registry.tracker
-    parent = tracker.blocks.get(blk.parent)
-    if parent is None:
-        return False
-    if blk.height != parent.height + 1:
-        return False
-    # only a block taller than the tail surely becomes the tail if it
-    # finalizes; its parent is then the tail or a same-height sibling of it
-    if blk.height <= tracker.tail.height:
+    tail = tracker.tail
+    # the chain is append-only: a block must extend the tail, the one
+    # block its proposer builds on
+    if blk.parent != tail.id or blk.height != tail.height + 1:
         return False
     if len(set(blk.tx_ids)) != len(blk.tx_ids):
         return False
@@ -143,7 +139,9 @@ def _validate_block(registry, blk: Block, cfg: SimulationConfig) -> bool:
     oldest = min((finalized[tx_id] for tx_id in blk.tx_ids), default=blk.created_at)
     if len(blk.tx_ids) < cfg.block_size_min and blk.created_at - oldest < PART_WAIT_MS:
         return False
-    if tracker.ancestry_holds_any(blk.parent, blk.tx_ids):
+    # the parent is the tail, so its ancestry is the whole chain
+    chain_txs = tracker.chain_txs
+    if any(tx_id in chain_txs for tx_id in blk.tx_ids):
         return False
     return True
 

@@ -20,14 +20,13 @@ with its first try's creation time, for as long as the node is still its
 proposer; then the attempt ends and the parts are settled like any
 others.  A malicious proposer puts a bogus parent on an attempt's first
 try, and the honest retries absorb it.  With one builder per tail and
-validators that approve only blocks taller than the tail, blocks do not
-contend for a height.
+validators that approve only a block on the tail, blocks do not contend
+for a height, and the chain is append-only.
 
 Each part is in one place at a time, so with one builder per tail no tx
 reaches two blocks.  A finalized block whose parent never resolves (a
 bogus parent that malicious approvals let through) links nowhere, and its
-builder takes its parts back; should a reorg ever cut an owner's txs off
-its chain, the owner hands them off again.
+builder takes its parts back.
 """
 from __future__ import annotations
 
@@ -83,7 +82,7 @@ class NodeState:
 
     def __post_init__(self):
         # the tracker indexes only the node's own txs, and reports them
-        # entering and leaving its chain through `chained` and `unchained`
+        # entering its chain through `chained`
         self.tracker.listener = self
 
     def add_finalized(self, tx_id: Identifier, finalized_at: int) -> None:
@@ -94,11 +93,6 @@ class NodeState:
         # a copy the node still holds is no longer needed
         for tx_id in tx_ids:
             self.parts.pop(tx_id, None)
-
-    def unchained(self, tx_ids) -> None:
-        # a reorg cut them: they need another block
-        for tx_id in tx_ids:
-            self.parts[tx_id] = self.own_finalized[tx_id]
 
 
 def pending_pool(state: NodeState) -> list[tuple[int, Identifier]]:

@@ -107,7 +107,6 @@ class SimulationReport:
     wall_clock_s: float = 0.0
     # finalized blocks that are not on the chain, as a share of all finalized blocks
     fork_waste: float = 0.0
-    reorgs: int = 0      # tail moves of the registry chain that cut blocks
     tx_retries: int = 0
     block_retries: int = 0
     # block validation rounds started: first tries that built a block, and retries
@@ -167,9 +166,10 @@ class Registry:
 
     Validators read its fields directly; per-validator knowledge
     propagation is not modeled below the notification layer.  Its
-    tracker's `tail` backs the rule that a validator approves only blocks
-    taller than the tail, and each tx's finalize time the rule that a
-    block under `BLK_SIZE` waits for its oldest tx to age `W`.
+    tracker's `tail` backs the rule that a validator approves only a block
+    on the tail, which keeps the chain append-only, and each tx's finalize
+    time the rule that a block under `BLK_SIZE` waits for its oldest tx to
+    age `W`.
     """
 
     def __init__(self, genesis: Block):
@@ -570,7 +570,6 @@ class Simulation:
             chain_block_count=len(self.registry.tracker.chain_ids()) - 1,
             per_node_stored=[len(s.store) for s in self.nodes],
             wall_clock_s=self._wall_clock_s,
-            reorgs=self.registry.tracker.reorgs,
             tx_retries=self.tx_retries,
             block_retries=self.block_retries,
             block_rounds=sum(s.block_ctx_counter for s in self.nodes) + self.block_retries,

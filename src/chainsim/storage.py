@@ -1,5 +1,5 @@
 """Ledger entities, canonical serialization, per-node replica stores, and
-the block tree, whose trackers hold the finalized `Block`s themselves."""
+the append-only chain, whose trackers hold the finalized `Block`s themselves."""
 from __future__ import annotations
 
 import struct
@@ -120,19 +120,29 @@ class ReplicaStore:
         return self._entities.get(identifier)
 
 
-class ChainTracker:
-    """Block-tree bookkeeping with the deterministic fork rule.
+class ForkedChain(Exception):
+    """A block whose parent is known does not extend the tail.  Only the
+    proposer of a tail builds on it, so this is a protocol bug."""
 
-    Tail = greatest height, ties broken by smaller numeric id.  `chain`
-    holds the canonical blocks by height (genesis at 0), and `chain_txs`
-    maps each transaction on it to the lowest height of a block holding
-    it.  A tracker with a `listener` (a node's state) indexes only the
-    listener's `own_finalized` txs, which is all a node's pool asks about,
-    and tells the listener which of them enter and leave `chain_txs`; the
-    registry's tracker, with no listener, indexes every tx.  A reorg walks
-    back only to the common ancestor of the old and the new tail, and
-    `reorgs` counts the tail moves that cut blocks off the chain.  Every
-    block's height is its parent's height plus one.
+    def __init__(self, blk: Block, tail: Block):
+        super().__init__(
+            f"block {blk.id.hex()[:12]} at height {blk.height} does not extend "
+            f"the tail {tail.id.hex()[:12]} at height {tail.height}")
+
+
+class ChainTracker:
+    """The append-only chain of finalized blocks.
+
+    `chain` holds the blocks by height (genesis at 0), `blocks` holds them
+    by id, and `chain_txs` maps each transaction on the chain to the
+    lowest height of a block holding it.  Every block whose parent is
+    known extends the tail, or `ForkedChain` is raised.  A block whose
+    parent is not yet known waits in `_orphans` until the parent links
+    (notifications can arrive out of order); a bogus-parent block waits
+    there for good, off the chain.  A tracker with a `listener` (a node's
+    state) indexes only the listener's `own_finalized` txs, which is all a
+    node's pool asks about, and tells the listener which of them enter
+    `chain_txs`; the registry's tracker, with no listener, indexes every tx.
     """
 
     def __init__(self, genesis: Block):
@@ -142,89 +152,39 @@ class ChainTracker:
         self.tail: Block = genesis
         self.chain: list[Block] = [genesis]
         self.chain_txs: dict[Identifier, int] = {}
-        self.reorgs = 0
-        self._index(genesis)
         self._orphans: dict[Identifier, list[Block]] = {}
 
     def add(self, blk: Block) -> None:
         if blk.id in self.blocks:
             return
         if blk.parent not in self.blocks:
-            # parent not yet known (notifications can arrive out of order)
             self._orphans.setdefault(blk.parent, []).append(blk)
             return
         self._link(blk)
-        stack = [blk.id]
-        while stack:
-            parent_id = stack.pop()
-            for child in self._orphans.pop(parent_id, []):
+        waiting = self._orphans.pop(blk.id, [])
+        while waiting:
+            child = waiting.pop()
+            if child.id not in self.blocks:   # a repeat may have waited twice
                 self._link(child)
-                stack.append(child.id)
+                waiting.extend(self._orphans.pop(child.id, []))
 
     def _link(self, blk: Block) -> None:
-        self.blocks[blk.id] = blk
         tail = self.tail
-        if blk.height > tail.height or (
-            blk.height == tail.height and blk.id < tail.id
-        ):
-            self._move_tail(blk)
-
-    def _on_chain(self, blk: Block) -> bool:
-        chain = self.chain
-        return blk.height < len(chain) and chain[blk.height].id == blk.id
-
-    def _move_tail(self, new_tail: Block) -> None:
-        """Cut `chain` back to the common ancestor, then append the new branch."""
-        branch = []
-        cur = new_tail
-        while not self._on_chain(cur):
-            branch.append(cur)
-            cur = self.blocks[cur.parent]
-        cut = self.chain[cur.height + 1:]
-        if cut:
-            self.reorgs += 1
-            del self.chain[cur.height + 1:]
-        chain_txs = self.chain_txs
-        for blk in cut:
-            removed = []
-            for tx_id in self._indexed_txs(blk):
-                if chain_txs.get(tx_id) == blk.height:
-                    del chain_txs[tx_id]
-                    removed.append(tx_id)
-            if removed and self.listener is not None:
-                self.listener.unchained(removed)
-        for blk in reversed(branch):
-            self.chain.append(blk)
-            self._index(blk)
-        self.tail = new_tail
-
-    def _indexed_txs(self, blk: Block):
-        """The txs of `blk` this tracker indexes: all of them, or only the
-        listener's own, which a block mixes with every other owner's."""
+        if blk.parent != tail.id or blk.height != tail.height + 1:
+            raise ForkedChain(blk, tail)
+        self.blocks[blk.id] = blk
+        self.chain.append(blk)
+        self.tail = blk
         if self.listener is None:
-            return blk.tx_ids
-        own = self.listener.own_finalized
-        return [tx_id for tx_id in blk.tx_ids if tx_id in own]
-
-    def _index(self, blk: Block) -> None:
-        tx_ids = self._indexed_txs(blk)
+            tx_ids = blk.tx_ids
+        else:
+            # the listener's own txs, which a block mixes with every other owner's
+            own = self.listener.own_finalized
+            tx_ids = [tx_id for tx_id in blk.tx_ids if tx_id in own]
         for tx_id in tx_ids:
             self.chain_txs.setdefault(tx_id, blk.height)
         if tx_ids and self.listener is not None:
             self.listener.chained(tx_ids)
-
-    def ancestry_holds_any(self, block_id: Identifier, tx_ids) -> bool:
-        """True when `block_id` or one of its ancestors holds a tx in `tx_ids`."""
-        assert self.listener is None, "a node's tracker indexes only the node's own txs"
-        wanted = set(tx_ids)
-        cur = self.blocks[block_id]
-        while not self._on_chain(cur):
-            if not wanted.isdisjoint(cur.tx_ids):
-                return True
-            cur = self.blocks[cur.parent]
-        junction = cur.height
-        get = self.chain_txs.get
-        return any(get(tx_id, junction + 1) <= junction for tx_id in wanted)
 
     def chain_ids(self) -> list[Identifier]:
         """Block ids from genesis to tail."""

@@ -23,17 +23,6 @@ from chainsim.storage import Block, new_block, new_transaction
 from conftest import make_cfg
 
 
-def naive_ancestry_holds_any(tracker, block_id, tx_ids):
-    """Reference for `ChainTracker.ancestry_holds_any`: walk to genesis."""
-    txs = set()
-    cur = tracker.blocks[block_id]
-    while True:
-        txs.update(cur.tx_ids)
-        if cur.id == tracker.genesis.id:
-            return any(tx_id in txs for tx_id in tx_ids)
-        cur = tracker.blocks[cur.parent]
-
-
 GENESIS = Block(ZERO_ID, 0, ZERO_ID, 0)
 
 
@@ -167,23 +156,24 @@ def test_block_rejections():
     assert not validate_entity(registry, new_block(1, GENESIS.id, 1, txs[:4] + unknown, 0), cfg)
 
 
-def _forked_registry():
-    """genesis <- a1 <- {tail, sibling}: the two height-2 blocks tie, the tail has the smaller id."""
+def _chain_registry():
+    """genesis <- a1 <- tail, each block holding one finalized tx."""
     registry = Registry(GENESIS)
-    a1 = Block(Identifier(b"\xa1" * 32), 0, GENESIS.id, 1)
-    tail = Block(Identifier(b"\xb0" * 32), 0, a1.id, 2)
-    sibling = Block(Identifier(b"\xb1" * 32), 0, a1.id, 2)
-    for block in (a1, tail, sibling):
+    a1 = new_block(1, GENESIS.id, 1, _finalized_txs(registry, 1, start=100), created_at=0)
+    tail = new_block(1, a1.id, 2, _finalized_txs(registry, 1, start=101), created_at=0)
+    for block in (a1, tail):
         registry.tracker.add(block)
-    assert registry.tracker.tail == tail
-    return registry, a1, tail, sibling
+    return registry, a1, tail
 
 
-@pytest.mark.parametrize("parent_label", ["tail", "sibling"])
+@pytest.mark.parametrize("parent_label", ["genesis", "tail"])
 def test_block_taller_than_the_tail_approved(parent_label):
-    registry, _, tail, sibling = _forked_registry()
-    parent = {"tail": tail, "sibling": sibling}[parent_label]
-    blk = new_block(1, parent.id, 3, _finalized_txs(registry, 2), created_at=0)
+    # a block on the tail, be it genesis or the tail of a longer chain
+    if parent_label == "genesis":
+        registry, tail = Registry(GENESIS), GENESIS
+    else:
+        registry, _, tail = _chain_registry()
+    blk = new_block(1, tail.id, tail.height + 1, _finalized_txs(registry, 2), created_at=0)
     valid = validate_entity(registry, blk, make_cfg(block_size_min=2))
     assert valid
     assert decide(valid, malicious=False) == "approve"
@@ -191,7 +181,7 @@ def test_block_taller_than_the_tail_approved(parent_label):
 
 
 def test_block_below_the_tail_rejected():
-    registry, a1, _, _ = _forked_registry()
+    registry, a1, _ = _chain_registry()
     cfg = make_cfg(block_size_min=2)
     blk = new_block(1, a1.id, 2, _finalized_txs(registry, 2), created_at=0)
     valid = validate_entity(registry, blk, cfg)
@@ -205,46 +195,33 @@ def test_block_below_the_tail_rejected():
     assert validate_entity(lower, blk, cfg)
 
 
+@pytest.mark.parametrize("height", [2, 4])
+def test_block_on_the_tail_with_a_wrong_height_rejected(height):
+    registry, _, tail = _chain_registry()
+    blk = new_block(1, tail.id, height, _finalized_txs(registry, 2), created_at=0)
+    valid = validate_entity(registry, blk, make_cfg(block_size_min=2))
+    assert not valid
+    assert decide(valid, malicious=False) == "reject"
+    assert decide(valid, malicious=True) == "approve"
+
+
 def test_block_repeating_ancestor_tx_rejected():
+    # the parent is the tail, so its ancestry is the whole chain: a tx
+    # several blocks below the tail is a repeat too
     registry = Registry(GENESIS)
     cfg = make_cfg(block_size_min=2)
-    first = _finalized_txs(registry, 2)
-    parent = new_block(1, GENESIS.id, 1, first, created_at=0)
-    registry.tracker.add(parent)
-    again = new_block(1, parent.id, 2, [first[0]] + _finalized_txs(registry, 1, start=10), 0)
-    assert not validate_entity(registry, again, cfg)
-
-
-def test_ancestry_query_matches_naive_walk():
-    registry = Registry(GENESIS)
-    tx = {label: Identifier(bytes([k + 1]) * 32) for k, label in enumerate("abcdefgu")}
-
-    def add(parent, txs):
-        block = Block(Identifier(bytes([0xF0 + len(registry.tracker.blocks)]) * 32), 0,
-                      parent.id, parent.height + 1, tuple(tx[t] for t in txs))
-        registry.tracker.add(block)
-        return block
-
-    a1 = add(GENESIS, "a")
-    a2 = add(a1, "b")
-    a3 = add(a2, "c")
-    tail = add(a3, "d")
-    # a losing branch two blocks deep off a1; l2 repeats c, which sits
-    # above the junction on the chain
-    l2 = add(a1, "ec")
-    l3 = add(l2, "f")
-    assert registry.tracker.tail == tail
-    expected = {
-        l3.id: "acef", l2.id: "ace", a2.id: "ab", tail.id: "abcd", GENESIS.id: "",
-    }
-    for block_id, holds in expected.items():
-        for label in tx:
-            probes = [tx[label]], [tx["u"], tx[label]]
-            for probe in probes:
-                naive = naive_ancestry_holds_any(registry.tracker, block_id, probe)
-                assert naive == (label in holds)
-                assert registry.tracker.ancestry_holds_any(block_id, probe) == naive
-    assert not registry.tracker.ancestry_holds_any(l3.id, [])
+    deep = _finalized_txs(registry, 2)
+    tail = new_block(1, GENESIS.id, 1, deep, created_at=0)
+    registry.tracker.add(tail)
+    for height in range(2, 6):
+        txs = _finalized_txs(registry, 1, start=10 * height)
+        tail = new_block(1, tail.id, height, txs, created_at=0)
+        registry.tracker.add(tail)
+    fresh = _finalized_txs(registry, 2, start=100)
+    assert validate_entity(registry, new_block(1, tail.id, 6, fresh, 0), cfg)
+    for repeat in (*deep, tail.tx_ids[0]):
+        again = new_block(1, tail.id, 6, [fresh[0], repeat], 0)
+        assert not validate_entity(registry, again, cfg)
 
 
 def test_short_block_is_due_once_its_oldest_tx_has_waited_w():

@@ -196,9 +196,10 @@ def test_every_view_of_a_finalized_block_is_the_one_block(monkeypatch):
             holders = replica_holders(block.id, block.owner, sim.controllers,
                                       REPLICATION_FACTOR)
             assert all(sim.nodes[h].store.fetch(block.id) is block for h in holders)
-        # every node ends with the registry's tree and tail, and no orphan
+        # every node ends with the registry's chain, and no orphan
         for state in sim.nodes:
             assert state.tracker.blocks.keys() == registry.blocks.keys()
+            assert state.tracker.chain_ids() == registry.chain_ids()
             assert state.tracker.tail is registry.tail
             assert not state.tracker._orphans
 
@@ -326,10 +327,9 @@ def test_report_totals_passed_through():
 
 def test_report_fork_waste_and_counters():
     records = [_record("block", f"{i:02x}", i, height=1, size=5) for i in range(4)]
-    report = summarize(records, chain_block_count=1, reorgs=2, tx_retries=3,
-                       block_retries=4)
+    report = summarize(records, chain_block_count=1, tx_retries=3, block_retries=4)
     assert report.fork_waste == 0.75
-    assert (report.reorgs, report.tx_retries, report.block_retries) == (2, 3, 4)
+    assert (report.tx_retries, report.block_retries) == (3, 4)
 
 
 def record_timeouts(monkeypatch) -> list[tuple[ValidationRound, bool]]:

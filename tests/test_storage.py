@@ -11,6 +11,7 @@ from chainsim.identity import Identifier, ZERO_ID
 from chainsim.storage import (
     Block,
     ChainTracker,
+    ForkedChain,
     IdMismatch,
     ReplicaStore,
     Transaction,
@@ -151,30 +152,6 @@ def test_tail_follows_height():
     assert len(tracker.chain_txs) == 2
 
 
-def test_height_tie_breaks_by_smaller_id():
-    siblings = [_block(label, GENESIS) for label in ("x", "y", "z")]
-    winner = min(siblings, key=lambda i: int.from_bytes(i.id, "big"))
-    # the winner must not depend on arrival order
-    for ordering in (siblings, list(reversed(siblings))):
-        tracker = ChainTracker(GENESIS)
-        for block in ordering:
-            tracker.add(block)
-        assert tracker.tail == winner
-
-
-def test_reorg_rebuilds_chain_txs():
-    tracker = ChainTracker(GENESIS)
-    a = _block("a", GENESIS, ["t1"])
-    tracker.add(a)
-    b = _block("b", GENESIS, ["t2"])
-    c = _block("c", b, ["t3"])
-    tracker.add(b)
-    tracker.add(c)
-    assert tracker.tail == c
-    labels = {Identifier(hashlib.sha256(t.encode()).digest()) for t in ("t2", "t3")}
-    assert set(tracker.chain_txs) == labels
-
-
 def test_out_of_order_delivery_links_orphans():
     tracker = ChainTracker(GENESIS)
     a = _block("a", GENESIS)
@@ -216,47 +193,29 @@ class OwnTxs:
     def chained(self, tx_ids) -> None:
         self.on_chain.update(tx_ids)
 
-    def unchained(self, tx_ids) -> None:
-        self.on_chain.difference_update(tx_ids)
-
 
 @st.composite
-def block_arrivals(draw):
-    """A random block tree over GENESIS (each height its parent's plus one),
-    delivered in a random order that may repeat blocks.  A block holds
-    any owner's txs, as a proposer's block does."""
-    count = draw(st.integers(1, 12))
-    # the id order decides height ties, so let it vary independently of shape
-    ranks = draw(st.permutations(range(count)))
-    blocks: list[Block] = []
-    for i in range(count):
-        parent = draw(st.sampled_from([GENESIS] + blocks))
+def chain_arrivals(draw):
+    """A random chain over GENESIS, delivered in a random order that may
+    repeat blocks.  A block holds any owner's txs, as a proposer's block
+    does, and may repeat a tx of a block below it."""
+    chain = [GENESIS]
+    for i in range(draw(st.integers(1, 12))):
         owner = draw(st.sampled_from(OWNERS))
         tx_ids = draw(st.lists(st.sampled_from(TX_POOL), max_size=3))
-        ident = bytes([ranks[i] + 1]) + _tx_id(f"block-{i}")[1:]
-        blocks.append(Block(ident, owner, parent.id, parent.height + 1, tuple(tx_ids)))
+        chain.append(Block(_tx_id(f"block-{i}"), owner, chain[-1].id, i + 1, tuple(tx_ids)))
+    blocks = chain[1:]
     repeats = draw(st.lists(st.sampled_from(blocks), max_size=3))
     return draw(st.permutations(blocks + repeats))
 
 
 def _oracle_chain(added: list[Block]) -> list[Block]:
-    """Genesis to tail, from scratch: the best block reachable from genesis
-    (greatest height, then smaller numeric id), walked back to genesis."""
-    by_id = {GENESIS.id: GENESIS, **{block.id: block for block in added}}
-
-    def linked(block):
-        while block.id != GENESIS.id:
-            if block.parent not in by_id:
-                return False
-            block = by_id[block.parent]
-        return True
-
-    tail = min((block for block in by_id.values() if linked(block)),
-               key=lambda block: (-block.height, int.from_bytes(block.id, "big")))
-    chain = [tail]
-    while chain[-1].id != GENESIS.id:
-        chain.append(by_id[chain[-1].parent])
-    chain.reverse()
+    """Genesis to tail, from scratch: the blocks added so far that link to
+    genesis through blocks added so far."""
+    by_parent = {block.parent: block for block in added}
+    chain = [GENESIS]
+    while chain[-1].id in by_parent:
+        chain.append(by_parent[chain[-1].id])
     return chain
 
 
@@ -270,17 +229,7 @@ def _oracle_txs(chain: list[Block], owner=None) -> dict:
     return txs
 
 
-def _naive_ancestry(tracker: ChainTracker, block_id: Identifier) -> set:
-    txs = set()
-    cur = tracker.blocks[block_id]
-    while True:
-        txs.update(cur.tx_ids)
-        if cur.id == GENESIS.id:
-            return txs
-        cur = tracker.blocks[cur.parent]
-
-
-@given(arrivals=block_arrivals())
+@given(arrivals=chain_arrivals())
 def test_incremental_index_matches_from_scratch_oracle(arrivals):
     full = ChainTracker(GENESIS)
     scoped = {owner: ChainTracker(GENESIS) for owner in OWNERS}
@@ -298,29 +247,52 @@ def test_incremental_index_matches_from_scratch_oracle(arrivals):
             assert tracker.chain_ids() == [b.id for b in chain]
             assert tracker.chain_txs == _oracle_txs(chain, owner)
             assert tracker.listener.on_chain == set(tracker.chain_txs)
-        for block_id in full.blocks:
-            ancestry = _naive_ancestry(full, block_id)
-            for tx_id in TX_POOL:
-                assert full.ancestry_holds_any(block_id, [tx_id]) == (tx_id in ancestry)
 
 
-def test_ancestry_query_refused_by_owner_scoped_tracker():
-    tracker = ChainTracker(GENESIS)
-    tracker.listener = OwnTxs(0)
-    with pytest.raises(AssertionError):
-        tracker.ancestry_holds_any(GENESIS.id, [_tx_id("t1")])
+def _trackers():
+    """A registry tracker and a listener tracker."""
+    scoped = ChainTracker(GENESIS)
+    scoped.listener = OwnTxs(0)
+    return ChainTracker(GENESIS), scoped
 
 
-def test_reorg_keeps_tx_shared_with_common_prefix():
-    # t1 sits in both a (height 1, kept) and b (height 2, cut by the reorg)
-    tracker = ChainTracker(GENESIS)
+@pytest.mark.parametrize("late", [False, True], ids=["linked", "orphan"])
+def test_block_off_the_tail_raises_forked_chain(late):
     a = _block("a", GENESIS, ["t1"])
-    b = _block("b", a, ["t1", "t2"])
-    tracker.add(a)
-    tracker.add(b)
-    rival = _block("rival-b", a, ["t3"])
-    longer = _block("rival-c", rival, ["t4"])
-    tracker.add(rival)
-    tracker.add(longer)
-    assert tracker.chain_ids() == [GENESIS.id, a.id, rival.id, longer.id]
-    assert tracker.chain_txs == {_tx_id("t1"): 1, _tx_id("t3"): 2, _tx_id("t4"): 3}
+    b = _block("b", a, ["t2"])
+    rival = _block("rival", a, ["t3"])     # a's second child
+    for tracker in _trackers():
+        if late:
+            # both children wait for a, and link once it arrives
+            tracker.add(b)
+            tracker.add(rival)
+            assert not tracker.chain_txs
+        else:
+            tracker.add(a)
+            tracker.add(b)
+        with pytest.raises(ForkedChain):
+            tracker.add(a if late else rival)
+        assert tracker.chain_ids()[:2] == [GENESIS.id, a.id]
+        assert tracker.chain[2] in (b, rival) and len(tracker.chain) == 3
+
+
+def test_a_block_on_the_tail_with_a_wrong_height_raises_forked_chain():
+    a = _block("a", GENESIS)
+    tall = Block(_tx_id("tall"), 0, a.id, a.height + 2)
+    for tracker in _trackers():
+        tracker.add(a)
+        with pytest.raises(ForkedChain):
+            tracker.add(tall)
+        assert tracker.tail == a
+
+
+def test_bogus_parent_block_waits_off_the_chain():
+    bogus = Block(_tx_id("bogus"), 0, _tx_id("no-such-block"), 1, (TX_POOL[0],))
+    a = _block("a", GENESIS)
+    for tracker in _trackers():
+        tracker.add(bogus)
+        tracker.add(a)
+        assert tracker._orphans == {bogus.parent: [bogus]}
+        assert tracker.chain_ids() == [GENESIS.id, a.id]
+        assert bogus.id not in tracker.blocks
+        assert TX_POOL[0] not in tracker.chain_txs
