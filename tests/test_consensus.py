@@ -23,6 +23,16 @@ from chainsim.storage import Block, new_block, new_transaction
 from conftest import make_cfg
 
 
+def naive_ancestry(tracker, block_id):
+    """Reference for the txs in `ChainTracker.chain_txs`: walk to genesis."""
+    txs = set()
+    cur = tracker.blocks[block_id]
+    while cur.id != tracker.genesis.id:
+        txs.update(cur.tx_ids)
+        cur = tracker.blocks[cur.parent]
+    return txs
+
+
 GENESIS = Block(ZERO_ID, 0, ZERO_ID, 0)
 
 
@@ -222,6 +232,29 @@ def test_block_repeating_ancestor_tx_rejected():
     for repeat in (*deep, tail.tx_ids[0]):
         again = new_block(1, tail.id, 6, [fresh[0], repeat], 0)
         assert not validate_entity(registry, again, cfg)
+
+
+def test_ancestry_query_matches_naive_walk():
+    # the repeat check asks `chain_txs`, the tail's whole ancestry; it must
+    # agree with a walk from the tail to genesis after every add, also when
+    # blocks arrive out of order and wait as orphans
+    registry = Registry(GENESIS)
+    tracker = registry.tracker
+    tx = {label: Identifier(bytes([k + 1]) * 32) for k, label in enumerate("abcdefgu")}
+    blocks, parent = [], GENESIS
+    for k, txs in enumerate(("a", "bc", "c", "d", "eb", "f")):
+        parent = Block(Identifier(bytes([0xF0 + k]) * 32), 0, parent.id,
+                       parent.height + 1, tuple(tx[t] for t in txs))
+        blocks.append(parent)
+    for k in (0, 2, 1, 5, 4, 3):
+        tracker.add(blocks[k])
+        naive = naive_ancestry(tracker, tracker.tail.id)
+        assert tracker.chain_txs.keys() == naive
+        for label in tx:
+            for probe in [tx[label]], [tx["u"], tx[label]]:
+                assert any(t in tracker.chain_txs for t in probe) == any(t in naive for t in probe)
+    assert tracker.tail == blocks[-1]
+    assert tracker.chain_txs.keys() == {tx[label] for label in "abcdef"}
 
 
 def test_short_block_is_due_once_its_oldest_tx_has_waited_w():
