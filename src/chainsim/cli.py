@@ -69,7 +69,6 @@ def print_summary(report) -> None:
     print(f"  minted total           : {report.total_minted}")
     print(f"  negative balance events: {report.negative_balance_events}")
     print(f"  max per-node stored    : {max(report.per_node_stored)}")
-    print(f"  max per-node tracked   : {report.max_node_tracked_blocks} blocks")
     print("  traffic by tag         : messages / bytes")
     for tag, messages in report.messages_by_tag.items():
         print(f"    {tag:<21}: {messages} / {report.bytes_by_tag[tag]}")

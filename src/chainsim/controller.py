@@ -27,6 +27,10 @@ Each part is in one place at a time, so with one builder per tail no tx
 reaches two blocks.  A finalized block whose parent never resolves (a
 bogus parent that malicious approvals let through) links nowhere, and its
 builder takes its parts back.
+
+A node keeps its chain tail, not a copy of the chain (the registry holds
+the one full chain), plus the blocks heard before their parent
+(`NodeState.hear`).
 """
 from __future__ import annotations
 
@@ -41,7 +45,6 @@ from .identity import Identifier, hash_bytes
 from .simnet import ContextCounters
 from .storage import (
     Block,
-    ChainTracker,
     ReplicaStore,
     Transaction,
     new_block,
@@ -61,10 +64,14 @@ class NodeState:
     malicious: bool
     rng_recipient: Random
     rng_corrupt: Random
-    tracker: ChainTracker
+    tail: Block   # the tallest block the node has linked to genesis
+    # blocks heard before their parent, by parent id, all taller than the tail
+    early: dict[Identifier, Block] = field(default_factory=dict)
     store: ReplicaStore = field(default_factory=ReplicaStore)
     tx_generated: int = 0   # also the seq of the node's next tx
-    own_finalized: dict[Identifier, int] = field(default_factory=dict)   # -> finalized_at
+    # the node's finalized txs -> finalized_at; nothing here reads it, only
+    # bench/tracing.py's pool-scan count
+    own_finalized: dict[Identifier, int] = field(default_factory=dict)
     # parts held, any owner's, as tx id -> finalized_at
     parts: dict[Identifier, int] = field(default_factory=dict)
     # the parts the open block try took
@@ -80,19 +87,23 @@ class NodeState:
     # span all of its tries; None between attempts
     block_round: ValidationRound | None = None
 
-    def __post_init__(self):
-        # the tracker indexes only the node's own txs, and reports them
-        # entering its chain through `chained`
-        self.tracker.listener = self
-
     def add_finalized(self, tx_id: Identifier, finalized_at: int) -> None:
         self.own_finalized[tx_id] = finalized_at
         self.parts[tx_id] = finalized_at
 
-    def chained(self, tx_ids) -> None:
-        # a copy the node still holds is no longer needed
-        for tx_id in tx_ids:
-            self.parts.pop(tx_id, None)
+    def hear(self, block: Block) -> None:
+        """Learn of a finalized block: one taller than the tail waits in
+        `early` for its parent, the tail advances while `early` holds a
+        child of it, and a buffered block the tail has passed is dropped."""
+        if block.height <= self.tail.height:
+            return
+        early = self.early
+        early[block.parent] = block
+        tail = self.tail
+        while tail.id in early:
+            tail = early.pop(tail.id)
+        self.tail = tail
+        self.early = {parent: blk for parent, blk in early.items() if blk.height > tail.height}
 
 
 def pending_pool(state: NodeState) -> list[tuple[int, Identifier]]:
@@ -123,7 +134,7 @@ def on_tx_timer(sim, state: NodeState) -> None:
         recipient += 1
     seq = state.tx_generated
     state.tx_generated += 1
-    prev = state.tracker.tail.id
+    prev = state.tail.id
     if state.malicious and state.rng_corrupt.random() < CORRUPTION_PROBABILITY:
         prev = _bogus_block_id(state, seq)
     tx = new_transaction(state.node_index, recipient, 1, prev, seq, created_at=sim.now)
@@ -141,7 +152,7 @@ def on_tx_result(sim, state: NodeState, tx: Transaction, tickets, approved: bool
     else:
         # rebuild with honest fields against the current tail and retry
         retry = new_transaction(
-            state.node_index, tx.recipient, 1, state.tracker.tail.id,
+            state.node_index, tx.recipient, 1, state.tail.id,
             tx.seq, tx.created_at, attempt=tx.attempt + 1,
         )
         sim.schedule_in(RETRY_DELAY_MS, lambda: sim.begin_tx_validation(state, retry, context))
@@ -163,7 +174,7 @@ def _settle(sim, state: NodeState) -> None:
     proposer forwards them all to that proposer; the proposer, with no
     block try open, builds once they reach `BLK_SIZE` or the oldest has
     waited `W`, and otherwise wakes up at that deadline."""
-    tail = state.tracker.tail
+    tail = state.tail
     if not state.parts or tail.height < state.wait_height:
         return
     proposer = proposer_of(sim, tail)
@@ -186,7 +197,7 @@ def start_block_attempt(sim, state: NodeState, failed: Block | None = None) -> N
     that keeps its creation time, so a short block stays due."""
     tx_ids = [tx_id for _, tx_id in pending_pool(state)]
     state.taken, state.parts = state.parts, {}
-    tail = state.tracker.tail
+    tail = state.tail
     prev = tail.id
     if failed is None:
         state.block_ctx_counter += 1
@@ -207,7 +218,7 @@ def on_block_result(sim, state: NodeState, block: Block, tickets, approved: bool
         sim.finalize(block, tickets, context)
         state.block_round = None
         taken, state.taken = state.taken, {}
-        if block.parent not in state.tracker.blocks:
+        if block.parent != state.tail.id:
             # a bogus parent: the block links nowhere, so its parts need another
             state.parts.update(taken)
         # the builder learns its block the way every other node does
@@ -222,7 +233,7 @@ def _retry_block(sim, state: NodeState, block: Block) -> None:
     tail's proposer; otherwise the attempt ends and the parts are settled."""
     state.parts.update(state.taken)
     state.taken = {}
-    tail = state.tracker.tail
+    tail = state.tail
     if tail.height >= state.wait_height and proposer_of(sim, tail) == state.node_index:
         start_block_attempt(sim, state, failed=block)
         return
@@ -231,5 +242,5 @@ def _retry_block(sim, state: NodeState, block: Block) -> None:
 
 
 def on_block_notify(sim, state: NodeState, block: Block) -> None:
-    state.tracker.add(block)
+    state.hear(block)
     _settle(sim, state)

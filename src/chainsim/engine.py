@@ -111,8 +111,6 @@ class SimulationReport:
     block_retries: int = 0
     # block validation rounds started: first tries that built a block, and retries
     block_rounds: int = 0
-    # the most blocks any one node's chain tracker holds
-    max_node_tracked_blocks: int = 0
     # txs that sit in more than one canonical-chain block
     repeated_chain_txs: int = 0
     # messages and bytes sent, by message tag
@@ -330,7 +328,7 @@ class Simulation:
                 malicious=i in malicious,
                 rng_recipient=substream(seed, "recipient", i),
                 rng_corrupt=substream(seed, "corrupt", i),
-                tracker=ChainTracker(self.genesis),
+                tail=self.genesis,
             )
             for i in range(n)
         ]
@@ -413,7 +411,7 @@ class Simulation:
         src = state.node_index
         size = PART_HEADER_BYTES + PART_TX_BYTES * len(parts)
         handler = partial(controller.on_parts, self, self.nodes[dst], parts,
-                          state.tracker.tail.height)
+                          state.tail.height)
         if dst in state.known:
             self.net.send(src, dst, TAG_PART, size, None, handler)
             return
@@ -511,7 +509,7 @@ class Simulation:
         approvals finalize such a block when SIG_THR <= m."""
         registry = self.registry
         if not (len(registry.finalized_txs) == self.expected_txs
-                and registry.finalized_txs.keys() <= registry.tracker.chain_txs.keys()):
+                and registry.finalized_txs.keys() <= registry.tracker.chain_txs):
             raise StalledSimulation(f"event queue empty at t={self.now} before termination")
         placed = Counter(tx_id for blk in registry.tracker.chain for tx_id in blk.tx_ids)
         self.repeated_chain_txs = sum(1 for n in placed.values() if n > 1)
@@ -520,6 +518,14 @@ class Simulation:
         self.overlay.check_invariants()
         self.ledger.check_conservation()
         self.net.check_accounting()
+        # each node's tail is on the registry chain, and its early buffer above it
+        chain = self.registry.tracker.chain
+        for state in self.nodes:
+            tail = state.tail
+            assert tail.height < len(chain) and chain[tail.height] is tail, (
+                f"node {state.node_index}'s tail at height {tail.height} is off the chain")
+            assert all(blk.height > tail.height for blk in state.early.values()), (
+                f"node {state.node_index} buffers a block at or below its tail")
 
     # -- main loop -------------------------------------------------------
 
@@ -573,7 +579,6 @@ class Simulation:
             tx_retries=self.tx_retries,
             block_retries=self.block_retries,
             block_rounds=sum(s.block_ctx_counter for s in self.nodes) + self.block_retries,
-            max_node_tracked_blocks=max(len(s.tracker.blocks) for s in self.nodes),
             repeated_chain_txs=self.repeated_chain_txs,
             messages_by_tag={tag: m for tag, (m, _) in traffic},
             bytes_by_tag={tag: b for tag, (_, b) in traffic},

@@ -1,5 +1,6 @@
 """Ledger entities, canonical serialization, per-node replica stores, and
-the append-only chain, whose trackers hold the finalized `Block`s themselves."""
+the registry's append-only chain, which holds the finalized `Block`s
+themselves."""
 from __future__ import annotations
 
 import struct
@@ -42,7 +43,8 @@ class Block:
     owner: int
     parent: Identifier
     height: int
-    # a tuple, so a block every tracker shares cannot change under them
+    # a tuple, so a block the registry, the nodes and the replica stores
+    # share cannot change under them
     tx_ids: tuple[Identifier, ...] = ()
     created_at: int = 0
     attempt: int = 0
@@ -131,60 +133,32 @@ class ForkedChain(Exception):
 
 
 class ChainTracker:
-    """The append-only chain of finalized blocks.
+    """The registry's append-only chain of finalized blocks.
 
     `chain` holds the blocks by height (genesis at 0), `blocks` holds them
-    by id, and `chain_txs` maps each transaction on the chain to the
-    lowest height of a block holding it.  Every block whose parent is
-    known extends the tail, or `ForkedChain` is raised.  A block whose
-    parent is not yet known waits in `_orphans` until the parent links
-    (notifications can arrive out of order); a bogus-parent block waits
-    there for good, off the chain.  A tracker with a `listener` (a node's
-    state) indexes only the listener's `own_finalized` txs, which is all a
-    node's pool asks about, and tells the listener which of them enter
-    `chain_txs`; the registry's tracker, with no listener, indexes every tx.
+    by id, and `chain_txs` holds every transaction on the chain.  Blocks
+    arrive in finalization order, so a block whose parent is not known has
+    a bogus parent and is left off the chain; every other block extends
+    the tail, or `ForkedChain` is raised.
     """
 
     def __init__(self, genesis: Block):
         self.genesis = genesis
-        self.listener = None
         self.blocks: dict[Identifier, Block] = {genesis.id: genesis}
         self.tail: Block = genesis
         self.chain: list[Block] = [genesis]
-        self.chain_txs: dict[Identifier, int] = {}
-        self._orphans: dict[Identifier, list[Block]] = {}
+        self.chain_txs: set[Identifier] = set()
 
     def add(self, blk: Block) -> None:
-        if blk.id in self.blocks:
+        if blk.id in self.blocks or blk.parent not in self.blocks:
             return
-        if blk.parent not in self.blocks:
-            self._orphans.setdefault(blk.parent, []).append(blk)
-            return
-        self._link(blk)
-        waiting = self._orphans.pop(blk.id, [])
-        while waiting:
-            child = waiting.pop()
-            if child.id not in self.blocks:   # a repeat may have waited twice
-                self._link(child)
-                waiting.extend(self._orphans.pop(child.id, []))
-
-    def _link(self, blk: Block) -> None:
         tail = self.tail
         if blk.parent != tail.id or blk.height != tail.height + 1:
             raise ForkedChain(blk, tail)
         self.blocks[blk.id] = blk
         self.chain.append(blk)
         self.tail = blk
-        if self.listener is None:
-            tx_ids = blk.tx_ids
-        else:
-            # the listener's own txs, which a block mixes with every other owner's
-            own = self.listener.own_finalized
-            tx_ids = [tx_id for tx_id in blk.tx_ids if tx_id in own]
-        for tx_id in tx_ids:
-            self.chain_txs.setdefault(tx_id, blk.height)
-        if tx_ids and self.listener is not None:
-            self.listener.chained(tx_ids)
+        self.chain_txs.update(blk.tx_ids)
 
     def chain_ids(self) -> list[Identifier]:
         """Block ids from genesis to tail."""

@@ -330,9 +330,10 @@ def test_malicious_approvals_at_sig_thr_repeat_no_chain_tx():
     sim = Simulation(cfg, seed=6)
     report = sim.run()
     assert report.finalized_tx_count == 6
-    assert sim.registry.tracker.chain_txs.keys() == sim.registry.finalized_txs.keys()
-    (orphans,) = sim.registry.tracker._orphans.values()
-    assert report.fork_waste > 0 and len(orphans) == 1
+    assert sim.registry.tracker.chain_txs == sim.registry.finalized_txs.keys()
+    off_chain = [r for r in sim.records if r.event_type == "block"
+                 and Identifier(bytes.fromhex(r.entity_id)) not in sim.registry.tracker.blocks]
+    assert report.fork_waste > 0 and len(off_chain) == 1
     assert report.repeated_chain_txs == 0
     print("ACCEPTANCE no repeated chain txs at SIG_THR <= m: PASS "
           f"(fork waste {report.fork_waste:.2f}, one bogus-parent block)")

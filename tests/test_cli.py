@@ -43,12 +43,12 @@ def test_happy_path_writes_csv(config_file, tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "simulation summary" in printed
     for label in ("fork waste", "tx / block retries",
-                  "  block rounds  ", "max per-node tracked",
+                  "  block rounds  ",
                   "  repeated chain txs     : 0\n",
                   "traffic by tag",
                   "    validate-request     : ", "    part                 : "):
         assert label in printed
-    assert "reorgs" not in printed
+    assert "reorgs" not in printed and "tracked" not in printed
 
 
 def test_missing_config_flag_is_usage_error(capsys):

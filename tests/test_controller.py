@@ -11,7 +11,7 @@ from chainsim.controller import NodeState, pending_pool
 from chainsim.engine import Simulation
 from chainsim.identity import Identifier, ZERO_ID, hash_bytes
 from chainsim.simnet import TAG_PART
-from chainsim.storage import Block, ChainTracker, new_block, new_transaction
+from chainsim.storage import Block, new_block, new_transaction
 from conftest import bare_simulation, make_cfg
 
 GENESIS = Block(ZERO_ID, 0, ZERO_ID, 0)
@@ -21,7 +21,7 @@ def make_state(index=0) -> NodeState:
     return NodeState(
         node_index=index, malicious=False,
         rng_recipient=random.Random(1), rng_corrupt=random.Random(2),
-        tracker=ChainTracker(GENESIS),
+        tail=GENESIS,
     )
 
 
@@ -59,17 +59,17 @@ def test_pool_excludes_chained_and_in_flight():
     sim = bare_simulation(block_size_min=1)
     proposer = proposer_state(sim)
     a, b, c = pool_txs(sim, proposer, 3)
-    # an own tx its chain gains leaves the parts the node holds
-    block = Block(Identifier(b"\x07" * 32), 0, sim.genesis.id, 1, (a,))
-    proposer.tracker.add(block)
-    assert proposer.tracker.chain_txs == {a: 1}
-    assert [tx for _, tx in pending_pool(proposer)] == [b, c]
-    # a block try takes the rest, which are then in flight in its round
-    proposer.tracker = ChainTracker(sim.genesis)
-    proposer.tracker.listener = proposer
+    # a block try takes every part, which are then in flight in its round
     controller.start_block_attempt(sim, proposer)
-    assert proposer.block_round.entity.tx_ids == (b, c)
-    assert proposer.taken.keys() == {b, c} and pending_pool(proposer) == []
+    round_ = proposer.block_round
+    block = round_.entity
+    assert block.tx_ids == (a, b, c)
+    assert proposer.taken.keys() == {a, b, c} and pending_pool(proposer) == []
+    # once the block is on the chain, its txs are neither parts nor in flight
+    controller.on_block_result(sim, proposer, block, tickets=[], approved=True,
+                               context=round_.context)
+    assert sim.registry.tracker.chain_txs == {a, b, c} and proposer.tail is block
+    assert not proposer.taken and pending_pool(proposer) == []
 
 
 def test_block_takes_the_whole_pool_once_it_reaches_blk_size():
@@ -165,7 +165,7 @@ def test_a_proposer_retries_its_attempt_until_the_tail_moves_on(monkeypatch):
     other = next(block for block in (
         Block(hash_bytes(b"other", bytes([i])), 5, sim.genesis.id, 1) for i in range(256))
         if controller.proposer_of(sim, block) != proposer.node_index)
-    proposer.tracker.add(other)
+    controller.on_block_notify(sim, proposer, other)
     round_ = proposer.block_round
     controller.on_block_result(sim, proposer, round_.entity, tickets=[], approved=False,
                                context=round_.context)
@@ -257,7 +257,7 @@ def test_the_old_proposer_forwards_its_parts_when_the_tail_moves(monkeypatch):
     # it waits for the new tail before acting on them, so nothing bounces back,
     # and then for the oldest one's deadline
     new = sim.nodes[next_proposer]
-    assert new.tracker.tail is block and new.parts.keys() == set(late)
+    assert new.tail is block and new.parts.keys() == set(late)
     assert [fire_time for fire_time, _, _ in sim._heap] == [new.wake_at]
     assert len(sent) == 1
 
@@ -317,7 +317,7 @@ def test_pool_matches_from_scratch_oracle_after_every_event(monkeypatch, overrid
     def checked_schedule_at(sim, fire_time, fn):
         def checked():
             fn()
-            places = Counter(sim.registry.tracker.chain_txs.keys())
+            places = Counter(sim.registry.tracker.chain_txs)
             for state in sim.nodes:
                 assert pending_pool(state) == sorted(
                     (t, tx_id) for tx_id, t in state.parts.items())
@@ -328,7 +328,7 @@ def test_pool_matches_from_scratch_oracle_after_every_event(monkeypatch, overrid
                 else:
                     assert not round_.done and set(round_.entity.tx_ids) == state.taken.keys()
                     places.update(state.taken.keys())
-                tail = state.tracker.tail
+                tail = state.tail
                 if state.parts and tail.height >= state.wait_height:
                     # a node holds parts only as its tail's proposer, below what is
                     # due or while its own try is open: fewer than BLK_SIZE, the

@@ -32,7 +32,7 @@ from chainsim.simnet import (
     ContextCounters,
     Network,
 )
-from chainsim.storage import DECISION_SILENT, Block, ChainTracker, Transaction, new_transaction
+from chainsim.storage import DECISION_SILENT, Block, Transaction, new_transaction
 from conftest import bare_simulation, make_cfg
 
 
@@ -131,7 +131,7 @@ def test_drain_leaves_every_finalized_tx_in_exactly_one_chain_block(cfg, seed):
     except StalledSimulation:
         return
     assert report.finalized_tx_count == cfg.nodes * cfg.transactions_per_node
-    assert sim.registry.tracker.chain_txs.keys() == sim.registry.finalized_txs.keys()
+    assert sim.registry.tracker.chain_txs == sim.registry.finalized_txs.keys()
     assert report.repeated_chain_txs == 0
     assert all(not s.parts and not s.taken for s in sim.nodes)
     # the run ends only when its event queue is empty
@@ -171,17 +171,16 @@ def test_replica_holders_resolvable_through_overlay():
 
 def test_every_view_of_a_finalized_block_is_the_one_block(monkeypatch):
     # the skewed run's slow messages deliver some block notifies before
-    # their parent's, so node trackers hold orphans and link them later
-    early = []   # node-tracker adds of a new block whose parent is unknown there
-    add = ChainTracker.add
+    # their parent's, so nodes buffer them in `early` and link them later
+    early = []   # notifies of a block taller than the node's tail and not on it
+    notify = controller.on_block_notify
 
-    def watched(tracker, blk):
-        if (tracker.listener is not None and blk.id not in tracker.blocks
-                and blk.parent not in tracker.blocks):
+    def watched(sim, state, blk):
+        if blk.height > state.tail.height and blk.parent != state.tail.id:
             early.append(blk)
-        add(tracker, blk)
+        notify(sim, state, blk)
 
-    monkeypatch.setattr(ChainTracker, "add", watched)
+    monkeypatch.setattr(controller, "on_block_notify", watched)
     plain = Simulation(make_cfg(nodes=8, transactions_per_node=4, block_size_min=3), seed=5)
     plain.run()
     skewed = skewed_latency_run(malicious_fraction=0.25, seed=9)
@@ -192,16 +191,30 @@ def test_every_view_of_a_finalized_block_is_the_one_block(monkeypatch):
         assert len(blocks) == sum(1 for r in sim.records if r.event_type == "block")
         for block in blocks:
             assert isinstance(block, Block) and isinstance(block.tx_ids, tuple)
-            assert all(state.tracker.blocks[block.id] is block for state in sim.nodes)
             holders = replica_holders(block.id, block.owner, sim.controllers,
                                       REPLICATION_FACTOR)
             assert all(sim.nodes[h].store.fetch(block.id) is block for h in holders)
-        # every node ends with the registry's chain, and no orphan
+        # every node ends on the registry's tail, with nothing buffered
         for state in sim.nodes:
-            assert state.tracker.blocks.keys() == registry.blocks.keys()
-            assert state.tracker.chain_ids() == registry.chain_ids()
-            assert state.tracker.tail is registry.tail
-            assert not state.tracker._orphans
+            assert state.tail is registry.tail
+            assert not state.early
+
+
+def test_invariant_check_covers_every_nodes_view_of_the_chain():
+    # each node's tail must be the registry's chain block at its height, and
+    # every block in its early buffer must sit above that tail
+    sim = Simulation(make_cfg(nodes=4, transactions_per_node=5, block_size_min=5), seed=1)
+    sim.run()
+    state, chain = sim.nodes[1], sim.registry.tracker.chain
+    assert state.tail is chain[-1] and len(chain) > 2
+    state.tail = replace(chain[1])   # an equal copy is not the chain's block
+    with pytest.raises(AssertionError, match="tail at height 1 is off the chain"):
+        sim.check_invariants()
+    state.tail = chain[1]
+    sim.check_invariants()   # a node may lag the registry
+    state.early = {chain[0].id: chain[1]}
+    with pytest.raises(AssertionError, match="buffers a block at or below its tail"):
+        sim.check_invariants()
 
 
 def test_each_call_is_followed_by_its_checks_and_its_owners_settle(monkeypatch):
@@ -419,17 +432,17 @@ def test_chain_indexes_match_the_chains_under_malice():
     assert any(s.malicious for s in sim.nodes)
     registry = sim.registry.tracker
     chain_txs = {tx for b in registry.chain_ids() for tx in registry.blocks[b].tx_ids}
-    assert set(registry.chain_txs) == chain_txs == set(sim.registry.finalized_txs)
+    assert registry.chain_txs == chain_txs == set(sim.registry.finalized_txs)
     for state in sim.nodes:
-        tracker = state.tracker
+        # the chain below each node's tail holds every tx the node finalized
         on_chain = set()
-        cur = tracker.tail
+        cur = state.tail
         while cur.id != sim.genesis.id:
             on_chain.update(cur.tx_ids)
-            cur = tracker.blocks[cur.parent]
+            cur = registry.blocks[cur.parent]
         own = {tx for tx in on_chain if tx in state.own_finalized}
         assert own
-        assert set(tracker.chain_txs) == own
+        assert own == state.own_finalized.keys()
 
 
 def test_traffic_by_tag_sums_to_the_totals_and_matches_every_send(monkeypatch):

@@ -64,18 +64,16 @@ def test_csv_digest_is_pinned_when_timeouts_fire(monkeypatch):
 
 
 @pytest.mark.parametrize("overrides, counters", [
-    # finalized blocks, chain blocks, tx retries, block retries, most
-    # blocks in one node's tracker
-    ({}, (28, 28, 0, 0, 29)),
-    ({"malicious_fraction": 0.25}, (20, 20, 72, 7, 21)),
+    # finalized blocks, chain blocks, tx retries, block retries
+    ({}, (28, 28, 0, 0)),
+    ({"malicious_fraction": 0.25}, (20, 20, 72, 7)),
 ], ids=["seed7", "malicious-seed7"])
 def test_report_counters_are_pinned(overrides, counters):
     cfg = make_cfg(nodes=16, transactions_per_node=10, block_size_min=5, **overrides)
     _, report = run_simulation(cfg, seed=7)
     finalized, chain = counters[:2]
     assert (report.finalized_block_count, report.chain_block_count,
-            report.tx_retries, report.block_retries,
-            report.max_node_tracked_blocks) == counters
+            report.tx_retries, report.block_retries) == counters
     assert report.fork_waste == pytest.approx((finalized - chain) / finalized)
 
 
@@ -91,8 +89,7 @@ def test_deadline_only_run_is_pinned():
         "d6112318bc6bf126189291e179c0e4099723c535f415c120f0b1aa11778ca920")
     assert (sim.events_processed, sim.now) == (5418, 7614)
     assert (report.finalized_block_count, report.chain_block_count,
-            report.tx_retries, report.block_retries,
-            report.max_node_tracked_blocks) == (3, 3, 42, 0, 4)
+            report.tx_retries, report.block_retries) == (3, 3, 42, 0)
     tracker, finalized_at = sim.registry.tracker, sim.registry.finalized_txs
     blocks = tracker.chain[1:]
     assert [len(block.tx_ids) for block in blocks] == [52, 42, 2]

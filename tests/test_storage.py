@@ -1,4 +1,5 @@
-"""Entity serialization, replica stores, and chain tracking."""
+"""Entity serialization, replica stores, the registry's chain and a node's
+view of it."""
 import hashlib
 import pathlib
 import random
@@ -7,6 +8,7 @@ import struct
 import pytest
 from hypothesis import given, strategies as st
 
+from chainsim.controller import NodeState
 from chainsim.identity import Identifier, ZERO_ID
 from chainsim.storage import (
     Block,
@@ -130,7 +132,7 @@ def test_fetch_after_store():
     assert store.fetch(Identifier(b"\x09" * 32)) is None
 
 
-# -- chain tracking -------------------------------------------------------
+# -- the registry's chain and a node's view of it ---------------------------
 
 
 def _block(label: str, parent: Block, tx_labels=()) -> Block:
@@ -140,6 +142,12 @@ def _block(label: str, parent: Block, tx_labels=()) -> Block:
 
 
 GENESIS = Block(ZERO_ID, 0, ZERO_ID, 0)
+
+
+def _node() -> NodeState:
+    """A node whose tail is GENESIS."""
+    return NodeState(node_index=0, malicious=False, rng_recipient=random.Random(1),
+                     rng_corrupt=random.Random(2), tail=GENESIS)
 
 
 def test_tail_follows_height():
@@ -153,16 +161,18 @@ def test_tail_follows_height():
 
 
 def test_out_of_order_delivery_links_orphans():
-    tracker = ChainTracker(GENESIS)
+    # a node may hear of a block before its parent: the block waits in
+    # `early` until the node's tail reaches its parent
+    node = _node()
     a = _block("a", GENESIS)
     b = _block("b", a)
     c = _block("c", b)
-    tracker.add(c)
-    tracker.add(b)
-    assert tracker.tail == GENESIS   # ancestors still unknown
-    tracker.add(a)
-    assert tracker.tail == c
-    assert tracker.chain_ids() == [GENESIS.id, a.id, b.id, c.id]
+    node.hear(c)
+    node.hear(b)
+    assert node.tail == GENESIS   # ancestors still unknown
+    assert node.early == {a.id: b, b.id: c}
+    node.hear(a)
+    assert node.tail == c and not node.early
 
 
 def test_duplicate_add_is_ignored():
@@ -178,32 +188,16 @@ def _tx_id(label: str) -> Identifier:
 
 
 TX_POOL = [_tx_id(f"pool-{k}") for k in range(6)]
-OWNERS = (0, 1)
-TX_OWNER = {tx_id: OWNERS[k % len(OWNERS)] for k, tx_id in enumerate(TX_POOL)}
-
-
-class OwnTxs:
-    """A tracker listener standing for one owner's node: it holds the
-    owner's txs and follows which of them are on the tracker's chain."""
-
-    def __init__(self, owner: int):
-        self.own_finalized = {tx_id: 0 for tx_id in TX_POOL if TX_OWNER[tx_id] == owner}
-        self.on_chain = set()
-
-    def chained(self, tx_ids) -> None:
-        self.on_chain.update(tx_ids)
 
 
 @st.composite
 def chain_arrivals(draw):
     """A random chain over GENESIS, delivered in a random order that may
-    repeat blocks.  A block holds any owner's txs, as a proposer's block
-    does, and may repeat a tx of a block below it."""
+    repeat blocks.  A block may repeat a tx of a block below it."""
     chain = [GENESIS]
     for i in range(draw(st.integers(1, 12))):
-        owner = draw(st.sampled_from(OWNERS))
         tx_ids = draw(st.lists(st.sampled_from(TX_POOL), max_size=3))
-        chain.append(Block(_tx_id(f"block-{i}"), owner, chain[-1].id, i + 1, tuple(tx_ids)))
+        chain.append(Block(_tx_id(f"block-{i}"), 0, chain[-1].id, i + 1, tuple(tx_ids)))
     blocks = chain[1:]
     repeats = draw(st.lists(st.sampled_from(blocks), max_size=3))
     return draw(st.permutations(blocks + repeats))
@@ -219,80 +213,74 @@ def _oracle_chain(added: list[Block]) -> list[Block]:
     return chain
 
 
-def _oracle_txs(chain: list[Block], owner=None) -> dict:
-    """The chain's txs, or one owner's, whoever built their blocks."""
-    txs = {}
-    for block in chain:
-        for tx_id in block.tx_ids:
-            if owner is None or TX_OWNER[tx_id] == owner:
-                txs.setdefault(tx_id, block.height)
-    return txs
-
-
 @given(arrivals=chain_arrivals())
 def test_incremental_index_matches_from_scratch_oracle(arrivals):
-    full = ChainTracker(GENESIS)
-    scoped = {owner: ChainTracker(GENESIS) for owner in OWNERS}
-    for owner, tracker in scoped.items():
-        tracker.listener = OwnTxs(owner)
+    # a node hears the blocks in any order; the registry gets them in
+    # chain order, as they finalize; either may get a block twice
+    node = _node()
     for step, block in enumerate(arrivals):
-        for tracker in (full, *scoped.values()):
-            tracker.add(block)
-        chain = _oracle_chain(arrivals[:step + 1])
-        assert full.tail == chain[-1]
-        assert full.chain_ids() == [b.id for b in chain]
-        assert full.chain_txs == _oracle_txs(chain)
-        for owner, tracker in scoped.items():
-            assert tracker.tail == chain[-1]
-            assert tracker.chain_ids() == [b.id for b in chain]
-            assert tracker.chain_txs == _oracle_txs(chain, owner)
-            assert tracker.listener.on_chain == set(tracker.chain_txs)
+        node.hear(block)
+        heard = arrivals[:step + 1]
+        assert node.tail == _oracle_chain(heard)[-1]
+        assert node.early == {b.parent: b for b in heard if b.height > node.tail.height}
+    registry = ChainTracker(GENESIS)
+    in_order = sorted(arrivals, key=lambda b: b.height)
+    for step, block in enumerate(in_order):
+        registry.add(block)
+        chain = _oracle_chain(in_order[:step + 1])
+        assert registry.tail == chain[-1]
+        assert registry.chain_ids() == [b.id for b in chain]
+        assert registry.chain_txs == {tx_id for b in chain for tx_id in b.tx_ids}
 
 
-def _trackers():
-    """A registry tracker and a listener tracker."""
-    scoped = ChainTracker(GENESIS)
-    scoped.listener = OwnTxs(0)
-    return ChainTracker(GENESIS), scoped
-
-
-@pytest.mark.parametrize("late", [False, True], ids=["linked", "orphan"])
-def test_block_off_the_tail_raises_forked_chain(late):
+def test_block_off_the_tail_raises_forked_chain():
     a = _block("a", GENESIS, ["t1"])
     b = _block("b", a, ["t2"])
     rival = _block("rival", a, ["t3"])     # a's second child
-    for tracker in _trackers():
-        if late:
-            # both children wait for a, and link once it arrives
-            tracker.add(b)
-            tracker.add(rival)
-            assert not tracker.chain_txs
-        else:
-            tracker.add(a)
-            tracker.add(b)
-        with pytest.raises(ForkedChain):
-            tracker.add(a if late else rival)
-        assert tracker.chain_ids()[:2] == [GENESIS.id, a.id]
-        assert tracker.chain[2] in (b, rival) and len(tracker.chain) == 3
+    tracker = ChainTracker(GENESIS)
+    tracker.add(a)
+    tracker.add(b)
+    with pytest.raises(ForkedChain):
+        tracker.add(rival)
+    assert tracker.chain == [GENESIS, a, b]
 
 
 def test_a_block_on_the_tail_with_a_wrong_height_raises_forked_chain():
     a = _block("a", GENESIS)
     tall = Block(_tx_id("tall"), 0, a.id, a.height + 2)
-    for tracker in _trackers():
-        tracker.add(a)
-        with pytest.raises(ForkedChain):
-            tracker.add(tall)
-        assert tracker.tail == a
+    tracker = ChainTracker(GENESIS)
+    tracker.add(a)
+    with pytest.raises(ForkedChain):
+        tracker.add(tall)
+    assert tracker.tail == a
+
+
+BOGUS = Block(_tx_id("bogus"), 0, _tx_id("no-such-block"), 2, (TX_POOL[0],))
 
 
 def test_bogus_parent_block_waits_off_the_chain():
-    bogus = Block(_tx_id("bogus"), 0, _tx_id("no-such-block"), 1, (TX_POOL[0],))
+    # the registry leaves a block whose parent it does not know off the
+    # chain; a node holds it in `early` while its tail is below it
     a = _block("a", GENESIS)
-    for tracker in _trackers():
-        tracker.add(bogus)
-        tracker.add(a)
-        assert tracker._orphans == {bogus.parent: [bogus]}
-        assert tracker.chain_ids() == [GENESIS.id, a.id]
-        assert bogus.id not in tracker.blocks
-        assert TX_POOL[0] not in tracker.chain_txs
+    registry, node = ChainTracker(GENESIS), _node()
+    for block in (BOGUS, a):
+        registry.add(block)
+        node.hear(block)
+    assert registry.chain_ids() == [GENESIS.id, a.id]
+    assert BOGUS.id not in registry.blocks
+    assert TX_POOL[0] not in registry.chain_txs
+    assert node.tail == a and node.early == {BOGUS.parent: BOGUS}
+
+
+def test_a_bogus_parent_block_is_dropped_once_the_tail_passes_its_height():
+    # the chain is append-only, so a block at or below the tail can never
+    # link: a node drops it rather than hold it for the rest of the run
+    a = _block("a", GENESIS)
+    b = _block("b", a)
+    node = _node()
+    node.hear(BOGUS)
+    node.hear(a)
+    node.hear(b)
+    assert node.tail == b and not node.early
+    node.hear(BOGUS)
+    assert not node.early
