@@ -64,9 +64,7 @@ class NodeState:
     malicious: bool
     rng_recipient: Random
     rng_corrupt: Random
-    tail: Block   # the tallest block the node has linked to genesis
-    # blocks heard before their parent, by parent id, all taller than the tail
-    early: dict[Identifier, Block] = field(default_factory=dict)
+    tail: Block   # the tallest chain block the node has heard of
     store: ReplicaStore = field(default_factory=ReplicaStore)
     tx_generated: int = 0   # also the seq of the node's next tx
     # the node's finalized txs -> finalized_at; nothing here reads it, only
@@ -92,19 +90,9 @@ class NodeState:
         self.parts[tx_id] = finalized_at
 
     def hear(self, block: Block) -> None:
-        """Learn of a finalized block: one taller than the tail waits in
-        `early` for its parent, the tail advances while `early` holds a
-        child of it, and a buffered block the tail has passed is dropped."""
-        if block.height <= self.tail.height:
-            return
-        early = self.early
-        early[block.parent] = block
-        tail = self.tail
-        while tail.id in early:
-            tail = early.pop(tail.id)
-        self.tail = tail
-        self.early = {parent: blk for parent, blk in early.items() if blk.height > tail.height}
-
+        """Learn of a chain block: the node's tail is the tallest it has heard of."""
+        if block.height > self.tail.height:
+            self.tail = block
 
 def pending_pool(state: NodeState) -> list[tuple[int, Identifier]]:
     """The parts the node holds as (finalized_at, tx id), oldest first (ties by id)."""
@@ -218,11 +206,13 @@ def on_block_result(sim, state: NodeState, block: Block, tickets, approved: bool
         sim.finalize(block, tickets, context)
         state.block_round = None
         taken, state.taken = state.taken, {}
-        if block.parent != state.tail.id:
+        if block.parent == state.tail.id:
+            # the builder learns its block the way every other node does
+            on_block_notify(sim, state, block)
+        else:
             # a bogus parent: the block links nowhere, so its parts need another
             state.parts.update(taken)
-        # the builder learns its block the way every other node does
-        on_block_notify(sim, state, block)
+            _settle(sim, state)
         return
     _retry_block(sim, state, block)
 

@@ -486,8 +486,9 @@ class Simulation:
         for holder in holders[1:]:
             self.net.send(owner, holder, TAG_NOTIFY, payload_size, context,
                           handler=partial(self._store_replica, holder, entity, context))
-        if is_block:
-            # the proposer knows each part's owner from its part message
+        if is_block and entity.parent == self.nodes[owner].tail.id:
+            # only a chain block is announced: its builder knows that a bogus
+            # parent is not its tail, and each part's owner from its part message
             owner_of = self.registry.owner_of
             owned = Counter(owner_of[tx_id] for tx_id in entity.tx_ids)
             for other in self.nodes:
@@ -518,14 +519,12 @@ class Simulation:
         self.overlay.check_invariants()
         self.ledger.check_conservation()
         self.net.check_accounting()
-        # each node's tail is on the registry chain, and its early buffer above it
+        # each node's tail is on the registry chain
         chain = self.registry.tracker.chain
         for state in self.nodes:
             tail = state.tail
             assert tail.height < len(chain) and chain[tail.height] is tail, (
                 f"node {state.node_index}'s tail at height {tail.height} is off the chain")
-            assert all(blk.height > tail.height for blk in state.early.values()), (
-                f"node {state.node_index} buffers a block at or below its tail")
 
     # -- main loop -------------------------------------------------------
 

@@ -171,20 +171,22 @@ def test_replica_holders_resolvable_through_overlay():
 
 def test_every_view_of_a_finalized_block_is_the_one_block(monkeypatch):
     # the skewed run's slow messages deliver some block notifies before
-    # their parent's, so nodes buffer them in `early` and link them later
-    early = []   # notifies of a block taller than the node's tail and not on it
+    # their parent's, and a node takes such a block as its tail at once
+    ahead = []   # notifies of a block taller than the node's tail and not on it
     notify = controller.on_block_notify
 
     def watched(sim, state, blk):
-        if blk.height > state.tail.height and blk.parent != state.tail.id:
-            early.append(blk)
+        taller = blk.height > state.tail.height
+        if taller and blk.parent != state.tail.id:
+            ahead.append(blk)
         notify(sim, state, blk)
+        assert (state.tail is blk) == taller
 
     monkeypatch.setattr(controller, "on_block_notify", watched)
     plain = Simulation(make_cfg(nodes=8, transactions_per_node=4, block_size_min=3), seed=5)
     plain.run()
     skewed = skewed_latency_run(malicious_fraction=0.25, seed=9)
-    assert early
+    assert ahead
     for sim in (plain, skewed):
         registry = sim.registry.tracker
         blocks = [b for b in registry.blocks.values() if b is not sim.genesis]
@@ -194,15 +196,13 @@ def test_every_view_of_a_finalized_block_is_the_one_block(monkeypatch):
             holders = replica_holders(block.id, block.owner, sim.controllers,
                                       REPLICATION_FACTOR)
             assert all(sim.nodes[h].store.fetch(block.id) is block for h in holders)
-        # every node ends on the registry's tail, with nothing buffered
+        # every node ends on the registry's tail
         for state in sim.nodes:
             assert state.tail is registry.tail
-            assert not state.early
 
 
 def test_invariant_check_covers_every_nodes_view_of_the_chain():
-    # each node's tail must be the registry's chain block at its height, and
-    # every block in its early buffer must sit above that tail
+    # each node's tail must be the registry's chain block at its height
     sim = Simulation(make_cfg(nodes=4, transactions_per_node=5, block_size_min=5), seed=1)
     sim.run()
     state, chain = sim.nodes[1], sim.registry.tracker.chain
@@ -212,9 +212,6 @@ def test_invariant_check_covers_every_nodes_view_of_the_chain():
         sim.check_invariants()
     state.tail = chain[1]
     sim.check_invariants()   # a node may lag the registry
-    state.early = {chain[0].id: chain[1]}
-    with pytest.raises(AssertionError, match="buffers a block at or below its tail"):
-        sim.check_invariants()
 
 
 def test_each_call_is_followed_by_its_checks_and_its_owners_settle(monkeypatch):
@@ -544,8 +541,9 @@ def test_notify_and_announce_traffic_is_what_nodes_read(monkeypatch):
     blocks = [entity for entity in finalized if isinstance(entity, Block)]
     assert len(blocks) == report.finalized_block_count
     replicas = sum((holders - 1) * r.memory_bytes for r in sim.records)
+    chain = sim.registry.tracker.blocks
     headers = sum((n - 1) * 72 + 32 * sum(owner_of[tx_id] != blk.owner for tx_id in blk.tx_ids)
-                  for blk in blocks)
+                  for blk in blocks if blk.id in chain)
     assert report.bytes_by_tag[TAG_NOTIFY] == replicas + headers
     assert len(joins) == (holders - 1) * len(sim.records)
     assert all(path == holder_to_host for path, holder_to_host in joins)
@@ -555,6 +553,21 @@ def test_notify_and_announce_traffic_is_what_nodes_read(monkeypatch):
     hops = len(joins) + sum(max(0, len(path) - 1) for path in inserts)
     assert report.messages_by_tag[TAG_ANNOUNCE] == hops + len(replies)
     assert report.bytes_by_tag[TAG_ANNOUNCE] == 72 * hops + sum(replies)
+
+
+def test_an_off_chain_block_is_announced_to_nobody():
+    # SIG_THR 1 of 3 malicious nodes finalizes some bogus-parent blocks; each
+    # finalized entity goes to its two other replica holders, and only a
+    # chain block's notify goes to the n - 1 other nodes
+    cfg = make_cfg(nodes=10, transactions_per_node=4, block_size_min=2,
+                   malicious_fraction=0.3, validators_per_entity=2, signature_threshold=1)
+    sim = Simulation(cfg, seed=6)
+    report = sim.run()
+    assert report.chain_block_count < report.finalized_block_count
+    assert report.messages_by_tag[TAG_NOTIFY] == (
+        (REPLICATION_FACTOR - 1) * len(sim.records)
+        + (cfg.nodes - 1) * report.chain_block_count)
+    assert all(state.tail is sim.registry.tracker.tail for state in sim.nodes)
 
 
 @pytest.mark.parametrize("overrides, deadline_only", [

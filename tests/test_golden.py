@@ -19,7 +19,7 @@ GOLDEN = [
 ]
 
 # the skewed-latency run below; CI compares the installed script's CSV with it
-SKEWED_SEED_4_CSV_SHA256 = "d521163841c795a7fda141c1736683225cbd4a30fe71456d8abb5e2ae1f1cb97"
+SKEWED_SEED_4_CSV_SHA256 = "d7a272405ce1261790ee1a0ff6ff1b1c07c02d8cf2b9b4c0b7b90a15dc19b51c"
 
 
 # the ids name the run, not its digest, so a re-pinned digest keeps the test's name

@@ -160,19 +160,20 @@ def test_tail_follows_height():
     assert len(tracker.chain_txs) == 2
 
 
-def test_out_of_order_delivery_links_orphans():
-    # a node may hear of a block before its parent: the block waits in
-    # `early` until the node's tail reaches its parent
+def test_a_node_takes_the_tallest_block_it_hears_of():
+    # a notify can land before its parent's: the node takes the taller block
+    # at once, and a block at or below its tail changes nothing
     node = _node()
     a = _block("a", GENESIS)
     b = _block("b", a)
     c = _block("c", b)
-    node.hear(c)
     node.hear(b)
-    assert node.tail == GENESIS   # ancestors still unknown
-    assert node.early == {a.id: b, b.id: c}
-    node.hear(a)
-    assert node.tail == c and not node.early
+    assert node.tail == b
+    node.hear(c)
+    assert node.tail == c
+    for block in (a, b, c):
+        node.hear(block)
+        assert node.tail == c
 
 
 def test_duplicate_add_is_ignored():
@@ -215,14 +216,13 @@ def _oracle_chain(added: list[Block]) -> list[Block]:
 
 @given(arrivals=chain_arrivals())
 def test_incremental_index_matches_from_scratch_oracle(arrivals):
-    # a node hears the blocks in any order; the registry gets them in
-    # chain order, as they finalize; either may get a block twice
+    # a node hears the blocks in any order and ends each step on the tallest
+    # heard; the registry gets them in chain order, as they finalize; either
+    # may get a block twice
     node = _node()
     for step, block in enumerate(arrivals):
         node.hear(block)
-        heard = arrivals[:step + 1]
-        assert node.tail == _oracle_chain(heard)[-1]
-        assert node.early == {b.parent: b for b in heard if b.height > node.tail.height}
+        assert node.tail is max(arrivals[:step + 1], key=lambda b: b.height)
     registry = ChainTracker(GENESIS)
     in_order = sorted(arrivals, key=lambda b: b.height)
     for step, block in enumerate(in_order):
@@ -258,29 +258,13 @@ def test_a_block_on_the_tail_with_a_wrong_height_raises_forked_chain():
 BOGUS = Block(_tx_id("bogus"), 0, _tx_id("no-such-block"), 2, (TX_POOL[0],))
 
 
-def test_bogus_parent_block_waits_off_the_chain():
+def test_bogus_parent_block_stays_off_the_chain():
     # the registry leaves a block whose parent it does not know off the
-    # chain; a node holds it in `early` while its tail is below it
+    # chain, and its builder announces it to no node
     a = _block("a", GENESIS)
-    registry, node = ChainTracker(GENESIS), _node()
+    registry = ChainTracker(GENESIS)
     for block in (BOGUS, a):
         registry.add(block)
-        node.hear(block)
     assert registry.chain_ids() == [GENESIS.id, a.id]
     assert BOGUS.id not in registry.blocks
     assert TX_POOL[0] not in registry.chain_txs
-    assert node.tail == a and node.early == {BOGUS.parent: BOGUS}
-
-
-def test_a_bogus_parent_block_is_dropped_once_the_tail_passes_its_height():
-    # the chain is append-only, so a block at or below the tail can never
-    # link: a node drops it rather than hold it for the rest of the run
-    a = _block("a", GENESIS)
-    b = _block("b", a)
-    node = _node()
-    node.hear(BOGUS)
-    node.hear(a)
-    node.hear(b)
-    assert node.tail == b and not node.early
-    node.hear(BOGUS)
-    assert not node.early
