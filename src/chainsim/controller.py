@@ -7,9 +7,9 @@ a message, and only that node builds on that tail.  An owner hands each
 transaction it finalizes (its part) to the proposer of its own tail; any
 node that holds parts but is not its tail's proposer forwards them all to
 that proposer in one message, so parts follow the tail as it moves.  A
-part message carries its sender's tail height, and a node that has not
-yet reached it holds its parts until a notify brings it there, so parts
-do not bounce between a proposer and a node that has not heard of it.
+part message carries its sender's tail, which a receiver hears as it would
+a notify, so parts do not bounce between a proposer and a node that has
+not heard of it.
 
 The proposer builds one block from every part it holds once they reach
 `BLK_SIZE`, or once the oldest finalized `W` (`PART_WAIT_MS`) ago, and
@@ -25,12 +25,11 @@ for a height, and the chain is append-only.
 
 Each part is in one place at a time, so with one builder per tail no tx
 reaches two blocks.  A finalized block whose parent never resolves (a
-bogus parent that malicious approvals let through) links nowhere, and its
-builder takes its parts back.
+bogus parent that malicious approvals let through) links nowhere: its
+builder announces it to no node and takes its parts back.
 
-A node keeps its chain tail, not a copy of the chain (the registry holds
-the one full chain), plus the blocks heard before their parent
-(`NodeState.hear`).
+A node keeps one block of the chain, its tail: the tallest chain block it
+has heard of (`NodeState.hear`).  The registry holds the one full chain.
 """
 from __future__ import annotations
 
@@ -74,8 +73,6 @@ class NodeState:
     parts: dict[Identifier, int] = field(default_factory=dict)
     # the parts the open block try took
     taken: dict[Identifier, int] = field(default_factory=dict)
-    # the tallest tail a part's sender knew; parts wait until the node's is as tall
-    wait_height: int = 0
     # nodes this node has found by a routed search, so it sends to them directly
     known: set[int] = field(default_factory=set)
     # when the next wake-up to settle the parts fires; once past, none waits
@@ -149,11 +146,10 @@ def on_tx_result(sim, state: NodeState, tx: Transaction, tickets, approved: bool
 # -- parts and blocks ----------------------------------------------------
 
 
-def on_parts(sim, state: NodeState, parts: dict[Identifier, int], height: int) -> None:
-    """A part message lands: hold its parts, and wait for its sender's tail
-    height before acting on them if this node has not reached it."""
+def on_parts(sim, state: NodeState, parts: dict[Identifier, int], tail: Block) -> None:
+    """A part message lands: hold its parts, and hear its sender's tail."""
     state.parts.update(parts)
-    state.wait_height = max(state.wait_height, height)
+    state.hear(tail)
     _settle(sim, state)
 
 
@@ -162,10 +158,9 @@ def _settle(sim, state: NodeState) -> None:
     proposer forwards them all to that proposer; the proposer, with no
     block try open, builds once they reach `BLK_SIZE` or the oldest has
     waited `W`, and otherwise wakes up at that deadline."""
-    tail = state.tail
-    if not state.parts or tail.height < state.wait_height:
+    if not state.parts:
         return
-    proposer = proposer_of(sim, tail)
+    proposer = proposer_of(sim, state.tail)
     if proposer != state.node_index:
         parts, state.parts = state.parts, {}
         sim.send_parts(state, proposer, parts)
@@ -223,8 +218,7 @@ def _retry_block(sim, state: NodeState, block: Block) -> None:
     tail's proposer; otherwise the attempt ends and the parts are settled."""
     state.parts.update(state.taken)
     state.taken = {}
-    tail = state.tail
-    if tail.height >= state.wait_height and proposer_of(sim, tail) == state.node_index:
+    if proposer_of(sim, state.tail) == state.node_index:
         start_block_attempt(sim, state, failed=block)
         return
     state.block_round = None

@@ -57,9 +57,10 @@ ROUTE_MSG_BYTES = 72
 REPLY_MSG_BYTES = 41
 # an insert reply's entry for each neighbour: its id and its host's 8-byte index
 LINK_BYTES = ID_BYTES + 8
-# a part message: an 8-byte count and the sender's 8-byte tail height, then
-# each tx id with its 8-byte finalize time and its owner's 8-byte index
-PART_HEADER_BYTES = 16
+# a part message: an 8-byte count and the sender's tail (its id and 8-byte
+# height), then each tx id with its 8-byte finalize time and its owner's
+# 8-byte index
+PART_HEADER_BYTES = 8 + ID_BYTES + 8
 PART_TX_BYTES = ID_BYTES + 8 + 8
 # a block notify's header: the id, the parent and an 8-byte height
 NOTIFY_HEADER_BYTES = 2 * ID_BYTES + 8
@@ -404,14 +405,13 @@ class Simulation:
 
     def send_parts(self, state: NodeState, dst: int, parts: dict[Identifier, int]) -> None:
         """Send the `parts` node `state` holds to node `dst` in one message,
-        with the sender's tail height.  A node that has not yet found `dst`
+        with the sender's tail.  A node that has not yet found `dst`
         by a routed search (a validator search counts) sends it along one
         for dst's controller vertex, charged per hop like a validator search
         plus the parts; otherwise it sends it direct."""
         src = state.node_index
         size = PART_HEADER_BYTES + PART_TX_BYTES * len(parts)
-        handler = partial(controller.on_parts, self, self.nodes[dst], parts,
-                          state.tail.height)
+        handler = partial(controller.on_parts, self, self.nodes[dst], parts, state.tail)
         if dst in state.known:
             self.net.send(src, dst, TAG_PART, size, None, handler)
             return
@@ -470,9 +470,10 @@ class Simulation:
     def finalize(self, entity: Entity, tickets: list[ValidationTicket],
                  context: ContextCounters) -> None:
         """Finalize an approved entity on `context`, the counters of its
-        tx slot or block attempt.  A block's notify to each other node is
-        charged for the header and the ids of the block's txs that node
-        owns, all it reads; the handler hands over the block itself."""
+        tx slot or block attempt.  A chain block's notify to each other node
+        is charged for the header and the ids of the block's txs that node
+        owns, all it reads; the handler hands over the block itself.  A block
+        on a bogus parent is announced to no node."""
         self._note_progress()
         owner, is_block = entity.owner, isinstance(entity, Block)
         apply_finalization_fees(self.ledger, owner, tickets, self.cfg, is_block=is_block)

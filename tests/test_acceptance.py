@@ -24,7 +24,7 @@ from conftest import SAMPLE_CONFIG_TEXT
 
 DESK_SEED = 7
 DESK_SEED_7_CSV_SHA256 = "5f72b5ff49eb5d87c2b091fa16801cc8e9e992bbee1735e1be40257db56d98df"
-DESK_SEED_8_CSV_SHA256 = "3dde32426a67ac0c75f77517c4b106c0450a59635bf0145e4d98f119d2dbc4d6"
+DESK_SEED_8_CSV_SHA256 = "54e909587ba8943965765b1927dc25642fcaff44f7195e9d81fa2a99eb02cf6a"
 
 
 def desk_cfg(malicious=0.16) -> SimulationConfig:

@@ -107,7 +107,8 @@ def test_a_proposer_builds_a_short_block_once_its_oldest_part_has_waited_w():
     owner = sim.nodes[(proposer.node_index + 1) % len(sim.nodes)]
     late = pool_txs(sim, owner, 2, first_seq=1, holder=make_state(owner.node_index))
     sim.now = PART_WAIT_MS - 1
-    controller.on_parts(sim, proposer, {tx: owner.own_finalized[tx] for tx in late}, height=0)
+    controller.on_parts(sim, proposer, {tx: owner.own_finalized[tx] for tx in late},
+                         tail=sim.genesis)
     assert proposer.block_round is None and len(sim._heap) == 1
     sim.now, _, wake = heappop(sim._heap)
     wake()
@@ -133,7 +134,7 @@ def test_retry_after_a_rejected_round_takes_the_parts_held_since():
     held_since = pool_txs(sim, sim.nodes[3], 3, first_seq=10, holder=make_state(3))
     for tx_id in held_since:
         arrived[tx_id] = sim.nodes[3].own_finalized[tx_id]
-    controller.on_parts(sim, proposer, arrived, height=0)
+    controller.on_parts(sim, proposer, arrived, tail=sim.genesis)
     assert proposer.block_round is first and len(proposer.parts) == 3
     controller.on_block_result(sim, proposer, first.entity, tickets=[], approved=False,
                                context=first.context)
@@ -308,9 +309,9 @@ def test_pool_matches_from_scratch_oracle_after_every_event(monkeypatch, overrid
 
     on_parts = controller.on_parts
 
-    def watched_on_parts(sim, state, parts, height):
+    def watched_on_parts(sim, state, parts, tail):
         in_transit.remove(parts)
-        on_parts(sim, state, parts, height)
+        on_parts(sim, state, parts, tail)
 
     schedule_at = Simulation.schedule_at
 
@@ -328,12 +329,11 @@ def test_pool_matches_from_scratch_oracle_after_every_event(monkeypatch, overrid
                 else:
                     assert not round_.done and set(round_.entity.tx_ids) == state.taken.keys()
                     places.update(state.taken.keys())
-                tail = state.tail
-                if state.parts and tail.height >= state.wait_height:
+                if state.parts:
                     # a node holds parts only as its tail's proposer, below what is
                     # due or while its own try is open: fewer than BLK_SIZE, the
                     # oldest finalized less than W ago
-                    assert controller.proposer_of(sim, tail) == state.node_index
+                    assert controller.proposer_of(sim, state.tail) == state.node_index
                     assert round_ is not None or (
                         len(state.parts) < sim.cfg.block_size_min
                         and sim.now - min(state.parts.values()) < PART_WAIT_MS)

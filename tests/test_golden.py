@@ -13,7 +13,7 @@ from conftest import make_cfg
 
 GOLDEN = [
     ({}, 7, "3ea075927980c58dab4026d18c6ca11ff502af4bbd34f5db1da7aaa24042406e"),
-    ({}, 8, "d3336ebcd27677d212f225a729037025954a7078c2914cb5d330e3fcf0c095e2"),
+    ({}, 8, "890f4019050163008f1c4cab7386b5f2c0dbc07c35e5ac60b895e4981b24b84e"),
     ({"malicious_fraction": 0.25}, 7,
      "72886e32b15a08f3403c93c38c7176f0ac3b858793bd788365f6636bdee0d9df"),
 ]
@@ -36,7 +36,7 @@ def test_golden_run_ends_at_a_pinned_event_and_time():
     # so the run ends at its last handler call
     sim = Simulation(make_cfg(nodes=16, transactions_per_node=10, block_size_min=5), seed=7)
     sim.run()
-    assert (sim.events_processed, sim.now) == (3349, 12816)
+    assert (sim.events_processed, sim.now) == (3350, 12816)
 
 
 def test_csv_digest_is_pinned_when_timeouts_fire(monkeypatch):
