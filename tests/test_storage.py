@@ -259,8 +259,7 @@ BOGUS = Block(_tx_id("bogus"), 0, _tx_id("no-such-block"), 2, (TX_POOL[0],))
 
 
 def test_bogus_parent_block_stays_off_the_chain():
-    # the registry leaves a block whose parent it does not know off the
-    # chain, and its builder announces it to no node
+    # the registry leaves a block whose parent it does not know off the chain
     a = _block("a", GENESIS)
     registry = ChainTracker(GENESIS)
     for block in (BOGUS, a):
