@@ -160,9 +160,9 @@ def test_tail_follows_height():
     assert len(tracker.chain_txs) == 2
 
 
-def test_a_node_takes_the_tallest_block_it_hears_of():
+def test_out_of_order_delivery_links_orphans():
     # a notify can land before its parent's: the node takes the taller block
-    # at once, and a block at or below its tail changes nothing
+    # at once, without waiting for its ancestors
     node = _node()
     a = _block("a", GENESIS)
     b = _block("b", a)
@@ -267,3 +267,14 @@ def test_bogus_parent_block_stays_off_the_chain():
     assert registry.chain_ids() == [GENESIS.id, a.id]
     assert BOGUS.id not in registry.blocks
     assert TX_POOL[0] not in registry.chain_txs
+
+
+def test_a_bogus_parent_block_is_dropped_once_the_tail_passes_its_height():
+    # a block at or below the node's tail changes nothing, whatever its parent
+    a = _block("a", GENESIS)
+    b = _block("b", a)
+    node = _node()
+    node.hear(a)
+    node.hear(b)
+    node.hear(BOGUS)
+    assert node.tail == b
