@@ -3,16 +3,20 @@
 Level-0 is the full doubly linked list sorted by numeric id.  A vertex
 joins the level-l list of every vertex sharing the first l bits of its
 membership vector (the identifier bits read least-significant first), so
-higher lists are sparse random subsequences with long-range links.  Searches descend levels
-greedily and return the floor vertex (greatest id <= target), falling
-back to the global minimum.
+higher lists are sparse random subsequences with long-range links.  A
+search returns the floor vertex (greatest id <= target), falling back to
+the global minimum.
 
-A node hosts every vertex it inserted, and moving between its own
-vertices costs no message, so a routed search starts at the searcher's
-hosted vertex nearest below the target, and each owner the path reaches
-resumes it at that owner's own hosted vertex nearest below the target,
-when it hosts one: hops then grow with the log of the number of nodes,
-not of vertices.
+A node hosts every vertex it inserted and holds each one's links, and
+moving between its own vertices costs no message, so a search is greedy
+over the union of its owner's links: from the owner's hosted vertex
+nearest below the target it hops straight to the greatest vertex up to
+the target that any of the owner's vertices links to, whose owner goes
+on from its own hosted vertex nearest below the target.  Hops then grow
+with the log of the number of nodes, not of vertices.  An index of each
+owner's links to other owners' vertices, sorted and split at its hosted
+vertices (`Vertex.ahead`, `SkipGraph.lead`), makes each hop one
+bisection.
 
 An insert (`announce`) is one chain: the search to the floor, then the
 floor's owner walks the left side up every level, then the owner of the
@@ -24,7 +28,7 @@ with one message to its host (`join`), which links nothing.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from itertools import zip_longest
 
@@ -52,10 +56,11 @@ class DuplicateAnnouncement(OverlayError):
 
 class Vertex:
     """One overlay entry; `left[l]` and `right[l]` are its level-l neighbours,
-    and `prev_own` and `next_own` its owner's hosted vertices just below and
-    above it."""
+    `prev_own` and `next_own` its owner's hosted vertices just below and
+    above it, and `ahead` the sorted ids of the other owners' vertices that
+    its owner links to between it and `next_own`."""
     __slots__ = ("identifier", "owner", "kind", "announcers", "left", "right",
-                 "prev_own", "next_own")
+                 "prev_own", "next_own", "ahead")
 
     def __init__(self, identifier: Identifier, owner: int, kind: str, levels: int):
         self.identifier = identifier
@@ -66,6 +71,7 @@ class Vertex:
         self.right: list[Vertex | None] = [None] * levels
         self.prev_own: Vertex | None = None
         self.next_own: Vertex | None = None
+        self.ahead: list[Identifier] = []
 
 
 @dataclass(slots=True)
@@ -82,6 +88,10 @@ class SkipGraph:
         self.introducer: Vertex | None = None
         # owner -> sorted identifiers of the vertices it hosts (`Vertex.owner`)
         self.hosted: dict[int, list[Identifier]] = {}
+        # owner -> sorted ids of the other owners' vertices it links to below
+        # its smallest hosted vertex; the links above are in `Vertex.ahead`.
+        # A link counts once per (hosted vertex, linked vertex) pair.
+        self.lead: dict[int, list[Identifier]] = {}
 
     def __len__(self) -> int:
         return len(self.by_id)
@@ -99,6 +109,7 @@ class SkipGraph:
         vertex = Vertex(identifier, owner, kind, self.levels)
         if self.introducer is None:
             self.introducer = vertex
+            self._host(vertex)
             path = []
         else:
             # route from the owner's own vertex nearest below the target, as
@@ -106,8 +117,6 @@ class SkipGraph:
             # nothing yet, so it starts at the introducer
             start = self._home(owner, identifier) or self.introducer
             path = _prepend_owner(owner, self._insert(vertex, start))
-        self.by_id[identifier] = vertex
-        self._host(vertex)
         return path
 
     def join(self, identifier: Identifier, holder: int) -> list[int]:
@@ -131,7 +140,10 @@ class SkipGraph:
         return len({id(v) for v in vertex.left + vertex.right if v is not None})
 
     def _host(self, vertex: Vertex) -> None:
-        """Add `vertex` to its owner's sorted ids and own-vertex links."""
+        """Add `vertex` to `by_id`, its owner's sorted ids and own-vertex
+        links, and take over the owner's links above it from the index list
+        below it."""
+        self.by_id[vertex.identifier] = vertex
         ids = self.hosted.setdefault(vertex.owner, [])
         i = bisect_left(ids, vertex.identifier)
         ids.insert(i, vertex.identifier)
@@ -142,9 +154,28 @@ class SkipGraph:
             prev.next_own = vertex
         if nxt is not None:
             nxt.prev_own = vertex
+        below = prev.ahead if prev is not None else self.lead.setdefault(vertex.owner, [])
+        cut = bisect_right(below, vertex.identifier)
+        vertex.ahead = below[cut:]
+        del below[cut:]
+
+    def _index(self, a: Vertex, b: Vertex, update) -> None:
+        """Add (`update` is `insort`) or remove (`_discard`) the pair of
+        linked vertices `a` and `b` in both owners' index, when they differ.
+
+        Each side's list is the `ahead` of its owner's greatest hosted
+        vertex below the other id, else its owner's `lead`; `_resume` finds
+        that vertex from the side's own.
+        """
+        if a.owner != b.owner:
+            for near, far in ((a, b), (b, a)):
+                floor = self._resume(near, far.identifier)
+                update(floor.ahead if floor.identifier < far.identifier
+                       else self.lead[near.owner], far.identifier)
 
     def _insert(self, vertex: Vertex, start: Vertex) -> list[int]:
-        """Splice `vertex` in at every level and return the owners its
+        """Splice `vertex` in at every level, hosting it first (`_splice`
+        finds index lists from hosted vertices), and return the owners its
         insert chain visits, one entry per inter-owner hop.
 
         The chain is the search to the floor, then every left-level walk
@@ -166,6 +197,7 @@ class SkipGraph:
                                f"{floor.identifier.hex()[:12]}, not at its floor")
         lefts = self._walk(vertex, left, LEFT, path)
         rights = self._walk(vertex, right, RIGHT, path)
+        self._host(vertex)
         for level, (left, right) in enumerate(zip_longest(lefts, rights)):
             self._splice(vertex, level, left, right)
         return path
@@ -196,14 +228,31 @@ class SkipGraph:
                 cur = getattr(cur, side)[level - 1]
         return found
 
-    @staticmethod
-    def _splice(vertex: Vertex, level: int, left: Vertex | None, right: Vertex | None):
+    def _splice(self, vertex: Vertex, level: int, left: Vertex | None,
+                right: Vertex | None) -> None:
+        """Link `vertex` between `left` and `right`, adjacent on its level-`level`
+        list until now, and keep the index: a pair enters it when it first
+        links at some level and leaves it when it links at none.
+
+        `vertex` is new and spliced from level 0 up, and a vertex's
+        neighbour on a side is the same one a level up or a farther one, so
+        `left` (`right`) first links here unless it was `vertex`'s
+        neighbour a level below, and `left` and `right`, which `vertex`
+        now parts, still link only if they do a level above.
+        """
+        if left is not None and (level == 0 or vertex.left[level - 1] is not left):
+            self._index(vertex, left, insort)
+        if right is not None and (level == 0 or vertex.right[level - 1] is not right):
+            self._index(vertex, right, insort)
         vertex.left[level] = left
         vertex.right[level] = right
         if left is not None:
             left.right[level] = vertex
         if right is not None:
             right.left[level] = vertex
+            if left is not None and (level + 1 == self.levels
+                                     or left.right[level + 1] is not right):
+                self._index(left, right, _discard)
 
     # -- search ---------------------------------------------------------
 
@@ -211,12 +260,7 @@ class SkipGraph:
         """The owner's hosted vertex with the greatest id <= target, else its
         smallest one; None when it hosts nothing.  A search starts here,
         and every later owner on its path resumes at its own floor vertex
-        (`_resume`).
-
-        A start below the target only moves right, and `_search`'s
-        left-moving branch overshoots, so this floor beats the nearest
-        hosted vertex on either side.
-        """
+        (`_resume`)."""
         ids = self.hosted.get(owner)
         if not ids:
             return None
@@ -228,9 +272,6 @@ class SkipGraph:
         hosted vertex with the greatest id <= target, else `vertex` itself
         when it hosts none.
 
-        That vertex is never farther from the floor than `vertex`: it lies
-        between `vertex` and the target when `vertex` is below the target,
-        and below the target, where the floor is, when `vertex` is above.
         The owner's neighbouring vertices settle the common cases at once:
         `vertex` stays when it is below the target and its owner's next
         vertex is not, or when it is above and its owner hosts none below
@@ -252,39 +293,45 @@ class SkipGraph:
         return self.by_id[ids[i - 1]] if i else vertex
 
     def _search(self, start: Vertex, target: Identifier) -> tuple[Vertex, list[int]]:
-        """Floor vertex of `target` and the owners visited on the way.
+        """Floor vertex of `target` and the owners visited on the way, one
+        entry per inter-owner hop.
 
-        An owner is appended only when it differs from the previous one,
-        so the path comes out compressed: one entry per inter-owner hop.
-        Each owner reached resumes at its own vertex nearest below the
-        target (`_resume`), which costs no message.  Each level walks left
-        while above the target, then right while the next id is <= target;
-        a resume that lands below the target on the way left leaves that
-        level's right walk still to do.  (From above the target the right
-        walk cannot move: a level list is sorted.)
+        Each owner reached goes on from its own vertex nearest below the
+        target (`_resume`, which costs no message) and hops to the greatest
+        vertex in (that vertex, target] that any of its vertices links to:
+        the last such id in that vertex's `ahead`.  When there is none the
+        vertex is the floor, since its level-0 right neighbour is one of
+        its owner's links.  An owner that hosts nothing <= target hops to
+        its greatest link <= target, else to its smallest link, both in its
+        `lead`; with an empty `lead` its smallest vertex is the global
+        minimum.  Until the search reaches an owner with a vertex <= target,
+        each owner's smallest vertex lies below the last one's, and after
+        that each owner's floor lies above the last one's, so no owner
+        appears twice.
         """
-        cur = start
-        path = [start.owner]
-        for level in range(self.levels - 1, -1, -1):
-            if cur.identifier > target:
-                nxt = cur.left[level]
-                while cur.identifier > target and nxt is not None:
-                    cur = nxt
-                    if cur.owner != path[-1]:
-                        path.append(cur.owner)
-                        cur = self._resume(cur, target)
-                    nxt = cur.left[level]
-            nxt = cur.right[level]
-            while nxt is not None and nxt.identifier <= target:
-                cur = nxt
-                if cur.owner != path[-1]:
-                    path.append(cur.owner)
-                    # `_resume`'s first case, tested here without the call
-                    own = cur.next_own
-                    if own is not None and own.identifier <= target:
-                        cur = self._resume(cur, target)
-                nxt = cur.right[level]
-        return cur, path
+        by_id = self.by_id
+        cur = self._resume(start, target)
+        path = [cur.owner]
+        while True:
+            if cur.identifier <= target:
+                links = cur.ahead
+                i = bisect_right(links, target)
+                if not i:
+                    return cur, path
+                cur = by_id[links[i - 1]]
+                path.append(cur.owner)
+                # `_resume`'s first case, tested here without the call
+                own = cur.next_own
+                if own is not None and own.identifier <= target:
+                    cur = self._resume(cur, target)
+            else:
+                links = self.lead[cur.owner]
+                if not links:
+                    return by_id[self.hosted[cur.owner][0]], path
+                i = bisect_right(links, target)
+                cur = by_id[links[i - 1] if i else links[0]]
+                path.append(cur.owner)
+                cur = self._resume(cur, target)
 
     def search_num_id(self, start: int, target: Identifier) -> SearchResult:
         """Route from node `start`'s hosted vertex nearest below `target`."""
@@ -337,6 +384,20 @@ class SkipGraph:
                     assert right.identifier > vertex.identifier
                     assert membership_prefix_len(right.identifier, vertex.identifier) >= level
                     assert right.left[level] is vertex
+        # the link index holds each owner's distinct (hosted vertex, linked
+        # vertex of another owner) pairs, each bucket within its range
+        linked = {owner: [] for owner in self.hosted}
+        for vertex in self.by_id.values():
+            near = {id(v): v for v in vertex.left + vertex.right
+                    if v is not None and v.owner != vertex.owner}
+            linked[vertex.owner] += [v.identifier for v in near.values()]
+        for owner, ids in self.hosted.items():
+            buckets = [self.lead[owner]] + [self.by_id[i].ahead for i in ids]
+            assert [i for bucket in buckets for i in bucket] == sorted(linked[owner]), (
+                "link index differs from the links")
+            for low, bucket, high in zip([None] + ids, buckets, ids + [None]):
+                assert all((low is None or low < i) and (high is None or i < high)
+                           for i in bucket), "link index entry outside its bucket"
 
     def dump_lines(self) -> list[str]:
         lines = []
@@ -355,6 +416,10 @@ class SkipGraph:
 class UnknownStart(OverlayError):
     def __init__(self, address: int):
         super().__init__(f"node {address} hosts no vertex")
+
+
+def _discard(ids: list[Identifier], identifier: Identifier) -> None:
+    del ids[bisect_left(ids, identifier)]
 
 
 def _prepend_owner(owner: int, path: list[int]) -> list[int]:

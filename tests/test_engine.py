@@ -146,11 +146,11 @@ def test_stall_window_ends_a_livelock_at_a_pinned_point():
     cfg = make_cfg(nodes=11, transactions_per_node=5, inter_tx_delay_s=0, block_size_min=3,
                    malicious_fraction=0.447, validators_per_entity=5, signature_threshold=5)
     assert malicious_count(cfg) == 5
-    sim = Simulation(cfg, seed=208053, latency_samples=[5.0] * 249 + [300.0])
+    sim = Simulation(cfg, seed=208060, latency_samples=[5.0] * 249 + [300.0])
     with pytest.raises(StalledSimulation) as exc:
         sim.run()
-    assert str(exc.value) == "nothing generated or finalized since t=133285 (now t=183375)"
-    assert sim.events_processed == 163105
+    assert str(exc.value) == "nothing generated or finalized since t=142205 (now t=192250)"
+    assert sim.events_processed == 148979
     assert len(sim.registry.finalized_txs) == 54
 
 
@@ -561,7 +561,7 @@ def test_an_off_chain_block_is_announced_to_nobody():
     # chain block's notify goes to the n - 1 other nodes
     cfg = make_cfg(nodes=10, transactions_per_node=4, block_size_min=2,
                    malicious_fraction=0.3, validators_per_entity=2, signature_threshold=1)
-    sim = Simulation(cfg, seed=10)
+    sim = Simulation(cfg, seed=11)
     report = sim.run()
     assert report.chain_block_count < report.finalized_block_count
     assert report.messages_by_tag[TAG_NOTIFY] == (

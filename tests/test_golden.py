@@ -12,14 +12,14 @@ from chainsim.engine import Simulation, ValidationRound, run_simulation
 from conftest import make_cfg
 
 GOLDEN = [
-    ({}, 7, "3ea075927980c58dab4026d18c6ca11ff502af4bbd34f5db1da7aaa24042406e"),
-    ({}, 8, "890f4019050163008f1c4cab7386b5f2c0dbc07c35e5ac60b895e4981b24b84e"),
+    ({}, 7, "ecee05ce1da265298a10da77d12e88c240808bbc2dd84cd51c19ebdd3bde2808"),
+    ({}, 8, "db320b1a2ee9c8eec2fc8ca8bd16aeed895185e9e962c898eb0f58c9eeb0cfa3"),
     ({"malicious_fraction": 0.25}, 7,
-     "72886e32b15a08f3403c93c38c7176f0ac3b858793bd788365f6636bdee0d9df"),
+     "f33537639aa1da8405f112d7911cdf6fbf3b2d0eb0d5a00f80b18a47f960d28f"),
 ]
 
 # the skewed-latency run below; CI compares the installed script's CSV with it
-SKEWED_SEED_4_CSV_SHA256 = "d7a272405ce1261790ee1a0ff6ff1b1c07c02d8cf2b9b4c0b7b90a15dc19b51c"
+SKEWED_SEED_4_CSV_SHA256 = "d65672d41c7352bba6508c72bf2c451c4cc5f02ed57f60e67d18eed73638634c"
 
 
 # the ids name the run, not its digest, so a re-pinned digest keeps the test's name
@@ -36,7 +36,7 @@ def test_golden_run_ends_at_a_pinned_event_and_time():
     # so the run ends at its last handler call
     sim = Simulation(make_cfg(nodes=16, transactions_per_node=10, block_size_min=5), seed=7)
     sim.run()
-    assert (sim.events_processed, sim.now) == (3350, 12816)
+    assert (sim.events_processed, sim.now) == (3484, 12727)
 
 
 def test_csv_digest_is_pinned_when_timeouts_fire(monkeypatch):
@@ -65,8 +65,8 @@ def test_csv_digest_is_pinned_when_timeouts_fire(monkeypatch):
 
 @pytest.mark.parametrize("overrides, counters", [
     # finalized blocks, chain blocks, tx retries, block retries
-    ({}, (28, 28, 0, 0)),
-    ({"malicious_fraction": 0.25}, (20, 20, 72, 7)),
+    ({}, (31, 31, 0, 0)),
+    ({"malicious_fraction": 0.25}, (18, 18, 70, 11)),
 ], ids=["seed7", "malicious-seed7"])
 def test_report_counters_are_pinned(overrides, counters):
     cfg = make_cfg(nodes=16, transactions_per_node=10, block_size_min=5, **overrides)
@@ -86,17 +86,17 @@ def test_deadline_only_run_is_pinned():
                               malicious_fraction=0.16), seed=7)
     report = sim.run()
     assert hashlib.sha256(sim.csv_text().encode()).hexdigest() == (
-        "d6112318bc6bf126189291e179c0e4099723c535f415c120f0b1aa11778ca920")
-    assert (sim.events_processed, sim.now) == (5418, 7614)
+        "9758f602878f547096b19fa842a868c29cf70c811fd50abb574af7ef36af7146")
+    assert (sim.events_processed, sim.now) == (5262, 5973)
     assert (report.finalized_block_count, report.chain_block_count,
-            report.tx_retries, report.block_retries) == (3, 3, 42, 0)
+            report.tx_retries, report.block_retries) == (2, 2, 36, 2)
     tracker, finalized_at = sim.registry.tracker, sim.registry.finalized_txs
     blocks = tracker.chain[1:]
-    assert [len(block.tx_ids) for block in blocks] == [52, 42, 2]
+    assert [len(block.tx_ids) for block in blocks] == [71, 25]
     for block in blocks:
         assert block.owner == controller.proposer_of(sim, tracker.blocks[block.parent])
         assert block.created_at - min(finalized_at[tx_id] for tx_id in block.tx_ids) == (
             PART_WAIT_MS)
-    # the first block holds the parts of 31 owners
+    # the first block holds the parts of all 32 owners
     owner_of = sim.registry.owner_of
-    assert len({owner_of[tx_id] for tx_id in blocks[0].tx_ids}) == 31
+    assert len({owner_of[tx_id] for tx_id in blocks[0].tx_ids}) == 32

@@ -356,6 +356,77 @@ def test_every_search_returns_the_bisected_floor(seed, nodes, data):
     assert [v.identifier for v in graph.in_order()] == sorted_ids
 
 
+def owner_tables(graph: SkipGraph) -> dict:
+    """owner -> (its vertices, the other owners' vertices they link to),
+    each sorted by id, read from the vertices' `left` and `right` alone."""
+    tables = {}
+    for vertex in graph.in_order():
+        mine, _ = tables.setdefault(vertex.owner, ([], {}))
+        mine.append(vertex)
+    for owner, (mine, linked) in tables.items():
+        for vertex in mine:
+            linked.update((v.identifier, v) for v in vertex.left + vertex.right
+                          if v is not None and v.owner != owner)
+    return {owner: (mine, [linked[i] for i in sorted(linked)])
+            for owner, (mine, linked) in tables.items()}
+
+
+def reference_search(tables: dict, owner: int, target: Identifier):
+    """The search rule applied hop by hop: the floor and the owners visited.
+
+    An owner with vertices <= target hops from the greatest of them to the
+    greatest vertex in (it, target] that it links to, or ends there; one
+    without hops to its greatest link <= target, else to its smallest link
+    below its smallest vertex, or ends at that vertex, the global minimum.
+    """
+    path = [owner]
+    while True:
+        mine, linked = tables[path[-1]]
+        below = [v for v in mine if v.identifier <= target]
+        if below:
+            floor = below[-1].identifier
+            ahead = [v for v in linked if floor < v.identifier <= target]
+            if not ahead:
+                return below[-1], path
+            nxt = ahead[-1]
+        else:
+            at_or_below = [v for v in linked if v.identifier <= target]
+            if at_or_below:
+                nxt = at_or_below[-1]
+            elif mine[0].left[0] is None:
+                return mine[0], path
+            else:
+                nxt = linked[0]
+        path.append(nxt.owner)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**30), nodes=st.integers(2, 24), data=st.integers(0, 300))
+def test_every_search_path_is_the_reference_rule_hop_by_hop(seed, nodes, data):
+    # each hop bisects one list of the link index; the reference reads the
+    # owners' vertex tables instead, and both take the same hops from every
+    # owner, including owners that host nothing <= target
+    graph, ids = build_overlay_with_data(nodes, data, seed)
+    sorted_ids, tables = sorted(ids), owner_tables(graph)
+    rng = random.Random(f"reference-{seed}")
+    value = lambda i: int.from_bytes(i, "big")
+    below = [max(0, value(mine[0].identifier) - 1)
+             for mine, _ in rng.sample(list(tables.values()), min(3, nodes))]
+    targets = ([Identifier(rng.randbytes(32)) for _ in range(4)] + rng.choices(ids, k=3)
+               + [ZERO_ID] + [Identifier(t.to_bytes(32, "big")) for t in below])
+    starts_above = 0
+    for target in targets:
+        floor = bisected_floor(sorted_ids, target)
+        for owner in range(nodes):
+            starts_above += tables[owner][0][0].identifier > target
+            result = graph.search_num_id(owner, target)
+            end, path = reference_search(tables, owner, target)
+            assert (result.identifier, result.path) == (end.identifier, path)
+            assert result.identifier == floor
+            assert len(set(path)) == len(path)
+    assert starts_above
+
+
 def bisected_resume(graph: SkipGraph, vertex, target: Identifier):
     """The owner's hosted vertex with the greatest id <= target, else `vertex`."""
     ids = graph.hosted[vertex.owner]
@@ -411,10 +482,11 @@ def id_at(position: int, membership: int) -> Identifier:
 
 def test_a_resume_below_the_target_walks_right_again():
     # node 0 hosts only a, above the target and alone in every list above
-    # level 0; its search walks left at level 0 to x, where node 1 resumes
-    # at its floor h, below the target, and so skips node 3's z; the true
-    # floor y lies between h and the target, so the level-0 walk must turn
-    # right again before the search ends
+    # level 0, so it links to nothing at or below the target and hops to its
+    # smallest link, x; node 1 resumes at its floor h, below the target, and
+    # hops right again to the greatest vertex in (h, target] that any of its
+    # vertices links to, y, passing node 3's z, which lies above the target;
+    # y links to nothing in (y, target], so it is the floor
     h, y, target, z, x, a = (id_at(p, m) for p, m in (
         (0x10, 0), (0x20, 0), (0x30, 0), (0x38, 0), (0x40, 0), (0x50, 1)))
     graph = SkipGraph(max_vertices=8)
@@ -423,7 +495,6 @@ def test_a_resume_below_the_target_walks_right_again():
     graph.announce(h, 1, KIND_DATA)
     assert all(link is None for link in graph.by_id[a].left[1:])
     result = graph.search_num_id(0, target)
-    # without the resume the walk would go a, x, z, y: path [0, 1, 3, 2]
     assert (result.identifier, result.path) == (y, [0, 1, 2])
     # an insert there lands between y and z
     graph.announce(target, 0, KIND_DATA)
